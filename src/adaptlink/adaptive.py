@@ -23,8 +23,10 @@ rationale and the reference tabulation they reproduce):
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, Decimal
+from operator import attrgetter
 
 import numpy as np
 
@@ -161,19 +163,22 @@ def neighborhood(m: DistanceMatrix, i: int, d_u: float) -> Neighborhood:
 
     Members are every j with d(i, j) <= d_u, sorted by (distance, index)
     ascending; the index component makes tied distances (e.g. duplicate rows)
-    resolve deterministically.
+    resolve deterministically. The center leads even when a duplicate of it
+    (distance 0) has a lower index.
     """
     if not 0 <= i < m.n:
         raise OutOfRange(f"center index {i} outside [0, {m.n})")
     row = m.row(i)
-    others = sorted(
-        (j for j in range(m.n) if j != i and row[j] <= d_u),
-        key=lambda j: (row[j], j),
-    )
+    mask = row <= d_u
+    mask[i] = False
+    inside = mask.nonzero()[0]
+    dist = row[inside]
+    # A stable sort of ascending indices breaks distance ties by index.
+    by_dist = dist.argsort(kind="stable")
     return Neighborhood(
         center=i,
-        members=(i, *others),
-        distances=(0.0, *(float(row[j]) for j in others)),
+        members=(i, *inside[by_dist].tolist()),
+        distances=(0.0, *dist[by_dist].tolist()),
         cutoff=float(d_u),
     )
 
@@ -185,31 +190,100 @@ def sub_neighborhood(nb: Neighborhood, v: int) -> tuple[int, ...]:
     return nb.members[:v]
 
 
+# Rank-block cells evaluated per batch of centers in extremely_close_sets.
+_CELL_BUDGET = 1 << 17
+# Rows of the rank block evaluated first; doubled while a longer prefix may qualify.
+_FIRST_ROWS = 8
+
+
+def _longest_prefixes(orders: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Length of the longest qualifying prefix of each center's ordering.
+
+    ``orders`` holds every point's ordering padded with n, plus an all-padding
+    row n. Where only the center itself qualifies the length is 1.
+    """
+    n, width = orders.shape[0] - 1, orders.shape[1]
+    cols = np.arange(width)
+    sizes = cols + 1
+    prefixes = orders[centers]
+    # Rank rows: ranks[b, x] is x's position in the ordering of centers[b].
+    ranks = np.full((centers.size, n + 1), n, dtype=np.int32)
+    ranks[np.arange(centers.size)[:, None], prefixes] = cols
+    ranks[:, n] = n  # padding was written there; it stays outside the cut-off
+    longest = np.ones(centers.size, dtype=np.intp)
+    live = np.arange(centers.size)
+    rows = min(width, _FIRST_ROWS)
+    while live.size:
+        block = ranks[live[:, None, None], orders[prefixes[live, :rows]]]
+        np.maximum.accumulate(block, axis=1, out=block)
+        np.maximum.accumulate(block, axis=2, out=block)
+        # The diagonal holds the maximum rank of each leading square, which
+        # decides every prefix of up to `rows` points.
+        reach = block.reshape(live.size, -1)[:, : rows * width : width + 1]
+        longest[live] = ((reach < sizes[:rows]) * sizes[:rows]).max(axis=1)
+        if rows == width:
+            break
+        # Maxima only grow with more rows, so a longer prefix can still
+        # qualify only where the last row's running maximum allows it.
+        live = live[(block[:, -1, rows:] < sizes[rows:]).any(axis=1)]
+        del block, reach  # free them before the next, larger block is built
+        rows = min(width, 2 * rows)
+    return longest
+
+
 def extremely_close_sets(neighborhoods: list[Neighborhood]) -> list[MergeGroup]:
     """All maximal extremely close sets, pairwise disjoint, sorted by smallest member.
 
-    A set S of size v qualifies when, for every member i, the first v entries
-    of i's neighborhood equal S as a set. Candidates are exactly the prefixes
-    of each neighborhood, so enumerating prefixes of length 2..|members| per
-    point and keeping the set-maximal survivors finds them all.
+    Takes one neighborhood per point 0..n-1, in any order. A set S of size v
+    qualifies when, for every member c, the first v entries of c's
+    neighborhood equal S as a set. So every qualifying set that contains a
+    point i is a prefix of i's ordering, and the maximal set containing i is
+    the longest qualifying prefix of that ordering.
+
+    Write pos_i(x) for x's position in i's ordering, or n when x lies outside
+    the cut-off. The prefix P of length v qualifies iff pos_i(o_c[k]) <= v - 1
+    for every c in P and every k < v, where o_c is c's ordering. The running
+    maximum of this rank block along both axes tests every v at once on its
+    diagonal. The block is evaluated over its first few rows, and the rows
+    double only while the last row's running maximum leaves room for a
+    longer prefix. Centers are batched under a fixed cell budget, and a
+    center already placed in a group is skipped.
     """
-    members_of = {nb.center: nb.members for nb in neighborhoods}
-    candidates: set[frozenset[int]] = set()
-    for nb in neighborhoods:
-        for v in range(2, len(nb.members) + 1):
-            s = frozenset(nb.members[:v])
-            if s in candidates:
+    n = len(neighborhoods)
+    if n == 0:
+        return []
+    by_center = sorted(neighborhoods, key=attrgetter("center"))
+    if [nb.center for nb in by_center] != list(range(n)):
+        raise ValueError("expected one neighborhood per point 0..n-1")
+    width = max(len(nb.members) for nb in by_center)
+    # Row c holds c's ordering padded with n; row n is all padding, so a
+    # padded member's own ordering is padding too.
+    pad = (n,) * width
+    padded = itertools.chain(
+        (nb.members + pad[len(nb.members) :] for nb in by_center), [pad]
+    )
+    orders = np.fromiter(
+        itertools.chain.from_iterable(padded), np.intp, (n + 1) * width
+    ).reshape(n + 1, width)
+    placed: set[int] = set()
+    batch = max(1, _CELL_BUDGET // (n + width * width))
+    groups: list[MergeGroup] = []
+    for start in range(0, n, batch):
+        todo = [c for c in range(start, min(start + batch, n)) if c not in placed]
+        if not todo:
+            continue
+        longest = _longest_prefixes(orders, np.array(todo, dtype=np.intp))
+        for c, v in zip(todo, longest.tolist()):
+            if v < 2 or c in placed:
                 continue
-            if all(frozenset(members_of[c][:v]) == s for c in s):
-                candidates.add(s)
-    maximal = [s for s in candidates if not any(s < t for t in candidates)]
-    maximal.sort(key=min)
-    seen: set[int] = set()
-    for s in maximal:
-        if seen & s:
-            raise RuntimeError("internal invariant violated: overlapping maximal sets")
-        seen |= s
-    return [MergeGroup(members=tuple(sorted(s))) for s in maximal]
+            members = by_center[c].members[:v]
+            placed.update(members)
+            groups.append(MergeGroup(members=members))
+    # Overlapping groups would place fewer points than they hold.
+    if len(placed) != sum(len(g.members) for g in groups):
+        raise RuntimeError("internal invariant violated: overlapping maximal sets")
+    groups.sort(key=lambda g: g.members[0])
+    return groups
 
 
 def merge_group(state: ClusterState, g: MergeGroup, new_depth: int) -> PseudoPoint:

@@ -33,6 +33,10 @@ class DimensionMismatch(ClusteringError):
     """Two coordinate vectors have different lengths."""
 
 
+class Overflow(ClusteringError):
+    """Descriptor values too large for z-scores or distances in double precision."""
+
+
 class SdMode(str, enum.Enum):
     """Standard-deviation convention for z-scoring."""
 
@@ -100,8 +104,10 @@ class NormalizationStats:
         object.__setattr__(self, "sds", _readonly(self.sds))
         if self.means.shape != self.sds.shape:
             raise ValueError("means/sds length mismatch")
-        if not (self.sds > 0).all():
-            raise ValueError("sds must be positive")
+        if not np.isfinite(self.means).all():
+            raise ValueError("means must be finite")
+        if not (np.isfinite(self.sds).all() and (self.sds > 0).all()):
+            raise ValueError("sds must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -136,7 +142,9 @@ def normalize(data: Dataset, mode: SdMode = SdMode.SAMPLE) -> NormalizedDataset:
 
     ``mode`` picks the s.d. convention (sample n-1 by default; see README for
     why sample is the documented default). Constant columns raise
-    :class:`ZeroVariance`; fewer than two rows raise :class:`TooFewPoints`.
+    :class:`ZeroVariance`; fewer than two rows raise :class:`TooFewPoints`;
+    a column whose mean or s.d. overflows double precision raises
+    :class:`Overflow`.
     """
     mode = SdMode(mode)
     if data.n < 2:
@@ -147,8 +155,16 @@ def normalize(data: Dataset, mode: SdMode = SdMode.SAMPLE) -> NormalizedDataset:
         if (col == col[0]).all():
             raise ZeroVariance(k, data.column_names[k] if data.column_names else None)
     ddof = 1 if mode is SdMode.SAMPLE else 0
-    means = values.mean(axis=0)
-    sds = values.std(axis=0, ddof=ddof)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = values.mean(axis=0)
+        sds = values.std(axis=0, ddof=ddof)
+    # A mean that overflowed leaves its s.d. non-finite too.
+    if not np.isfinite(sds).all():
+        k = int(np.flatnonzero(~np.isfinite(sds))[0])
+        raise Overflow(
+            f"column {data.column_names[k]!r} (index {k}) overflows double "
+            "precision when standardized"
+        )
     coords = (values - means) / sds
     return NormalizedDataset(
         labels=data.labels,
@@ -228,12 +244,23 @@ class DistanceMatrix:
 
 
 def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
-    """Condensed Euclidean distance matrix over the rows of ``coords``."""
+    """Condensed Euclidean distance matrix over the rows of ``coords``.
+
+    Raises :class:`Overflow` when a distance is not finite (squared
+    differences beyond double precision, or coordinates that already were).
+    """
     coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     n = coords.shape[0]
     if n < 2:
         raise TooFewPoints(f"distance matrix needs n >= 2, got {n}")
-    return DistanceMatrix(n=n, entries=_kernels.pairwise_condensed(coords))
+    try:
+        return DistanceMatrix(n=n, entries=_kernels.pairwise_condensed(coords))
+    except ValueError as e:
+        # The length is right and the kernel never yields a negative distance,
+        # so the matrix rejected a distance that is not finite.
+        raise Overflow(
+            "pairwise distances overflow double precision; rescale the descriptors"
+        ) from e
 
 
 def distance_matrix(nd: NormalizedDataset) -> DistanceMatrix:

@@ -205,6 +205,33 @@ def random_dataset(rng: np.random.Generator) -> al.Dataset:
     return al.Dataset(labels=labels, values=values, column_names=columns)
 
 
+REGIMES = ("grid", "duplicates", "outlier", "cloud")
+
+
+def regime_dataset(regime: str, seed: int = 0) -> al.Dataset:
+    """A seeded dataset from a regime where fast group discovery can go wrong.
+
+    * ``grid``: n=150 integer rows with values 0-4 in 3 columns (exact ties);
+    * ``duplicates``: 50 distinct rows, each 3 times, shuffled (n=150);
+    * ``outlier``: n=150 Gaussian rows, one moved far away (a degenerate level);
+    * ``cloud``: n=200 Gaussian rows (large neighborhoods).
+    """
+    rng = np.random.default_rng(seed)
+    if regime == "grid":
+        values = rng.integers(0, 5, size=(150, 3)).astype(np.float64)
+    elif regime == "duplicates":
+        values = rng.permutation(np.repeat(rng.normal(size=(50, 3)), 3, axis=0))
+    elif regime == "outlier":
+        values = rng.normal(size=(150, 3))
+        values[int(rng.integers(150))] = 25.0
+    elif regime == "cloud":
+        values = rng.normal(size=(200, 3))
+    else:
+        raise ValueError(f"unknown regime {regime!r}")
+    labels = tuple(f"{regime[0]}{i:03d}" for i in range(len(values)))
+    return al.Dataset(labels=labels, values=values, column_names=("a", "b", "c"))
+
+
 def run_random_suite(count: int = 200, seed: int = 20240817):
     """Verify `count` random datasets; returns (reports, elapsed_seconds)."""
     rng = np.random.default_rng(seed)

@@ -6,7 +6,7 @@ import adaptlink as al
 from adaptlink import io
 
 import _expected as exp
-from _oracle import verify_run
+from _oracle import REGIMES, oracle_groups, oracle_square, regime_dataset, verify_run
 
 
 RAW = al.EngineConfig(restandardize=False, working_decimals=None)
@@ -172,6 +172,49 @@ class TestExtremelyCloseSets:
             assert not (seen & set(g.members))
             seen |= set(g.members)
         assert [min(g.members) for g in groups] == sorted(min(g.members) for g in groups)
+
+    def test_center_first_before_lower_index_duplicate(self):
+        m = al.matrix_from_coords(np.array([[0.0], [0.0], [5.0]]))
+        nb = al.neighborhood(m, 1, al.cutoff_distance(m))
+        assert nb.members == (1, 0, 2) and nb.distances == (0.0, 0.0, 5.0)
+
+    def test_unequal_neighborhood_lengths(self):
+        # Lengths 3, 3, 4, 2: the padded rows must not admit the fourth point.
+        nbs = self.nbhds(np.array([[0.0], [1.0], [2.5], [6.0]]))
+        assert [len(nb.members) for nb in nbs] == [3, 3, 4, 2]
+        assert [g.members for g in al.extremely_close_sets(nbs)] == [(0, 1, 2)]
+
+    def test_degenerate_level_merges_all_but_one(self):
+        rng = np.random.default_rng(3)
+        coords = np.concatenate([[[100.0]], rng.uniform(0, 1, size=(59, 1))])
+        groups = al.extremely_close_sets(self.nbhds(coords))
+        assert [g.members for g in groups] == [tuple(range(1, 60))]
+
+    def test_sorted_by_smallest_member_in_any_input_order(self):
+        coords = np.array([[5.0], [0.0], [5.1], [0.1], [9.0], [9.2]])
+        nbs = self.nbhds(coords)
+        groups = al.extremely_close_sets(nbs[::-1])
+        assert [g.members for g in groups] == [(0, 2), (1, 3), (4, 5)]
+
+    def test_missing_neighborhood_rejected(self):
+        nbs = self.nbhds(np.array([[0.0], [1.0], [3.0]]))
+        with pytest.raises(ValueError):
+            al.extremely_close_sets(nbs[1:])
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_batching_does_not_change_groups(self, regime, monkeypatch):
+        # One center per batch and one first row force every batch and row
+        # doubling path; the result must match the oracle's definition.
+        coords = al.normalize(regime_dataset(regime)).coords
+        m = al.matrix_from_coords(coords)
+        cut = al.cutoff_distance(m)
+        nbs = [al.neighborhood(m, i, cut) for i in range(m.n)]
+        want, _ = oracle_groups(oracle_square(coords), cut)
+        want = sorted(tuple(sorted(s)) for s in want)
+        assert [g.members for g in al.extremely_close_sets(nbs)] == want
+        monkeypatch.setattr(al.adaptive, "_CELL_BUDGET", 1)
+        monkeypatch.setattr(al.adaptive, "_FIRST_ROWS", 1)
+        assert [g.members for g in al.extremely_close_sets(nbs)] == want
 
 
 class TestMergeGroup:
@@ -365,6 +408,12 @@ class TestAgainstOracle:
     def test_meta_raw_config(self, meta_nd):
         report = verify_run(meta_nd, RAW)
         assert report.failures == []
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_regime(self, regime):
+        report = verify_run(al.normalize(regime_dataset(regime)))
+        assert report.failures == []
+        assert report.depths >= 1
 
     def test_small_random(self):
         rng = np.random.default_rng(42)

@@ -143,6 +143,20 @@ class TestErrors:
         assert code == 1
         assert "y" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "flags, message",
+        [((), "overflows double precision when standardized"),
+         (("--no-normalize",), "distances overflow double precision")],
+    )
+    def test_overflowing_values(self, capsys, tmp_path, flags, message):
+        big = tmp_path / "big.csv"
+        big.write_text("name,x,y\na,1e308,0\nb,-1e308,1\nc,0,2\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "cluster", "--input", str(big), *flags)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_single_row_table(self, capsys, tmp_path):
         one = tmp_path / "one.csv"
         one.write_text("name,x\na,1\n", encoding="utf-8")

@@ -103,6 +103,23 @@ class TestNormalize:
             orders.append(np.argsort([m.value(0, j) for j in range(1, 12)]))
         assert np.array_equal(orders[0], orders[1])
 
+    def test_overflowing_column_rejected(self):
+        # The s.d. of this column is inf, which used to give all-zero z-scores.
+        data = small([[1e308, 0.0], [-1e308, 1.0], [0.0, 2.0]], ("big", "ok"))
+        with pytest.raises(al.Overflow, match="'big'"):
+            al.normalize(data)
+        assert issubclass(al.Overflow, al.ClusteringError)
+
+    def test_stats_reject_non_finite(self):
+        with pytest.raises(ValueError):
+            al.NormalizationStats(
+                means=np.zeros(1), sds=np.array([np.inf]), mode=al.SdMode.SAMPLE
+            )
+        with pytest.raises(ValueError):
+            al.NormalizationStats(
+                means=np.array([np.nan]), sds=np.ones(1), mode=al.SdMode.SAMPLE
+            )
+
 
 class TestDistance:
     def test_identity(self):
@@ -152,6 +169,13 @@ class TestDistance:
         data = small([[1.0, 2.0]])
         with pytest.raises(al.TooFewPoints):
             al.distance_matrix(al.identity_normalized(data))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_distances_rejected(self):
+        with pytest.raises(al.Overflow):
+            al.matrix_from_coords(np.array([[1e200, 0.0], [-1e200, 1.0]]))
+        with pytest.raises(al.Overflow):
+            al.matrix_from_coords(np.array([[np.inf], [0.0]]))
 
     def test_row_matches_square(self):
         nd = al.normalize(io.load_fixture("para"))

@@ -6,15 +6,16 @@ adaptive engine's level count is compared against.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .adaptive import DepthRecord, TreeNode, format_cutoff
 from .core import (
     ClusteringError,
     NormalizedDataset,
+    Overflow,
     TooFewPoints,
     matrix_from_coords,
 )
@@ -54,6 +55,15 @@ def _lw_update(method: LinkageMethod, d_ai, d_bi, na: int, nb: int):
     return (na * d_ai + nb * d_bi) / (na + nb)
 
 
+def _centroid_distances(centroids: np.ndarray, a: int, idx: np.ndarray) -> np.ndarray:
+    """d(centroid a, centroid i) for i in ``idx``, accumulated like ``sq_distance``."""
+    acc = np.zeros(idx.size)
+    for k in range(centroids.shape[1]):
+        diff = centroids[a, k] - centroids[idx, k]
+        acc += diff * diff
+    return np.sqrt(acc)
+
+
 def stepwise_cluster(
     nd: NormalizedDataset,
     method: LinkageMethod,
@@ -61,44 +71,53 @@ def stepwise_cluster(
 ) -> StepwiseDendrogram:
     """Merge the closest pair repeatedly; ties break on the clusters' smallest leaves.
 
+    A merge keeps the lower slot, so slot ``s`` always holds the cluster whose
+    smallest leaf is row ``s``, and the pair with the lowest (distance, lower
+    leaf, upper leaf) key is the first minimum of the upper triangle in
+    row-major order. Every active row caches its first nearest active slot to
+    the right; a merge rescans only the merged row and the rows whose cached
+    neighbour was one of the merged pair. A step costs O(n) plus O(n) per
+    rescanned row: O(n^2) overall on typical data, O(n^3) at worst.
+
     With ``stop_threshold`` the loop stops before any merge whose distance
-    exceeds it, leaving a forest; by default it runs to a single root.
+    exceeds it, leaving a forest; by default it runs to a single root. A NaN
+    threshold raises :class:`ClusteringError`, and a centroid distance that
+    overflows raises :class:`Overflow`.
     """
     method = LinkageMethod(method)
+    if stop_threshold is not None and math.isnan(stop_threshold):
+        raise ClusteringError("stop threshold must be a number, got NaN")
     if nd.n < 2:
         raise TooFewPoints(f"stepwise clustering needs n >= 2, got {nd.n}")
     n = nd.n
+    # Distances live in the upper triangle (i < j); the lower triangle, the
+    # diagonal and the row and column of every merged-away slot hold inf.
     dist = np.array(matrix_from_coords(nd.coords)._square)
-    np.fill_diagonal(dist, np.inf)
+    dist[np.tri(n, dtype=bool)] = np.inf
+    nn_j = dist.argmin(axis=1)
+    nn_d = dist[np.arange(n), nn_j]
     nodes: list[TreeNode | None] = [
         TreeNode(leaves=frozenset({lab}), label=lab, depth=0) for lab in nd.labels
     ]
     sizes = [1] * n
-    min_leaf = list(range(n))
+    min_label = list(nd.labels)
     centroids = np.array(nd.coords) if method is LinkageMethod.CENTROID else None
-    active = set(range(n))
+    active = np.ones(n, dtype=bool)
     records: list[DepthRecord] = []
-    step = 0
-    while len(active) > 1:
-        act = sorted(active)
-        best: tuple | None = None
-        for ai, a in enumerate(act):
-            for b in act[ai + 1 :]:
-                lo, hi = sorted((min_leaf[a], min_leaf[b]))
-                key = (dist[a, b], lo, hi)
-                if best is None or key < best[0:3]:
-                    best = (*key, a, b)
-        d, _, _, a, b = best
+    for step in range(1, n):
+        a = int(nn_d.argmin())
+        d = nn_d[a]
         if stop_threshold is not None and d > stop_threshold:
             break
-        step += 1
-        if min_leaf[b] < min_leaf[a]:
-            a, b = b, a
-        children = sorted((nodes[a], nodes[b]), key=lambda t: min(t.leaves))
+        b = int(nn_j[a])
+        if min_label[b] < min_label[a]:
+            children = (nodes[b], nodes[a])
+        else:
+            children = (nodes[a], nodes[b])
         merged_leaves = nodes[a].leaves | nodes[b].leaves
         nodes[a] = TreeNode(
             leaves=merged_leaves,
-            children=tuple(children),
+            children=children,
             depth=step,
             cutoff=float(d),
         )
@@ -113,23 +132,47 @@ def stepwise_cluster(
         )
         na, nb = sizes[a], sizes[b]
         sizes[a] = na + nb
-        min_leaf[a] = min(min_leaf[a], min_leaf[b])
-        active.remove(b)
-        others = [i for i in sorted(active) if i != a]
+        min_label[a] = min(min_label[a], min_label[b])
+        active[[a, b]] = False
+        others = np.flatnonzero(active)
+        active[a] = True
+        # Rows whose cached neighbour was a or b (row a among them) need a rescan.
+        stale = active & ((nn_j == a) | (nn_j == b))
         if method is LinkageMethod.CENTROID:
-            centroids[a] = (na * centroids[a] + nb * centroids[b]) / (na + nb)
-            for i in others:
-                dist[a, i] = dist[i, a] = _kernels.sq_distance(
-                    centroids[a], centroids[i]
+            with np.errstate(over="ignore", invalid="ignore"):
+                centroids[a] = (na * centroids[a] + nb * centroids[b]) / (na + nb)
+                new = _centroid_distances(centroids, a, others)
+            if not np.isfinite(new).all():
+                raise Overflow(
+                    "centroid distances overflow double precision; "
+                    "rescale the descriptors"
                 )
-        elif others:
-            idx = np.array(others)
-            updated = _lw_update(method, dist[a, idx], dist[b, idx], na, nb)
-            dist[a, idx] = updated
-            dist[idx, a] = updated
+        else:
+            # One of d[a, i] and d[i, a] is the distance, the other is inf.
+            new = _lw_update(
+                method,
+                np.minimum(dist[a, others], dist[others, a]),
+                np.minimum(dist[b, others], dist[others, b]),
+                na,
+                nb,
+            )
+        split = int(np.searchsorted(others, a))
+        before, after = others[:split], others[split:]
+        dist[before, a] = new[:split]
+        dist[a, after] = new[split:]
         dist[b, :] = np.inf
         dist[:, b] = np.inf
-    roots = tuple(nodes[i] for i in sorted(active, key=lambda i: min_leaf[i]))
+        nn_d[b] = np.inf
+        # A row i < a keeps its cached neighbour unless column a is now
+        # nearer, or as near and further left.
+        cand = new[:split]
+        closer = (cand < nn_d[before]) | ((cand == nn_d[before]) & (nn_j[before] > a))
+        nn_d[before[closer]] = cand[closer]
+        nn_j[before[closer]] = a
+        rows = np.flatnonzero(stale)
+        nn_j[rows] = dist[rows].argmin(axis=1)
+        nn_d[rows] = dist[rows, nn_j[rows]]
+    roots = tuple(nodes[i] for i in np.flatnonzero(active))
     meta = {
         "method": method.value,
         "sd_mode": nd.stats.mode.value,

@@ -254,7 +254,10 @@ def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
     if n < 2:
         raise TooFewPoints(f"distance matrix needs n >= 2, got {n}")
     try:
-        return DistanceMatrix(n=n, entries=_kernels.pairwise_condensed(coords))
+        # Overflow surfaces as a non-finite distance below, not as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            entries = _kernels.pairwise_condensed(coords)
+        return DistanceMatrix(n=n, entries=entries)
     except ValueError as e:
         # The length is right and the kernel never yields a negative distance,
         # so the matrix rejected a distance that is not finite.

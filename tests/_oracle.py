@@ -1,10 +1,14 @@
-"""Independent brute-force verifier for the adaptive engine.
+"""Independent brute-force verifiers for the adaptive engine and the baselines.
 
 Re-derives every per-depth quantity from the state's coordinates with naive
 full scans (O(n^3) overall) and direct validation of the extremely-close-set
 definition, then checks the engine's output against it: cut-off value, emitted
 groups, homogeneity, disjointness, leaf partition, merge means, termination,
 the no-unmerged-mutual-pair condition, and bit-for-bit determinism.
+
+``oracle_stepwise`` is the stepwise baseline as an all-pairs scan per step
+(O(n^3) overall); the cached-minimum ``stepwise_cluster`` must match its
+output byte for byte.
 """
 from __future__ import annotations
 
@@ -16,6 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 import adaptlink as al
+from adaptlink import _kernels
+from adaptlink.adaptive import DepthRecord, TreeNode, format_cutoff
+from adaptlink.baseline import LinkageMethod, StepwiseDendrogram
+from adaptlink.core import TooFewPoints, matrix_from_coords
 
 
 def _dist(a, b) -> float:
@@ -250,3 +258,100 @@ def run_random_suite(count: int = 200, seed: int = 20240817):
             config = al.EngineConfig()
         reports.append(verify_run(nd, config))
     return reports, time.perf_counter() - start
+
+
+def _lw_update(method: LinkageMethod, d_ai, d_bi, na: int, nb: int):
+    if method is LinkageMethod.SINGLE:
+        return np.minimum(d_ai, d_bi)
+    if method is LinkageMethod.COMPLETE:
+        return np.maximum(d_ai, d_bi)
+    return (na * d_ai + nb * d_bi) / (na + nb)
+
+
+def oracle_stepwise(
+    nd,
+    method: LinkageMethod,
+    stop_threshold: float | None = None,
+) -> StepwiseDendrogram:
+    """Merge the closest pair repeatedly, scanning every active pair per step.
+
+    Ties break on the key (distance, smaller leaf index, larger leaf index),
+    where a cluster's leaf index is its smallest leaf's row.
+    """
+    method = LinkageMethod(method)
+    if nd.n < 2:
+        raise TooFewPoints(f"stepwise clustering needs n >= 2, got {nd.n}")
+    n = nd.n
+    dist = np.array(matrix_from_coords(nd.coords)._square)
+    np.fill_diagonal(dist, np.inf)
+    nodes: list[TreeNode | None] = [
+        TreeNode(leaves=frozenset({lab}), label=lab, depth=0) for lab in nd.labels
+    ]
+    sizes = [1] * n
+    min_leaf = list(range(n))
+    centroids = np.array(nd.coords) if method is LinkageMethod.CENTROID else None
+    active = set(range(n))
+    records: list[DepthRecord] = []
+    step = 0
+    while len(active) > 1:
+        act = sorted(active)
+        best: tuple | None = None
+        for ai, a in enumerate(act):
+            for b in act[ai + 1 :]:
+                lo, hi = sorted((min_leaf[a], min_leaf[b]))
+                key = (dist[a, b], lo, hi)
+                if best is None or key < best[0:3]:
+                    best = (*key, a, b)
+        d, _, _, a, b = best
+        if stop_threshold is not None and d > stop_threshold:
+            break
+        step += 1
+        if min_leaf[b] < min_leaf[a]:
+            a, b = b, a
+        children = sorted((nodes[a], nodes[b]), key=lambda t: min(t.leaves))
+        merged_leaves = nodes[a].leaves | nodes[b].leaves
+        nodes[a] = TreeNode(
+            leaves=merged_leaves,
+            children=tuple(children),
+            depth=step,
+            cutoff=float(d),
+        )
+        nodes[b] = None
+        records.append(
+            DepthRecord(
+                depth=step,
+                cutoff=float(d),
+                display=format_cutoff(d),
+                groups=(frozenset(merged_leaves),),
+            )
+        )
+        na, nb = sizes[a], sizes[b]
+        sizes[a] = na + nb
+        min_leaf[a] = min(min_leaf[a], min_leaf[b])
+        active.remove(b)
+        others = [i for i in sorted(active) if i != a]
+        if method is LinkageMethod.CENTROID:
+            centroids[a] = (na * centroids[a] + nb * centroids[b]) / (na + nb)
+            for i in others:
+                dist[a, i] = dist[i, a] = _kernels.sq_distance(
+                    centroids[a], centroids[i]
+                )
+        elif others:
+            idx = np.array(others)
+            updated = _lw_update(method, dist[a, idx], dist[b, idx], na, nb)
+            dist[a, idx] = updated
+            dist[idx, a] = updated
+        dist[b, :] = np.inf
+        dist[:, b] = np.inf
+    roots = tuple(nodes[i] for i in sorted(active, key=lambda i: min_leaf[i]))
+    meta = {
+        "method": method.value,
+        "sd_mode": nd.stats.mode.value,
+        "normalized": nd.normalized,
+        "stop_threshold": stop_threshold,
+        "columns": list(nd.column_names),
+        "dataset_sha256": nd.source_hash,
+    }
+    return StepwiseDendrogram(
+        labels=nd.labels, roots=roots, trace=tuple(records), method=method, meta=meta
+    )

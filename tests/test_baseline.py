@@ -1,9 +1,13 @@
 """Tests for the classical stepwise baselines and the compactness comparison."""
+import functools
+
 import numpy as np
 import pytest
 
 import adaptlink as al
 from adaptlink import io
+
+from _oracle import REGIMES, oracle_stepwise, regime_dataset
 
 
 ALL_METHODS = tuple(al.LinkageMethod)
@@ -122,6 +126,60 @@ class TestStepwise:
     def test_rejects_single_point(self):
         with pytest.raises(al.TooFewPoints):
             al.stepwise_cluster(tiny([[1.0, 2.0]]), al.LinkageMethod.SINGLE)
+
+    def test_rejects_nan_threshold(self, para_nd):
+        with pytest.raises(al.ClusteringError, match="NaN"):
+            al.stepwise_cluster(
+                para_nd, al.LinkageMethod.AVERAGE, stop_threshold=float("nan")
+            )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_centroid(self):
+        # distances are finite, but the mean of two 1.5e308 rows overflows
+        nd = tiny([[1.5e308, 0.0], [1.5e308, 1.0], [1.5e308, 3.0]])
+        with pytest.raises(al.Overflow):
+            al.stepwise_cluster(nd, al.LinkageMethod.CENTROID)
+
+
+def outputs(d):
+    return io.write_trace(d), io.write_dot(d), io.write_tree_text(d)
+
+
+@functools.lru_cache(maxsize=None)
+def normalized(name):
+    data = io.load_fixture(name) if name in ("para", "meta") else regime_dataset(name)
+    return al.normalize(data)
+
+
+class TestAgainstOracle:
+    """The cached row minimum gives the all-pairs scan's bytes, ties included."""
+
+    @pytest.mark.parametrize("cut", ("full", "mid"))
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("name", (*REGIMES, "para", "meta"))
+    def test_same_bytes(self, name, method, cut):
+        nd = normalized(name)
+        threshold = None
+        if cut == "mid":
+            # a merge height itself, so merges at exactly the threshold happen
+            heights = [rec.cutoff for rec in al.stepwise_cluster(nd, method).trace]
+            threshold = heights[len(heights) // 2]
+        got = al.stepwise_cluster(nd, method, stop_threshold=threshold)
+        want = oracle_stepwise(nd, method, stop_threshold=threshold)
+        assert outputs(got) == outputs(want)
+        if cut == "mid":
+            assert 1 < len(got.roots) < nd.n
+
+
+class TestAgainstScipy:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_merge_heights_in_order(self, method, seed):
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        coords = np.random.default_rng(seed).standard_normal((60, 3))
+        ours = [rec.cutoff for rec in al.stepwise_cluster(tiny(coords), method).trace]
+        ref = hierarchy.linkage(coords, method=method.value)[:, 2]
+        np.testing.assert_allclose(ours, ref, rtol=1e-9, atol=0)
 
 
 class TestCompare:

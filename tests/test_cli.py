@@ -143,7 +143,8 @@ class TestErrors:
         assert code == 1
         assert "y" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # A warning raised as an error would end the run with exit code 2.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "flags, message",
         [((), "overflows double precision when standardized"),
@@ -156,6 +157,17 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert message in err
+        assert err.startswith("adaptlink: error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_nan_threshold(self, capsys):
+        code, out, err = run_cli(
+            capsys, "cluster", "--fixture", "para", "--method", "average",
+            "--threshold", "nan",
+        )
+        assert code == 1
+        assert out == ""
+        assert "NaN" in err
 
     def test_single_row_table(self, capsys, tmp_path):
         one = tmp_path / "one.csv"

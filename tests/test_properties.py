@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import adaptlink as al
 from adaptlink import io
 
-from _oracle import random_dataset, verify_run
+from _oracle import oracle_stepwise, random_dataset, verify_run
 
 
 def finite_floats(lo=-5.0, hi=5.0):
@@ -31,6 +31,28 @@ def datasets(draw, min_n=2, max_n=12, max_p=4):
     return al.Dataset(
         labels=tuple(f"pt{i}" for i in range(n)),
         values=np.array(rows, dtype=float),
+        column_names=tuple(f"c{k}" for k in range(p)),
+    )
+
+
+@st.composite
+def tie_heavy_datasets(draw, max_n=40, max_p=3):
+    """Small-integer grid rows, drawn with repetition: exact ties and duplicates."""
+    p = draw(st.integers(1, max_p))
+    distinct = draw(
+        st.lists(
+            st.lists(st.integers(0, 3), min_size=p, max_size=p),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    picks = draw(
+        st.lists(st.integers(0, len(distinct) - 1), min_size=2, max_size=max_n)
+    )
+    n = len(picks)
+    return al.Dataset(
+        labels=tuple(f"pt{i}" for i in range(n)),
+        values=np.array([distinct[k] for k in picks], dtype=float),
         column_names=tuple(f"c{k}" for k in range(p)),
     )
 
@@ -175,6 +197,20 @@ class TestStepwiseProperties:
         d = al.stepwise_cluster(wrap(data), method)
         cuts = [r.cutoff for r in d.trace]
         assert all(a <= b + 1e-9 for a, b in zip(cuts, cuts[1:]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        tie_heavy_datasets(),
+        st.sampled_from(list(al.LinkageMethod)),
+        st.sampled_from([None, 0.0, 1.0, 1.5, 2.0]),
+    )
+    def test_tie_heavy_matches_oracle(self, data, method, threshold):
+        # raw integer coordinates keep every tie exact
+        nd = al.identity_normalized(data)
+        got = al.stepwise_cluster(nd, method, stop_threshold=threshold)
+        want = oracle_stepwise(nd, method, stop_threshold=threshold)
+        for write in (io.write_trace, io.write_dot, io.write_tree_text):
+            assert write(got) == write(want)
 
 
 class TestSeededSuite:

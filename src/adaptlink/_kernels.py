@@ -1,85 +1,26 @@
-"""Numerical kernels with a numba fast path and a pure-numpy fallback.
+"""Numerical kernels, one numpy path.
 
-The two hot operations — condensed pairwise Euclidean distances and the
-minimax cut-off scan — exist in two implementations selected at runtime:
+* :func:`pairwise_condensed` computes the condensed (row-major upper
+  triangle) Euclidean distances of an n×p matrix;
+* :func:`square_from_condensed` scatters condensed entries into a symmetric
+  n×n array, the one square builder of the package;
+* :func:`cutoff_from_condensed` is the minimax scan over that square;
+* :func:`sq_distance` is the single-pair distance.
 
-* ``numba``: ``@njit(cache=True)`` compiled loops (default when numba
-  imports cleanly);
-* ``numpy``: vectorized fallbacks that accumulate squared differences in
-  the same feature-ascending order, so both backends produce bit-identical
-  results for any number of columns.
-
-The active backend is chosen from the ``ADAPTLINK_BACKEND`` environment
-variable (``numba`` or ``numpy``) and can be switched programmatically with
-:func:`set_backend`.
+Squared differences accumulate feature by feature in ascending order in
+both distance functions, so a distance has the same bits whichever of them
+computes it.
 """
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-VALID_BACKENDS = ("numba", "numpy")
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-
-@njit(cache=True)
-def _pairwise_condensed_nb(x):
-    n, p = x.shape
-    out = np.empty(n * (n - 1) // 2, dtype=np.float64)
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc = 0.0
-            for k in range(p):
-                d = x[i, k] - x[j, k]
-                acc += d * d
-            out[idx] = math.sqrt(acc)
-            idx += 1
-    return out
-
-
-@njit(cache=True)
-def _cutoff_nb(entries, n):
-    # max over i of (min over j != i of d_ij), reading condensed storage
-    best = 0.0
-    for i in range(n):
-        lo = np.inf
-        for j in range(n):
-            if j == i:
-                continue
-            a, b = (i, j) if i < j else (j, i)
-            d = entries[a * (2 * n - a - 1) // 2 + (b - a - 1)]
-            if d < lo:
-                lo = d
-        if lo > best:
-            best = lo
-    return best
-
-
-# ---------------------------------------------------------------------------
-# numpy fallbacks (identical accumulation order: features ascending)
-
-
-def _pairwise_condensed_np(x):
+def pairwise_condensed(coords: np.ndarray) -> np.ndarray:
+    """Condensed (row-major upper-triangle) Euclidean distances for an n×p matrix."""
+    x = np.ascontiguousarray(coords, dtype=np.float64)
     n, p = x.shape
     iu, ju = np.triu_indices(n, 1)
     acc = np.zeros(iu.size, dtype=np.float64)
@@ -89,49 +30,24 @@ def _pairwise_condensed_np(x):
     return np.sqrt(acc)
 
 
-def _cutoff_np(entries, n):
-    square = np.full((n, n), np.inf)
-    iu, ju = np.triu_indices(n, 1)
-    square[iu, ju] = entries
-    square[ju, iu] = entries
-    return float(square.min(axis=1).max())
+def square_from_condensed(entries: np.ndarray, n: int, diagonal: float) -> np.ndarray:
+    """Symmetric n×n array of condensed entries, ``diagonal`` on the diagonal.
 
-
-_IMPLS = {
-    "numba": (_pairwise_condensed_nb, _cutoff_nb),
-    "numpy": (_pairwise_condensed_np, _cutoff_np),
-}
-
-_backend = "numpy"
-
-
-def set_backend(name: str) -> None:
-    """Select the kernel backend (``numba`` or ``numpy``)."""
-    if name not in VALID_BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of {VALID_BACKENDS}"
-        )
-    if name == "numba" and not _HAVE_NUMBA:
-        raise ValueError("backend 'numba' requested but numba is not installed")
-    global _backend
-    _backend = name
-
-
-def get_backend() -> str:
-    """Name of the currently active backend."""
-    return _backend
-
-
-def pairwise_condensed(coords: np.ndarray) -> np.ndarray:
-    """Condensed (row-major upper-triangle) Euclidean distances for an n×p matrix."""
-    x = np.ascontiguousarray(coords, dtype=np.float64)
-    return _IMPLS[_backend][0](x)
+    A boolean upper-triangle mask visits its cells in row-major order, the
+    order of condensed storage, and the same mask over the transposed view
+    fills the lower triangle.
+    """
+    upper = np.arange(n)[:, None] < np.arange(n)
+    square = np.empty((n, n))
+    square[upper] = entries
+    square.T[upper] = entries
+    np.fill_diagonal(square, diagonal)
+    return square
 
 
 def cutoff_from_condensed(entries: np.ndarray, n: int) -> float:
     """Minimax scan: max over points of the distance to their nearest other point."""
-    e = np.ascontiguousarray(entries, dtype=np.float64)
-    return float(_IMPLS[_backend][1](e, n))
+    return float(square_from_condensed(entries, n, np.inf).min(axis=1).max())
 
 
 def sq_distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -141,6 +57,3 @@ def sq_distance(x: np.ndarray, y: np.ndarray) -> float:
         d = float(x[k]) - float(y[k])
         acc += d * d
     return math.sqrt(acc)
-
-
-set_backend(os.environ.get("ADAPTLINK_BACKEND", "numba" if _HAVE_NUMBA else "numpy"))

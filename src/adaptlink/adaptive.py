@@ -294,18 +294,15 @@ def merge_group(state: ClusterState, g: MergeGroup, new_depth: int) -> PseudoPoi
     regardless of how many leaves each covers.
     """
     n_active = len(state.points)
-    if len(set(g.members)) != len(g.members) or any(
-        not 0 <= k < n_active for k in g.members
-    ):
-        raise StaleIndex(
-            f"group {g.members} does not reference distinct active points "
-            f"(n={n_active})"
-        )
-    pts = [state.points[k] for k in sorted(g.members)]
-    coords = np.mean(np.stack([p.coords for p in pts]), axis=0)
+    if not all(0 <= k < n_active for k in g.members):
+        raise StaleIndex(f"group {g.members} does not reference active points (n={n_active})")
+    return _mean_point([state.points[k] for k in g.members], new_depth)
+
+
+def _mean_point(pts, new_depth: int) -> PseudoPoint:
     return PseudoPoint(
         id=min(p.id for p in pts),
-        coords=coords,
+        coords=np.mean(np.stack([p.coords for p in pts]), axis=0),
         leaves=frozenset().union(*(p.leaves for p in pts)),
         formed_at_depth=new_depth,
     )
@@ -333,33 +330,22 @@ def _next_frame(coords: np.ndarray, config: EngineConfig, mode: SdMode) -> np.nd
     return w
 
 
-def _apply_groups(
-    state: ClusterState, groups: list[MergeGroup], new_depth: int
-) -> tuple[tuple[PseudoPoint, ...], list[tuple[int, ...]]]:
-    """Replace each group with its pseudo-point at the smallest member's slot."""
-    consumed: set[int] = set()
-    owner_at: dict[int, MergeGroup] = {}
-    for g in groups:
-        for k in g.members:
-            if k in consumed:
-                raise StaleIndex(f"point {k} consumed by two groups at depth {new_depth}")
-            consumed.add(k)
-        owner_at[min(g.members)] = g
-    new_points: list[PseudoPoint] = []
-    index_groups: list[tuple[int, ...]] = []
-    for idx, pt in enumerate(state.points):
-        if idx in owner_at:
-            g = owner_at[idx]
-            new_points.append(merge_group(state, g, new_depth))
-            index_groups.append(g.members)
-        elif idx not in consumed:
-            new_points.append(pt)
-    return tuple(new_points), index_groups
+def _apply_groups(items, groups: list[MergeGroup], merge) -> list:
+    """Replace each group by ``merge(its members' items)`` at its smallest slot.
+
+    The group's other slots are dropped; the remaining items keep their order.
+    Groups are pairwise disjoint (:func:`extremely_close_sets` checks it).
+    """
+    heads = {g.members[0]: g.members for g in groups}
+    dropped = {k for g in groups for k in g.members[1:]}
+    return [
+        merge(tuple(items[k] for k in heads[i])) if i in heads else item
+        for i, item in enumerate(items)
+        if i not in dropped
+    ]
 
 
-def _step(
-    state: ClusterState,
-) -> tuple[ClusterState, DepthRecord, list[tuple[int, ...]]]:
+def _step(state: ClusterState) -> tuple[ClusterState, DepthRecord, list[MergeGroup]]:
     if state.matrix is None or len(state.points) < 2:
         raise TooFewPoints("cluster step needs at least two active points")
     d_u = cutoff_distance(state.matrix)
@@ -368,16 +354,18 @@ def _step(
     if not groups:
         raise RuntimeError("internal invariant violated: no extremely close set")
     new_depth = state.depth + 1
-    merged_points, index_groups = _apply_groups(state, groups, new_depth)
-    group_leafsets = [
-        frozenset().union(*(state.points[k].leaves for k in g)) for g in index_groups
-    ]
+    merged_points = _apply_groups(
+        state.points, groups, lambda pts: _mean_point(pts, new_depth)
+    )
     record = DepthRecord(
         depth=new_depth,
         cutoff=float(d_u),
         display=format_cutoff(d_u),
         groups=tuple(
-            frozenset(state.labels[i] for i in ls) for ls in group_leafsets
+            frozenset(
+                state.labels[i] for k in g.members for i in state.points[k].leaves
+            )
+            for g in groups
         ),
     )
     if len(merged_points) > 1:
@@ -390,7 +378,7 @@ def _step(
         )
         matrix = matrix_from_coords(frame)
     else:
-        points, matrix = merged_points, None
+        points, matrix = tuple(merged_points), None
     next_state = ClusterState(
         depth=new_depth,
         points=points,
@@ -399,7 +387,7 @@ def _step(
         config=state.config,
         sd_mode=state.sd_mode,
     )
-    return next_state, record, index_groups
+    return next_state, record, groups
 
 
 def cluster_step(state: ClusterState) -> tuple[ClusterState, DepthRecord]:
@@ -448,25 +436,18 @@ def build_dendrogram(
     ]
     records: list[DepthRecord] = []
     while len(state.points) > 1:
-        state, record, index_groups = _step(state)
+        state, record, groups = _step(state)
         records.append(record)
-        owner_at = {g[0]: g for g in index_groups}
-        consumed = {k for g in index_groups for k in g}
-        new_nodes: list[TreeNode] = []
-        for idx, node in enumerate(nodes):
-            if idx in owner_at:
-                children = tuple(nodes[k] for k in owner_at[idx])
-                new_nodes.append(
-                    TreeNode(
-                        leaves=frozenset().union(*(c.leaves for c in children)),
-                        children=children,
-                        depth=record.depth,
-                        cutoff=record.cutoff,
-                    )
-                )
-            elif idx not in consumed:
-                new_nodes.append(node)
-        nodes = new_nodes
+        nodes = _apply_groups(
+            nodes,
+            groups,
+            lambda children: TreeNode(
+                leaves=frozenset().union(*(c.leaves for c in children)),
+                children=children,
+                depth=record.depth,
+                cutoff=record.cutoff,
+            ),
+        )
     meta = {
         "method": "adaptive",
         "sd_mode": state.sd_mode.value,

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .adaptive import DepthRecord, TreeNode, format_cutoff
 from .core import (
     ClusteringError,
@@ -92,8 +93,9 @@ def stepwise_cluster(
     n = nd.n
     # Distances live in the upper triangle (i < j); the lower triangle, the
     # diagonal and the row and column of every merged-away slot hold inf.
-    dist = np.array(matrix_from_coords(nd.coords)._square)
-    dist[np.tri(n, dtype=bool)] = np.inf
+    entries = matrix_from_coords(nd.coords).entries
+    dist = _kernels.square_from_condensed(entries, n, np.inf)
+    dist[np.tri(n, k=-1, dtype=bool)] = np.inf
     nn_j = dist.argmin(axis=1)
     nn_d = dist[np.arange(n), nn_j]
     nodes: list[TreeNode | None] = [

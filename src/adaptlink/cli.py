@@ -1,7 +1,7 @@
 """Command-line front end: cluster, compare, export.
 
 Exit codes: 0 success; 1 input/config errors (bad flags, unreadable files,
-malformed tables); 2 internal invariant violations.
+malformed tables, too many rows for memory); 2 internal invariant violations.
 """
 from __future__ import annotations
 
@@ -40,30 +40,35 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", metavar="PATH", help="write the document here instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="adaptlink", description=__doc__.splitlines()[0])
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    cluster = subs.add_parser("cluster", help="run a clustering and emit a document")
-    _add_common(cluster)
-    cluster.add_argument(
+def _add_run(subs, name: str, help: str, formats: tuple[str, ...]) -> None:
+    """A subcommand that runs one clustering; ``formats[0]`` is its default."""
+    sub = subs.add_parser(name, help=help)
+    _add_common(sub)
+    sub.add_argument(
         "--method",
         choices=("adaptive", *STEPWISE),
         default="adaptive",
         help="clustering algorithm (default: adaptive)",
     )
-    cluster.add_argument(
+    sub.add_argument(
         "--format",
-        choices=("trace", "dot", "tree-text"),
-        default="trace",
-        help="output document (default: trace)",
+        choices=formats,
+        default=formats[0],
+        help=f"output document (default: {formats[0]})",
     )
-    cluster.add_argument(
+    sub.add_argument(
         "--threshold",
         type=float,
         help="stop stepwise merging above this distance (stepwise methods only)",
     )
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="adaptlink", description=__doc__.splitlines()[0])
+    subs = parser.add_subparsers(dest="command", required=True)
+    _add_run(
+        subs, "cluster", "run a clustering and emit a document", ("trace", "dot", "tree-text")
+    )
     compare = subs.add_parser("compare", help="compactness: adaptive vs stepwise")
     _add_common(compare)
     compare.add_argument(
@@ -72,25 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=LinkageMethod.AVERAGE.value,
         help="stepwise baseline to compare against (default: average)",
     )
-
-    export = subs.add_parser("export", help="run a clustering and export the tree")
-    _add_common(export)
-    export.add_argument(
-        "--method",
-        choices=("adaptive", *STEPWISE),
-        default="adaptive",
-        help="clustering algorithm (default: adaptive)",
-    )
-    export.add_argument(
-        "--format",
-        choices=("dot", "tree-text", "trace"),
-        default="dot",
-        help="output document (default: dot)",
-    )
-    export.add_argument(
-        "--threshold",
-        type=float,
-        help="stop stepwise merging above this distance (stepwise methods only)",
+    _add_run(
+        subs, "export", "run a clustering and export the tree", ("dot", "tree-text", "trace")
     )
     return parser
 
@@ -107,19 +95,11 @@ def _load_normalized(args):
     return normalize(data, mode)
 
 
-def _run_method(args):
-    nd = _load_normalized(args)
-    if args.method == "adaptive":
-        if getattr(args, "threshold", None) is not None:
-            raise ClusteringError("--threshold applies to stepwise methods only")
-        if args.no_normalize:
-            config = EngineConfig(restandardize=False, working_decimals=None)
-        else:
-            config = EngineConfig()
-        return build_dendrogram(nd, config)
-    return stepwise_cluster(
-        nd, LinkageMethod(args.method), stop_threshold=getattr(args, "threshold", None)
-    )
+def _engine_config(args) -> EngineConfig:
+    """Raw values get a raw engine frame: no re-standardizing, no grid rounding."""
+    if args.no_normalize:
+        return EngineConfig(restandardize=False, working_decimals=None)
+    return EngineConfig()
 
 
 def _emit(text: str, args) -> None:
@@ -131,7 +111,13 @@ def _emit(text: str, args) -> None:
 
 
 def _cmd_cluster(args) -> int:
-    dendro = _run_method(args)
+    nd = _load_normalized(args)
+    if args.method == "adaptive":
+        if args.threshold is not None:
+            raise ClusteringError("--threshold applies to stepwise methods only")
+        dendro = build_dendrogram(nd, _engine_config(args))
+    else:
+        dendro = stepwise_cluster(nd, LinkageMethod(args.method), args.threshold)
     writer = {"trace": write_trace, "dot": write_dot, "tree-text": write_tree_text}
     _emit(writer[args.format](dendro), args)
     return 0
@@ -139,11 +125,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_compare(args) -> int:
     nd = _load_normalized(args)
-    if args.no_normalize:
-        config = EngineConfig(restandardize=False, working_decimals=None)
-    else:
-        config = EngineConfig()
-    adaptive = build_dendrogram(nd, config)
+    adaptive = build_dendrogram(nd, _engine_config(args))
     stepwise = stepwise_cluster(nd, LinkageMethod(args.method))
     report = compare_compactness(adaptive, stepwise)
     _emit(str(report) + "\n", args)
@@ -162,6 +144,10 @@ def main(argv=None) -> int:
         return _cmd_cluster(args)
     except (ClusteringError, OSError) as e:
         print(f"adaptlink: error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        note = "out of memory: the distance matrices need O(n^2) memory"
+        print(f"adaptlink: error: {note}", file=sys.stderr)
         return 1
     except Exception as e:  # invariant violations and genuine bugs
         print(f"adaptlink: internal error: {e}", file=sys.stderr)

@@ -73,6 +73,14 @@ class Dataset:
             raise ValueError("labels must be non-empty")
         if len(set(self.labels)) != n:
             raise ValueError("labels must be unique")
+        for kind, names in (("label", self.labels), ("column name", self.column_names)):
+            for name in names:
+                # The table format splits cells on "," and lines, and strips cells.
+                if "," in name or len(name.splitlines()) > 1 or name != name.strip():
+                    raise ValueError(
+                        f"{kind} {name!r} does not survive the table format: no "
+                        "commas, line breaks or surrounding whitespace"
+                    )
         if not np.isfinite(self.values).all():
             raise ValueError("descriptor values must be finite")
 
@@ -216,25 +224,18 @@ class DistanceMatrix:
         if not np.isfinite(self.entries).all() or (self.entries < 0).any():
             raise ValueError("distances must be finite and non-negative")
 
-    def condensed_index(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return i * (2 * self.n - i - 1) // 2 + (j - i - 1)
-
     def value(self, i: int, j: int) -> float:
         """d(i, j); symmetric, zero on the diagonal (never stored)."""
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"index out of range for n={self.n}")
         if i == j:
             return 0.0
-        return float(self.entries[self.condensed_index(i, j)])
+        i, j = min(i, j), max(i, j)
+        return float(self.entries[i * (2 * self.n - i - 1) // 2 + (j - i - 1)])
 
     @cached_property
     def _square(self) -> np.ndarray:
-        square = np.zeros((self.n, self.n))
-        iu, ju = np.triu_indices(self.n, 1)
-        square[iu, ju] = self.entries
-        square[ju, iu] = self.entries
+        square = _kernels.square_from_condensed(self.entries, self.n, 0.0)
         square.setflags(write=False)
         return square
 

@@ -282,8 +282,8 @@ def oracle_stepwise(
     if nd.n < 2:
         raise TooFewPoints(f"stepwise clustering needs n >= 2, got {nd.n}")
     n = nd.n
-    dist = np.array(matrix_from_coords(nd.coords)._square)
-    np.fill_diagonal(dist, np.inf)
+    entries = matrix_from_coords(nd.coords).entries
+    dist = _kernels.square_from_condensed(entries, n, np.inf)
     nodes: list[TreeNode | None] = [
         TreeNode(leaves=frozenset({lab}), label=lab, depth=0) for lab in nd.labels
     ]

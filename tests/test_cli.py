@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +220,33 @@ class TestErrors:
         code, out, err = run_cli(capsys, "cluster", "--fixture", "para")
         assert code == 2
         assert "internal error" in err
+
+
+    def test_out_of_memory_exits_1(self, capsys, monkeypatch):
+        import adaptlink.core as core_mod
+
+        def no_room(*args, **kwargs):
+            raise MemoryError("Unable to allocate 29.8 GiB")
+
+        monkeypatch.setattr(core_mod._kernels, "pairwise_condensed", no_room)
+        code, out, err = run_cli(capsys, "cluster", "--fixture", "para")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("adaptlink: error: out of memory")
+        assert "O(n^2)" in err
+
+
+HELP = Path(__file__).parent / "help"
+
+
+class TestHelp:
+    # Recorded from the parser that spelled every subcommand's flags out.
+    @pytest.mark.parametrize("command", ["", "cluster", "compare", "export"])
+    def test_help_unchanged(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = run_cli(capsys, *([command] if command else []), "--help")
+        assert code == 0
+        assert out == (HELP / f"{command or 'adaptlink'}.txt").read_text(encoding="utf-8")
 
 
 class TestConsoleScript:

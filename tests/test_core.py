@@ -182,6 +182,8 @@ class TestDistance:
         m = al.distance_matrix(nd)
         for i in (0, 7, 24):
             assert np.array_equal(m.row(i), [m.value(i, j) for j in range(nd.n)])
+        pair = al.matrix_from_coords(np.array([[0.0, 1.0], [3.0, 5.0]]))
+        assert np.array_equal([pair.row(0), pair.row(1)], [[0.0, 5.0], [5.0, 0.0]])
 
 
 class TestDataset:
@@ -208,6 +210,25 @@ class TestDataset:
                 values=np.array([[1.0], [math.nan]]),
                 column_names=("c",),
             )
+
+    @pytest.mark.parametrize(
+        "label", ["a,b", "a\nb", "a\rb", " pad", "pad ", "\tpad"],
+        ids=["comma", "newline", "carriage-return", "leading-space", "trailing-space", "tab"],
+    )
+    def test_label_that_cannot_round_trip_rejected(self, label):
+        with pytest.raises(ValueError, match="does not survive the table format"):
+            al.Dataset(labels=(label, "b"), values=np.zeros((2, 1)), column_names=("c",))
+
+    def test_column_name_that_cannot_round_trip_rejected(self):
+        with pytest.raises(ValueError, match="column name"):
+            al.Dataset(labels=("a", "b"), values=np.zeros((2, 1)), column_names=("x,y",))
+
+    def test_inner_space_round_trips(self):
+        data = al.Dataset(
+            labels=("4-NO2 Ph", "b"), values=[[1.0], [2.0]], column_names=("sigma p",)
+        )
+        again = io.parse_table(io.format_table(data))
+        assert (again.labels, again.column_names) == (data.labels, data.column_names)
 
     def test_content_hash_stable(self):
         a = small([[1.0, 2.0], [3.0, 4.0]])

@@ -1,8 +1,4 @@
-"""Tests for the numba/numpy kernel backends."""
-import os
-import subprocess
-import sys
-
+"""Tests for the numpy distance, square and cut-off kernels."""
 import numpy as np
 import pytest
 
@@ -10,77 +6,11 @@ import adaptlink as al
 from adaptlink import _kernels, io
 
 
-@pytest.fixture
-def restore_backend():
-    before = al.get_backend()
-    yield
-    al.set_backend(before)
-
-
 def random_coords(rng, n, p):
     x = rng.uniform(-4, 4, size=(n, p))
     if n >= 4:
         x[n - 1] = x[0]  # duplicate row: exercises exact zero distances
     return x
-
-
-class TestBackendSelection:
-    def test_default_backend_valid(self):
-        assert al.get_backend() in _kernels.VALID_BACKENDS
-
-    def test_switch_and_restore(self, restore_backend):
-        al.set_backend("numpy")
-        assert al.get_backend() == "numpy"
-        if _kernels._HAVE_NUMBA:
-            al.set_backend("numba")
-            assert al.get_backend() == "numba"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            al.set_backend("fortran")
-
-    def test_env_var_respected(self):
-        env = dict(os.environ, ADAPTLINK_BACKEND="numpy")
-        out = subprocess.run(
-            [sys.executable, "-c", "import adaptlink; print(adaptlink.get_backend())"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert out.stdout.strip() == "numpy"
-
-
-@pytest.mark.skipif(not _kernels._HAVE_NUMBA, reason="numba unavailable")
-class TestBackendParity:
-    def test_pairwise_bit_identical(self, restore_backend):
-        rng = np.random.default_rng(11)
-        for n, p in ((2, 1), (5, 2), (17, 3), (40, 5), (31, 4)):
-            x = random_coords(rng, n, p)
-            al.set_backend("numba")
-            a = _kernels.pairwise_condensed(x)
-            al.set_backend("numpy")
-            b = _kernels.pairwise_condensed(x)
-            assert np.array_equal(a, b)  # not just close: identical bits
-
-    def test_cutoff_bit_identical(self, restore_backend):
-        rng = np.random.default_rng(12)
-        for n, p in ((3, 1), (10, 2), (25, 5)):
-            x = random_coords(rng, n, p)
-            entries = _kernels.pairwise_condensed(x)
-            al.set_backend("numba")
-            a = _kernels.cutoff_from_condensed(entries, n)
-            al.set_backend("numpy")
-            b = _kernels.cutoff_from_condensed(entries, n)
-            assert a == b
-
-    def test_full_run_bit_identical(self, restore_backend):
-        nd = al.normalize(io.load_fixture("para"))
-        al.set_backend("numba")
-        with_numba = al.build_dendrogram(nd)
-        al.set_backend("numpy")
-        with_numpy = al.build_dendrogram(nd)
-        assert [r.cutoff for r in with_numba.trace] == [r.cutoff for r in with_numpy.trace]
-        assert [r.groups for r in with_numba.trace] == [r.groups for r in with_numpy.trace]
 
 
 class TestAgainstScipy:
@@ -110,3 +40,28 @@ class TestSqDistance:
             for j in range(i + 1, 9):
                 assert _kernels.sq_distance(x[i], x[j]) == m.value(i, j)
         assert np.array_equal(m.entries, entries)
+
+
+class TestSquareFromCondensed:
+    def test_matches_squareform(self):
+        squareform = pytest.importorskip("scipy.spatial.distance").squareform
+        rng = np.random.default_rng(15)
+        for n, p in ((2, 1), (7, 2), (40, 3)):
+            entries = _kernels.pairwise_condensed(random_coords(rng, n, p))
+            square = _kernels.square_from_condensed(entries, n, 0.0)
+            assert np.array_equal(square, squareform(entries))
+            square = _kernels.square_from_condensed(entries, n, np.inf)
+            assert np.array_equal(np.diag(square), np.full(n, np.inf))
+
+    def test_two_points(self):
+        square = _kernels.square_from_condensed(np.array([2.5]), 2, np.inf)
+        assert np.array_equal(square, [[np.inf, 2.5], [2.5, np.inf]])
+        assert _kernels.cutoff_from_condensed(np.array([2.5]), 2) == 2.5
+
+    def test_cutoff_zero_when_every_point_has_a_duplicate(self):
+        rng = np.random.default_rng(16)
+        x = rng.uniform(-4, 4, size=(6, 3))
+        x = np.concatenate([x, x[::-1]])
+        entries = _kernels.pairwise_condensed(x)
+        assert entries.min() == 0.0 < entries.max()
+        assert _kernels.cutoff_from_condensed(entries, 12) == 0.0

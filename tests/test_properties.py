@@ -36,7 +36,7 @@ def datasets(draw, min_n=2, max_n=12, max_p=4):
 
 
 @st.composite
-def tie_heavy_datasets(draw, max_n=40, max_p=3):
+def tie_heavy_datasets(draw, min_n=2, max_n=40, max_p=3):
     """Small-integer grid rows, drawn with repetition: exact ties and duplicates."""
     p = draw(st.integers(1, max_p))
     distinct = draw(
@@ -47,7 +47,7 @@ def tie_heavy_datasets(draw, max_n=40, max_p=3):
         )
     )
     picks = draw(
-        st.lists(st.integers(0, len(distinct) - 1), min_size=2, max_size=max_n)
+        st.lists(st.integers(0, len(distinct) - 1), min_size=min_n, max_size=max_n)
     )
     n = len(picks)
     return al.Dataset(
@@ -55,6 +55,18 @@ def tie_heavy_datasets(draw, max_n=40, max_p=3):
         values=np.array([distinct[k] for k in picks], dtype=float),
         column_names=tuple(f"c{k}" for k in range(p)),
     )
+
+
+@st.composite
+def outlier_datasets(draw):
+    """A tie-heavy grid with one row moved far away, so that row sets the cut-off."""
+    data = draw(tie_heavy_datasets(min_n=8, max_n=30))
+    values = data.values.copy()
+    values[draw(st.integers(0, data.n - 1))] += 100.0
+    return al.Dataset(labels=data.labels, values=values, column_names=data.column_names)
+
+
+RAW = al.EngineConfig(restandardize=False, working_decimals=None)
 
 
 def wrap(data):
@@ -74,9 +86,23 @@ class TestEngineInvariants:
     @settings(max_examples=25, deadline=None)
     @given(datasets(max_n=9))
     def test_oracle_verifies_raw_config(self, data):
-        config = al.EngineConfig(restandardize=False, working_decimals=None)
-        report = verify_run(wrap(data), config)
+        report = verify_run(wrap(data), RAW)
         assert report.failures == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(tie_heavy_datasets(min_n=8), st.booleans())
+    def test_oracle_verifies_tie_heavy(self, data, raw):
+        # raw integer coordinates keep every tie exact
+        nd, config = (al.identity_normalized(data), RAW) if raw else (wrap(data), None)
+        report = verify_run(nd, config)
+        assert report.failures == [], report.failures[:3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(outlier_datasets(), st.booleans())
+    def test_oracle_verifies_far_outlier(self, data, raw):
+        nd, config = (al.identity_normalized(data), RAW) if raw else (wrap(data), None)
+        report = verify_run(nd, config)
+        assert report.failures == [], report.failures[:3]
 
     @settings(max_examples=60, deadline=None)
     @given(datasets())
@@ -90,7 +116,7 @@ class TestEngineInvariants:
     def test_cutoff_is_max_of_row_minima(self, data):
         nd = wrap(data)
         m = al.distance_matrix(nd)
-        square = m._square.copy()
+        square = np.stack([m.row(i) for i in range(m.n)])
         np.fill_diagonal(square, np.inf)
         want = float(square.min(axis=1).max())
         assert al.cutoff_distance(m) == pytest.approx(want, rel=0, abs=0)

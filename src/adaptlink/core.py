@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -215,13 +216,29 @@ class DistanceMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _readonly(self.entries).ravel())
+        self._check()
+
+    @classmethod
+    def _adopt(cls, n: int, entries: np.ndarray) -> "DistanceMatrix":
+        """Matrix over a fresh float64 vector no caller holds: no copy is made."""
+        entries.setflags(write=False)
+        m = cls.__new__(cls)
+        object.__setattr__(m, "n", n)
+        object.__setattr__(m, "entries", entries)
+        m._check()
+        return m
+
+    def _check(self):
         expected = self.n * (self.n - 1) // 2
         if self.entries.shape[0] != expected:
             raise ValueError(
                 f"condensed storage for n={self.n} needs {expected} entries, "
                 f"got {self.entries.shape[0]}"
             )
-        if not np.isfinite(self.entries).all() or (self.entries < 0).any():
+        # One reduction each and no temporary; a NaN fails the comparison.
+        if expected and not (
+            self.entries.min() >= 0 and math.isfinite(self.entries.max())
+        ):
             raise ValueError("distances must be finite and non-negative")
 
     def value(self, i: int, j: int) -> float:
@@ -258,7 +275,7 @@ def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
         # Overflow surfaces as a non-finite distance below, not as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             entries = _kernels.pairwise_condensed(coords)
-        return DistanceMatrix(n=n, entries=entries)
+        return DistanceMatrix._adopt(n, entries)
     except ValueError as e:
         # The length is right and the kernel never yields a negative distance,
         # so the matrix rejected a distance that is not finite.

@@ -132,7 +132,13 @@ def write_trace(d) -> str:
 
 
 def read_trace(text: str) -> TraceDocument:
-    """Parse a trace document; raises SchemaError on anything malformed."""
+    """Parse a trace document; raises SchemaError on anything malformed.
+
+    Besides its shape, a document must replay: depths count 1, 2, ...; a
+    label appears at most once per level; and every group is exactly the
+    union of two or more clusters active at its level, a label not seen
+    before being a cluster of its own (so a group has at least two labels).
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
@@ -146,6 +152,7 @@ def read_trace(text: str) -> TraceDocument:
     if not isinstance(meta, dict) or not isinstance(entries, list):
         raise SchemaError("metadata/trace sections missing or mistyped")
     records = []
+    cluster_of: dict[str, frozenset[str]] = {}
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise SchemaError(f"trace entry {k} is not an object")
@@ -172,10 +179,42 @@ def read_trace(text: str) -> TraceDocument:
                 depth=depth,
                 cutoff=float(cutoff),
                 display=display,
-                groups=tuple(frozenset(g) for g in groups),
+                groups=_replay(k, depth, groups, cluster_of),
             )
         )
     return TraceDocument(metadata=meta, records=tuple(records))
+
+
+def _replay(
+    k: int, depth: int, groups: list[list[str]], cluster_of: dict
+) -> tuple[frozenset[str], ...]:
+    """Check one level's groups against the clusters before it, then merge them.
+
+    ``cluster_of`` maps every label seen so far to its active cluster; the
+    level's groups are returned as frozensets.
+    """
+    if depth != k + 1:
+        raise SchemaError(f"trace entry {k} has depth {depth}, expected {k + 1}")
+    labels = [lab for g in groups for lab in g]
+    if len(set(labels)) != len(labels):
+        raise SchemaError(f"depth {depth}: a label appears more than once")
+    merged_groups = tuple(frozenset(g) for g in groups)
+    for g in merged_groups:
+        parts = {cluster_of.get(lab) or frozenset((lab,)) for lab in g}
+        if len(parts) < 2:
+            raise SchemaError(
+                f"depth {depth}: the group of {min(g)!r} joins fewer than two "
+                "active clusters"
+            )
+        outside = frozenset().union(*parts) - g
+        if outside:
+            raise SchemaError(
+                f"depth {depth}: a group is not a union of active clusters: it "
+                f"splits the cluster of {min(outside)!r}"
+            )
+        for lab in g:
+            cluster_of[lab] = g
+    return merged_groups
 
 
 def _roots(d) -> tuple[TreeNode, ...]:

@@ -185,6 +185,35 @@ class TestDistance:
         pair = al.matrix_from_coords(np.array([[0.0, 1.0], [3.0, 5.0]]))
         assert np.array_equal([pair.row(0), pair.row(1)], [[0.0, 5.0], [5.0, 0.0]])
 
+    def test_matrix_keeps_a_read_only_copy(self):
+        src = np.array([1.0, 3.0, 2.0])
+        m = al.DistanceMatrix(n=3, entries=src)
+        src[0] = 9.0
+        assert m.value(0, 1) == 1.0
+        assert not np.shares_memory(m.entries, src)
+        from_coords = al.matrix_from_coords(np.array([[0.0], [1.0], [3.0]]))
+        for entries in (m.entries, from_coords.entries):
+            with pytest.raises(ValueError):
+                entries[0] = 0.5
+
+    @pytest.mark.parametrize(
+        "entries", [[np.nan], [np.inf], [-np.inf], [-1.0], [1.0, np.nan, 2.0], [3.0, 2.0, -1e-300]]
+    )
+    def test_matrix_rejects_bad_distances(self, entries):
+        n = {1: 2, 3: 3}[len(entries)]
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            al.DistanceMatrix(n=n, entries=entries)
+
+    def test_matrix_accepts_empty_and_negative_zero(self):
+        for n in (0, 1):
+            assert al.DistanceMatrix(n=n, entries=[]).entries.shape == (0,)
+        assert al.DistanceMatrix(n=2, entries=[-0.0]).value(0, 1) == 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_coordinates_overflow(self):
+        with pytest.raises(al.Overflow):
+            al.matrix_from_coords(np.array([[np.nan], [0.0], [1.0]]))
+
 
 class TestDataset:
     def test_duplicate_labels_rejected(self):

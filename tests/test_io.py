@@ -116,6 +116,16 @@ class TestFixtures:
             io.load_fixture("ortho")
 
 
+def trace_text(levels):
+    """A trace document, laid out as serialize_trace does, with (depth, groups) levels."""
+    entries = [
+        {"depth": d, "cutoff": 1.0, "cutoff_display": "1.00", "groups": groups}
+        for d, groups in levels
+    ]
+    payload = {"format": "adaptlink-trace", "version": 1, "metadata": {}, "trace": entries}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 class TestTraceDocuments:
     def test_round_trip_lossless(self, para_dendro):
         text = io.write_trace(para_dendro)
@@ -169,6 +179,41 @@ class TestTraceDocuments:
     def test_schema_errors(self, text):
         with pytest.raises(io.SchemaError):
             io.read_trace(text)
+
+    @pytest.mark.parametrize(
+        "levels, problem",
+        [
+            ([(2, [["A", "B"]])], "expected 1"),
+            ([(1, [["A", "B"]]), (1, [["A", "B", "C"]])], "expected 2"),
+            ([(1, [["A"]])], "fewer than two"),
+            ([(1, [["A", "B"], ["B", "C"]])], "more than once"),
+            ([(1, [["A", "A", "B"]])], "more than once"),
+            ([(1, [["A", "B"]]), (2, [["B", "C"]])], "splits the cluster of 'A'"),
+            ([(1, [["A", "B"], ["C", "D"]]), (2, [["A", "B"]])], "fewer than two"),
+        ],
+    )
+    def test_traces_that_do_not_replay(self, levels, problem):
+        with pytest.raises(io.SchemaError, match=problem):
+            io.read_trace(trace_text(levels))
+
+    def test_first_seen_label_is_a_singleton(self):
+        levels = [
+            (1, [["A", "B"], ["C", "D"]]),
+            (2, [["A", "B", "E"]]),
+            (3, [["A", "B", "C", "D", "E"]]),
+        ]
+        text = trace_text(levels)
+        assert io.serialize_trace(io.read_trace(text)) == text
+
+    @pytest.mark.parametrize("method", list(al.LinkageMethod))
+    def test_stepwise_forest_round_trip(self, method):
+        nd = al.normalize(io.load_fixture("para"))
+        full = al.stepwise_cluster(nd, method)
+        threshold = full.trace[len(full.trace) // 2].cutoff
+        forest = al.stepwise_cluster(nd, method, stop_threshold=threshold)
+        assert len(forest.roots) > 1
+        text = io.write_trace(forest)
+        assert io.serialize_trace(io.read_trace(text)) == text
 
 
 class TestDot:

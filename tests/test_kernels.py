@@ -1,4 +1,6 @@
 """Tests for the numpy distance, square and cut-off kernels."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,3 +67,97 @@ class TestSquareFromCondensed:
         entries = _kernels.pairwise_condensed(x)
         assert entries.min() == 0.0 < entries.max()
         assert _kernels.cutoff_from_condensed(entries, 12) == 0.0
+
+
+def scan_cutoff(entries, n):
+    """Brute-force minimax: every row of the inf-diagonal square, in Python."""
+    square = _kernels.square_from_condensed(entries, n, np.inf).tolist()
+    return max(min(row) for row in square)
+
+
+def assert_exact(x):
+    """Every condensed entry and the cut-off equal the per-pair references bit for bit."""
+    n = x.shape[0]
+    entries = _kernels.pairwise_condensed(x)
+    assert entries.shape == (n * (n - 1) // 2,)
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            assert entries[k] == _kernels.sq_distance(x[i], x[j]), (i, j)
+            k += 1
+    assert _kernels.cutoff_from_condensed(entries, n) == scan_cutoff(entries, n)
+
+
+def block_inputs():
+    rng = np.random.default_rng(17)
+    grid = rng.integers(0, 4, size=(40, 3))
+    grid[20:30] = grid[:10]  # duplicate rows: exact zeros
+    outlier = rng.standard_normal((41, 2))
+    outlier[13] = 1e6
+    wide = np.asfortranarray(rng.uniform(-4, 4, size=(38, 5)))
+    return {
+        "integer grid with duplicates": grid,
+        "far outlier": outlier,
+        "p=1": rng.standard_normal((40, 1)),
+        "p=5 fortran order": wide,
+        "sliced rows and columns": rng.standard_normal((80, 7))[::2, 1:6:2],
+        "n=2": rng.standard_normal((2, 3)),
+        "n=3": rng.integers(-3, 3, size=(3, 2)),
+    }
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("budget", [1, 7, 16, 150])
+    def test_blocks_tile_the_condensed_vector(self, monkeypatch, budget):
+        monkeypatch.setattr(_kernels, "_CELL_BUDGET", budget)
+        n = 40
+        blocks = list(_kernels._row_blocks(n))
+        assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
+        assert [b[2] for b in blocks[1:]] == [b[3] for b in blocks[:-1]]
+        assert blocks[0][0] == blocks[0][2] == 0
+        assert blocks[-1][1] == n - 1 and blocks[-1][3] == n * (n - 1) // 2
+        rows = [r1 - r for r, r1, _, _ in blocks]
+        if budget < n:
+            assert min(rows) == 1
+        if budget > 1:
+            assert max(rows) > 1
+
+    @pytest.mark.parametrize("budget", [1, 16, 150])
+    @pytest.mark.parametrize("name", list(block_inputs()))
+    def test_same_bits_across_block_boundaries(self, monkeypatch, budget, name):
+        monkeypatch.setattr(_kernels, "_CELL_BUDGET", budget)
+        assert_exact(block_inputs()[name])
+
+    def test_same_bits_at_the_real_budget(self):
+        rng = np.random.default_rng(18)
+        x = rng.integers(0, 10, size=(400, 3))
+        assert len(list(_kernels._row_blocks(400))) > 3
+        assert_exact(x)
+
+
+class TestMemory:
+    """tracemalloc sees numpy's allocations: the kernels build no n×n array."""
+
+    n = 1000
+
+    @staticmethod
+    def peak_bytes(f, *args):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = f(*args)
+            return out, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_pairwise_peak_near_its_output(self):
+        x = np.random.default_rng(19).standard_normal((self.n, 3))
+        entries, peak = self.peak_bytes(_kernels.pairwise_condensed, x)
+        assert peak < 1.5 * entries.nbytes
+
+    def test_cutoff_peak_far_below_a_square(self):
+        x = np.random.default_rng(20).standard_normal((self.n, 3))
+        entries = _kernels.pairwise_condensed(x)
+        _, peak = self.peak_bytes(_kernels.cutoff_from_condensed, entries, self.n)
+        square_bytes = self.n * self.n * 8
+        assert peak < square_bytes / 8

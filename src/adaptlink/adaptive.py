@@ -10,22 +10,26 @@ pseudo-point remains, so several points can join a cluster in one step and
 the full tree typically needs far fewer levels than one-merge-at-a-time
 agglomeration.
 
-Two engine options control the working coordinate frame (see README for the
-rationale and the reference tabulation they reproduce):
+A level is three things: the active coordinates (an m x p float64 array),
+the tuple of leaf indices each row covers, and their distance matrix.
 
-* ``restandardize`` (default on): re-z-score the active coordinates at the
+The working coordinate frame follows the input (see README for the rationale
+and the reference tabulation it reproduces):
+
+* z-scored input (:func:`~adaptlink.core.normalize`) is re-z-scored at the
   start of every iteration, so the shrinking point set keeps zero-mean,
-  unit-s.d. columns;
-* ``working_decimals`` (default 6): round each freshly standardized frame to
-  a fixed decimal grid, which resolves equal-distance ties identically on
-  every platform (equal-step descriptor series otherwise tie at the last
-  bit of the mantissa).
+  unit-s.d. columns, and each frame is rounded to six decimals, which
+  resolves equal-distance ties identically on every platform (equal-step
+  descriptor series otherwise tie at the last bit of the mantissa);
+* raw input (:func:`~adaptlink.core.identity_normalized`, the CLI's
+  ``--no-normalize``) keeps its raw frame, so merged coordinates stay the
+  exact member means.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from decimal import ROUND_DOWN, Decimal
+from decimal import ROUND_DOWN, Context, Decimal
 from operator import attrgetter
 
 import numpy as np
@@ -37,31 +41,28 @@ from .core import (
     NormalizedDataset,
     SdMode,
     TooFewPoints,
-    _readonly,
     matrix_from_coords,
 )
 
+# Decimals of the grid a z-scored working frame is rounded to.
+_WORKING_DECIMALS = 6
+
 
 class OutOfRange(ClusteringError):
-    """A sub-neighborhood size is outside [1, len(neighborhood)]."""
+    """A neighborhood center is outside the active points."""
 
 
-class StaleIndex(ClusteringError):
-    """A merge referenced a point that is not active (or was already consumed)."""
+# Digits enough to show any finite float to two decimals (the default keeps 28).
+_DISPLAY_CONTEXT = Context(prec=320)
 
 
 def format_cutoff(x: float) -> str:
     """Two-decimal display of a cut-off, truncated toward zero (not rounded)."""
-    return str(Decimal(repr(float(x))).quantize(Decimal("0.01"), rounding=ROUND_DOWN))
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Options for the adaptive engine loop."""
-
-    restandardize: bool = True
-    working_decimals: int | None = 6
-    sd_mode: SdMode | None = None  # None: inherit the dataset's mode
+    return str(
+        Decimal(repr(float(x))).quantize(
+            Decimal("0.01"), rounding=ROUND_DOWN, context=_DISPLAY_CONTEXT
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -86,34 +87,6 @@ class MergeGroup:
             raise ValueError("merge groups have at least two members")
         if len(set(self.members)) != len(self.members):
             raise ValueError("merge group members must be distinct")
-
-
-@dataclass(frozen=True)
-class PseudoPoint:
-    """An active point: an original leaf or the mean of previously merged points."""
-
-    id: int
-    coords: np.ndarray
-    leaves: frozenset[int]
-    formed_at_depth: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _readonly(self.coords).ravel())
-        object.__setattr__(self, "leaves", frozenset(self.leaves))
-        if not self.leaves:
-            raise ValueError("a pseudo-point covers at least one leaf")
-
-
-@dataclass(frozen=True)
-class ClusterState:
-    """Active points and their distance matrix at one depth of the loop."""
-
-    depth: int
-    points: tuple[PseudoPoint, ...]
-    matrix: DistanceMatrix | None
-    labels: tuple[str, ...]
-    config: EngineConfig
-    sd_mode: SdMode
 
 
 @dataclass(frozen=True)
@@ -181,13 +154,6 @@ def neighborhood(m: DistanceMatrix, i: int, d_u: float) -> Neighborhood:
         distances=(0.0, *dist[by_dist].tolist()),
         cutoff=float(d_u),
     )
-
-
-def sub_neighborhood(nb: Neighborhood, v: int) -> tuple[int, ...]:
-    """First v members of a neighborhood."""
-    if not 1 <= v <= len(nb.members):
-        raise OutOfRange(f"v={v} outside [1, {len(nb.members)}]")
-    return nb.members[:v]
 
 
 # Rank-block cells evaluated per batch of centers in extremely_close_sets.
@@ -286,26 +252,20 @@ def extremely_close_sets(neighborhoods: list[Neighborhood]) -> list[MergeGroup]:
     return groups
 
 
-def merge_group(state: ClusterState, g: MergeGroup, new_depth: int) -> PseudoPoint:
-    """Merge a group into one pseudo-point: coords = mean of member coords.
+def _merge(coords: np.ndarray, groups: list[MergeGroup]) -> np.ndarray:
+    """Next level's rows: each group's member mean at its smallest slot.
 
-    The mean is taken over the *member* coordinates in the state's current
-    frame — merging a pseudo-point with a singleton weights them equally,
-    regardless of how many leaves each covers.
+    The mean is taken over the *member* rows of the current frame, so merging
+    a pseudo-point with a singleton weights them equally, regardless of how
+    many leaves each covers. A group's other slots are dropped; the remaining
+    rows keep their order.
     """
-    n_active = len(state.points)
-    if not all(0 <= k < n_active for k in g.members):
-        raise StaleIndex(f"group {g.members} does not reference active points (n={n_active})")
-    return _mean_point([state.points[k] for k in g.members], new_depth)
-
-
-def _mean_point(pts, new_depth: int) -> PseudoPoint:
-    return PseudoPoint(
-        id=min(p.id for p in pts),
-        coords=np.mean(np.stack([p.coords for p in pts]), axis=0),
-        leaves=frozenset().union(*(p.leaves for p in pts)),
-        formed_at_depth=new_depth,
-    )
+    out = coords.copy()
+    keep = np.ones(len(coords), dtype=bool)
+    for g in groups:
+        out[g.members[0]] = coords[list(g.members)].mean(axis=0)
+        keep[list(g.members[1:])] = False
+    return out[keep]
 
 
 def _standardize_working(coords: np.ndarray, mode: SdMode) -> np.ndarray:
@@ -319,15 +279,6 @@ def _standardize_working(coords: np.ndarray, mode: SdMode) -> np.ndarray:
         else:
             out[:, k] = (col - col.mean()) / col.std(ddof=ddof)
     return out
-
-
-def _next_frame(coords: np.ndarray, config: EngineConfig, mode: SdMode) -> np.ndarray:
-    if not config.restandardize or coords.shape[0] < 2:
-        return coords
-    w = _standardize_working(coords, mode)
-    if config.working_decimals is not None:
-        w = np.round(w, config.working_decimals)
-    return w
 
 
 def _apply_groups(items, groups: list[MergeGroup], merge) -> list:
@@ -345,98 +296,67 @@ def _apply_groups(items, groups: list[MergeGroup], merge) -> list:
     ]
 
 
-def _step(state: ClusterState) -> tuple[ClusterState, DepthRecord, list[MergeGroup]]:
-    if state.matrix is None or len(state.points) < 2:
+# A level: active coordinates, the leaves of each row, and their matrix
+# (None once a single row is left).
+Level = tuple[np.ndarray, list[tuple[int, ...]], DistanceMatrix | None]
+
+
+def initial_state(nd: NormalizedDataset) -> Level:
+    """Depth-0 level: one row per leaf (z-scored input on the working grid)."""
+    coords = np.asarray(nd.coords, dtype=np.float64)
+    if nd.normalized:
+        coords = np.round(coords, _WORKING_DECIMALS)
+    matrix = matrix_from_coords(coords) if nd.n >= 2 else None
+    return coords, [(i,) for i in range(nd.n)], matrix
+
+
+def _step(
+    level: Level, nd: NormalizedDataset, depth: int
+) -> tuple[Level, DepthRecord, list[MergeGroup]]:
+    """One iteration: cut-off, neighborhoods, maximal groups, simultaneous merge."""
+    coords, leaves, matrix = level
+    if matrix is None:
         raise TooFewPoints("cluster step needs at least two active points")
-    d_u = cutoff_distance(state.matrix)
-    nbs = [neighborhood(state.matrix, i, d_u) for i in range(len(state.points))]
+    d_u = cutoff_distance(matrix)
+    nbs = [neighborhood(matrix, i, d_u) for i in range(len(leaves))]
     groups = extremely_close_sets(nbs)
     if not groups:
         raise RuntimeError("internal invariant violated: no extremely close set")
-    new_depth = state.depth + 1
-    merged_points = _apply_groups(
-        state.points, groups, lambda pts: _mean_point(pts, new_depth)
-    )
     record = DepthRecord(
-        depth=new_depth,
+        depth=depth,
         cutoff=float(d_u),
         display=format_cutoff(d_u),
         groups=tuple(
-            frozenset(
-                state.labels[i] for k in g.members for i in state.points[k].leaves
-            )
+            frozenset(nd.labels[i] for k in g.members for i in leaves[k])
             for g in groups
         ),
     )
-    if len(merged_points) > 1:
-        frame = _next_frame(
-            np.stack([p.coords for p in merged_points]), state.config, state.sd_mode
-        )
-        points = tuple(
-            PseudoPoint(p.id, frame[k], p.leaves, p.formed_at_depth)
-            for k, p in enumerate(merged_points)
-        )
-        matrix = matrix_from_coords(frame)
-    else:
-        points, matrix = tuple(merged_points), None
-    next_state = ClusterState(
-        depth=new_depth,
-        points=points,
-        matrix=matrix,
-        labels=state.labels,
-        config=state.config,
-        sd_mode=state.sd_mode,
-    )
-    return next_state, record, groups
+    leaves = _apply_groups(leaves, groups, lambda parts: tuple(itertools.chain(*parts)))
+    coords = _merge(coords, groups)
+    matrix = None
+    if len(leaves) > 1:
+        if nd.normalized:
+            coords = np.round(
+                _standardize_working(coords, nd.stats.mode), _WORKING_DECIMALS
+            )
+        matrix = matrix_from_coords(coords)
+    return (coords, leaves, matrix), record, groups
 
 
-def cluster_step(state: ClusterState) -> tuple[ClusterState, DepthRecord]:
-    """One iteration: cut-off, neighborhoods, maximal groups, simultaneous merge."""
-    next_state, record, _ = _step(state)
-    return next_state, record
-
-
-def initial_state(
-    nd: NormalizedDataset, config: EngineConfig | None = None
-) -> ClusterState:
-    """Depth-0 state over the dataset's coordinates (grid-rounded per config)."""
-    config = config or EngineConfig()
-    sd_mode = config.sd_mode or nd.stats.mode
-    coords = np.asarray(nd.coords, dtype=np.float64)
-    if config.working_decimals is not None:
-        coords = np.round(coords, config.working_decimals)
-    points = tuple(
-        PseudoPoint(id=i, coords=coords[i], leaves=frozenset({i}), formed_at_depth=0)
-        for i in range(nd.n)
-    )
-    matrix = matrix_from_coords(coords) if nd.n >= 2 else None
-    return ClusterState(
-        depth=0,
-        points=points,
-        matrix=matrix,
-        labels=nd.labels,
-        config=config,
-        sd_mode=sd_mode,
-    )
-
-
-def build_dendrogram(
-    nd: NormalizedDataset, config: EngineConfig | None = None
-) -> Dendrogram:
+def build_dendrogram(nd: NormalizedDataset) -> Dendrogram:
     """Run the adaptive loop to a single root and record every depth.
 
     A single-point dataset yields a leaf-only tree with an empty trace. The
     loop always terminates: every iteration merges at least one group, so at
     most n-1 iterations occur.
     """
-    config = config or EngineConfig()
-    state = initial_state(nd, config)
+    level = initial_state(nd)
     nodes = [
         TreeNode(leaves=frozenset({lab}), label=lab, depth=0) for lab in nd.labels
     ]
     records: list[DepthRecord] = []
-    while len(state.points) > 1:
-        state, record, groups = _step(state)
+    while len(level[1]) > 1:
+        level, record, groups = _step(level, nd, len(records) + 1)
         records.append(record)
         nodes = _apply_groups(
             nodes,
@@ -450,10 +370,10 @@ def build_dendrogram(
         )
     meta = {
         "method": "adaptive",
-        "sd_mode": state.sd_mode.value,
+        "sd_mode": nd.stats.mode.value,
         "normalized": nd.normalized,
-        "restandardize": config.restandardize,
-        "working_decimals": config.working_decimals,
+        "restandardize": nd.normalized,
+        "working_decimals": _WORKING_DECIMALS if nd.normalized else None,
         "columns": list(nd.column_names),
         "dataset_sha256": nd.source_hash,
     }

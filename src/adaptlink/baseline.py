@@ -188,10 +188,13 @@ def stepwise_cluster(
     )
 
 
-def _max_arity(node: TreeNode) -> int:
-    if node.is_leaf:
-        return 0
-    return max(len(node.children), *(_max_arity(c) for c in node.children))
+def _max_arity(root: TreeNode) -> int:
+    arity, stack = 0, [root]
+    while stack:
+        node = stack.pop()
+        arity = max(arity, len(node.children))
+        stack.extend(node.children)
+    return arity
 
 
 @dataclass(frozen=True)

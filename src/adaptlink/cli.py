@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .adaptive import EngineConfig, build_dendrogram
+from .adaptive import build_dendrogram
 from .baseline import LinkageMethod, compare_compactness, stepwise_cluster
 from .core import ClusteringError, SdMode, identity_normalized, normalize
 from .io import FIXTURES, load_fixture, parse_table, write_dot, write_trace, write_tree_text
@@ -95,13 +95,6 @@ def _load_normalized(args):
     return normalize(data, mode)
 
 
-def _engine_config(args) -> EngineConfig:
-    """Raw values get a raw engine frame: no re-standardizing, no grid rounding."""
-    if args.no_normalize:
-        return EngineConfig(restandardize=False, working_decimals=None)
-    return EngineConfig()
-
-
 def _emit(text: str, args) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -115,7 +108,7 @@ def _cmd_cluster(args) -> int:
     if args.method == "adaptive":
         if args.threshold is not None:
             raise ClusteringError("--threshold applies to stepwise methods only")
-        dendro = build_dendrogram(nd, _engine_config(args))
+        dendro = build_dendrogram(nd)
     else:
         dendro = stepwise_cluster(nd, LinkageMethod(args.method), args.threshold)
     writer = {"trace": write_trace, "dot": write_dot, "tree-text": write_tree_text}
@@ -125,7 +118,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_compare(args) -> int:
     nd = _load_normalized(args)
-    adaptive = build_dendrogram(nd, _engine_config(args))
+    adaptive = build_dendrogram(nd)
     stepwise = stepwise_cluster(nd, LinkageMethod(args.method))
     report = compare_compactness(adaptive, stepwise)
     _emit(str(report) + "\n", args)

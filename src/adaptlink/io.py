@@ -134,10 +134,12 @@ def write_trace(d) -> str:
 def read_trace(text: str) -> TraceDocument:
     """Parse a trace document; raises SchemaError on anything malformed.
 
-    Besides its shape, a document must replay: depths count 1, 2, ...; a
-    label appears at most once per level; and every group is exactly the
-    union of two or more clusters active at its level, a label not seen
-    before being a cluster of its own (so a group has at least two labels).
+    Besides its shape, a document must be one the package writes: every
+    cut-off is a finite distance, displayed as ``format_cutoff`` displays it.
+    And it must replay: depths count 1, 2, ...; a label appears at most once
+    per level; and every group is exactly the union of two or more clusters
+    active at its level, a label not seen before being a cluster of its own
+    (so a group has at least two labels).
     """
     try:
         payload = json.loads(text)
@@ -164,8 +166,8 @@ def read_trace(text: str) -> TraceDocument:
         except KeyError as e:
             raise SchemaError(f"trace entry {k} lacks key {e}") from None
         if (
-            not isinstance(depth, int)
-            or not isinstance(cutoff, (int, float))
+            type(depth) is not int  # a JSON true or false is a bool, not a number
+            or type(cutoff) is not float  # written as 1.0, never as 1
             or not isinstance(display, str)
             or not isinstance(groups, list)
             or not all(
@@ -174,10 +176,17 @@ def read_trace(text: str) -> TraceDocument:
             )
         ):
             raise SchemaError(f"trace entry {k} is mistyped")
+        if not math.isfinite(cutoff) or cutoff < 0:
+            raise SchemaError(f"trace entry {k} has cut-off {cutoff!r}, not a distance")
+        if display != format_cutoff(cutoff):
+            raise SchemaError(
+                f"trace entry {k} displays cut-off {cutoff!r} as {display!r}, "
+                f"expected {format_cutoff(cutoff)!r}"
+            )
         records.append(
             DepthRecord(
                 depth=depth,
-                cutoff=float(cutoff),
+                cutoff=cutoff,
                 display=display,
                 groups=_replay(k, depth, groups, cluster_of),
             )
@@ -227,26 +236,32 @@ def _dot_escape(s: str) -> str:
 
 
 def write_dot(d) -> str:
-    """DOT digraph of the dendrogram (or forest), parent -> child edges."""
+    """DOT digraph of the dendrogram (or forest), parent -> child edges.
+
+    Nodes are named in depth-first preorder; a node's edges follow those of
+    its whole subtree. The walk keeps its own stack, so deep trees export.
+    """
     lines = ["digraph dendrogram {", "  node [shape=box];"]
     edges: list[str] = []
     counter = 0
-
-    def visit(node: TreeNode) -> str:
-        nonlocal counter
+    # Entries: (node, the child names of its parent) to visit a node, or
+    # (its name, its child names) once its children have all been named.
+    stack: list = [(root, []) for root in reversed(_roots(d))]
+    while stack:
+        node, names = stack.pop()
+        if isinstance(node, str):
+            edges.extend(f"  {node} -> {child};" for child in names)
+            continue
         name = f"n{counter}"
         counter += 1
+        names.append(name)
         if node.is_leaf:
             lines.append(f'  {name} [label="{_dot_escape(node.label)}"];')
-        else:
-            lines.append(f'  {name} [label="{node.depth}:{format_cutoff(node.cutoff)}"];')
-        child_names = [visit(child) for child in node.children]
-        for child_name in child_names:
-            edges.append(f"  {name} -> {child_name};")
-        return name
-
-    for root in _roots(d):
-        visit(root)
+            continue
+        lines.append(f'  {name} [label="{node.depth}:{format_cutoff(node.cutoff)}"];')
+        child_names: list[str] = []
+        stack.append((name, child_names))
+        stack.extend((child, child_names) for child in reversed(node.children))
     lines.extend(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -255,8 +270,9 @@ def write_dot(d) -> str:
 def write_tree_text(d) -> str:
     """Indented text outline of the dendrogram (or forest)."""
     lines: list[str] = []
-
-    def visit(node: TreeNode, indent: int):
+    stack = [(root, 0) for root in reversed(_roots(d))]
+    while stack:
+        node, indent = stack.pop()
         pad = "  " * indent
         if node.is_leaf:
             lines.append(f"{pad}{node.label}")
@@ -264,9 +280,5 @@ def write_tree_text(d) -> str:
             lines.append(
                 f"{pad}[depth {node.depth}, cutoff {format_cutoff(node.cutoff)}]"
             )
-            for child in node.children:
-                visit(child, indent + 1)
-
-    for root in _roots(d):
-        visit(root, 0)
+            stack.extend((child, indent + 1) for child in reversed(node.children))
     return "\n".join(lines) + "\n"

@@ -1,6 +1,6 @@
 """Independent brute-force verifiers for the adaptive engine and the baselines.
 
-Re-derives every per-depth quantity from the state's coordinates with naive
+Re-derives every per-depth quantity from the level's coordinates with naive
 full scans (O(n^3) overall) and direct validation of the extremely-close-set
 definition, then checks the engine's output against it: cut-off value, emitted
 groups, homogeneity, disjointness, leaf partition, merge means, termination,
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 import adaptlink as al
-from adaptlink import _kernels
+from adaptlink import _kernels, adaptive
 from adaptlink.adaptive import DepthRecord, TreeNode, format_cutoff
 from adaptlink.baseline import LinkageMethod, StepwiseDendrogram
 from adaptlink.core import TooFewPoints, matrix_from_coords
@@ -79,12 +79,17 @@ class RunReport:
             self.failures.append(message)
 
 
-def verify_run(nd, config: al.EngineConfig | None = None) -> RunReport:
+def raw_frame(nd) -> al.NormalizedDataset:
+    """The same values as raw input: the engine keeps them in a raw frame."""
+    data = al.Dataset(labels=nd.labels, values=nd.coords, column_names=nd.column_names)
+    return al.identity_normalized(data, nd.stats.mode)
+
+
+def verify_run(nd) -> RunReport:
     """Drive the engine step by step and verify every depth independently."""
-    config = config or al.EngineConfig()
     report = RunReport(n=nd.n, p=nd.p)
-    first = _drive(nd, config, report)
-    second = _replay(nd, config)  # engine-only rerun to check determinism
+    first = _drive(nd, report)
+    second = _replay(nd)  # engine-only rerun to check determinism
     report.expect(len(first) == len(second), "determinism: trace lengths differ")
     for (c1, g1), (c2, g2) in zip(first, second):
         report.expect(c1 == c2, f"determinism: cutoffs differ ({c1!r} vs {c2!r})")
@@ -92,23 +97,23 @@ def verify_run(nd, config: al.EngineConfig | None = None) -> RunReport:
     return report
 
 
-def _replay(nd, config):
-    state = al.initial_state(nd, config)
+def _replay(nd):
+    level = adaptive.initial_state(nd)
     trace = []
-    while len(state.points) > 1:
-        state, record = al.cluster_step(state)
+    while len(level[1]) > 1:
+        level, record, _ = adaptive._step(level, nd, len(trace) + 1)
         trace.append((record.cutoff, frozenset(record.groups)))
     return trace
 
 
-def _drive(nd, config, report: RunReport):
+def _drive(nd, report: RunReport):
     label_of = dict(enumerate(nd.labels))
     all_leaves = frozenset(range(nd.n))
-    state = al.initial_state(nd, config)
+    level = adaptive.initial_state(nd)
     trace = []
     depths = 0
-    while len(state.points) > 1:
-        coords = np.stack([p.coords for p in state.points])
+    while len(level[1]) > 1:
+        coords, prev_leaf_sets, _ = level
         square = oracle_square(coords)
         cutoff = oracle_cutoff(square)
         groups, orders = oracle_groups(square, cutoff)
@@ -144,20 +149,21 @@ def _drive(nd, config, report: RunReport):
                     f"mutually-first pair {{{i},{j}}} left unmerged",
                 )
 
-        # merge means (exact-mean contract of the public merge op)
+        # merge means (exact-mean contract of the merge): a group's row sits
+        # at its smallest slot among the slots the merge keeps
+        merged = adaptive._merge(coords, [al.MergeGroup(tuple(s)) for s in groups])
+        dropped = {k for s in groups for k in s if k != min(s)}
+        kept = [k for k in range(len(coords)) if k not in dropped]
         for s in groups:
-            g = al.MergeGroup(members=tuple(sorted(s)))
-            pseudo = al.merge_group(state, g, state.depth + 1)
+            row = merged[kept.index(min(s))]
             for k in range(coords.shape[1]):
                 want = math.fsum(float(coords[m][k]) for m in sorted(s)) / len(s)
                 report.expect(
-                    abs(float(pseudo.coords[k]) - want) <= 1e-12,
+                    abs(float(row[k]) - want) <= 1e-12,
                     "merged coords are not the member mean",
                 )
 
-        prev_points = len(state.points)
-        prev_leaf_sets = [p.leaves for p in state.points]
-        state, record = al.cluster_step(state)
+        level, record, _ = adaptive._step(level, nd, depths + 1)
         depths += 1
 
         report.expect(record.cutoff == cutoff, f"cutoff mismatch at depth {record.depth}")
@@ -170,23 +176,23 @@ def _drive(nd, config, report: RunReport):
             f"group mismatch at depth {record.depth}",
         )
         shrink = sum(len(s) - 1 for s in groups)
+        leaf_sets = [frozenset(leaves) for leaves in level[1]]
         report.expect(
-            len(state.points) == prev_points - shrink,
+            len(leaf_sets) == len(level[0]) == len(prev_leaf_sets) - shrink,
             "active count did not shrink by sum(|group|-1)",
         )
         # leaves partition the original index set
-        leaf_sets = [p.leaves for p in state.points]
         report.expect(
             frozenset().union(*leaf_sets) == all_leaves
             and sum(len(s) for s in leaf_sets) == nd.n,
             "active leaves do not partition the dataset",
         )
-        if not config.restandardize:
-            # raw mode: stored coords stay the exact merge means
-            by_leaves = {p.leaves: p for p in state.points}
+        if not nd.normalized:
+            # raw frame: stored coords stay the exact merge means
+            row_of = {leaves: k for k, leaves in enumerate(leaf_sets)}
             for s in groups:
                 merged_leaves = frozenset().union(*(prev_leaf_sets[m] for m in s))
-                stored = by_leaves[merged_leaves].coords
+                stored = level[0][row_of[merged_leaves]]
                 for k in range(coords.shape[1]):
                     want = math.fsum(float(coords[m][k]) for m in sorted(s)) / len(s)
                     report.expect(
@@ -252,11 +258,7 @@ def run_random_suite(count: int = 200, seed: int = 20240817):
             nd = al.normalize(data, mode)
         except al.ZeroVariance:
             nd = al.identity_normalized(data, mode)
-        if i % 3 == 2:
-            config = al.EngineConfig(restandardize=False, working_decimals=None)
-        else:
-            config = al.EngineConfig()
-        reports.append(verify_run(nd, config))
+        reports.append(verify_run(raw_frame(nd) if i % 3 == 2 else nd))
     return reports, time.perf_counter() - start
 
 

@@ -3,28 +3,17 @@ import numpy as np
 import pytest
 
 import adaptlink as al
-from adaptlink import io
+from adaptlink import adaptive, io
 
 import _expected as exp
-from _oracle import REGIMES, oracle_groups, oracle_square, regime_dataset, verify_run
+from _oracle import (
+    REGIMES, oracle_groups, oracle_square, raw_frame, regime_dataset, verify_run
+)
 
 
-RAW = al.EngineConfig(restandardize=False, working_decimals=None)
-
-
-def leaf_state(coords, config=RAW):
-    coords = np.asarray(coords, dtype=float)
-    points = tuple(
-        al.PseudoPoint(id=i, coords=coords[i], leaves=frozenset({i}), formed_at_depth=0)
-        for i in range(len(coords))
-    )
-    return al.ClusterState(
-        depth=0,
-        points=points,
-        matrix=al.matrix_from_coords(coords),
-        labels=tuple(f"p{i}" for i in range(len(coords))),
-        config=config,
-        sd_mode=al.SdMode.SAMPLE,
+def merge(coords, *groups):
+    return adaptive._merge(
+        np.asarray(coords, dtype=float), [al.MergeGroup(members=g) for g in groups]
     )
 
 
@@ -53,14 +42,14 @@ class TestCutoff:
             al.cutoff_distance(al.DistanceMatrix(n=1, entries=np.array([])))
 
     def test_para_depth1_value(self, para_nd):
-        state = al.initial_state(para_nd)
-        cut = al.cutoff_distance(state.matrix)
+        _, _, matrix = adaptive.initial_state(para_nd)
+        cut = al.cutoff_distance(matrix)
         assert cut == exp.PARA_CUTOFFS[0]
         assert al.format_cutoff(cut) == "1.05"
 
     def test_meta_depth1_value(self, meta_nd):
-        state = al.initial_state(meta_nd)
-        cut = al.cutoff_distance(state.matrix)
+        _, _, matrix = adaptive.initial_state(meta_nd)
+        cut = al.cutoff_distance(matrix)
         assert cut == exp.META_CUTOFFS[0]
         assert al.format_cutoff(cut) == "0.89"
 
@@ -76,13 +65,17 @@ class TestFormatCutoff:
         assert al.format_cutoff(0.29) == "0.29"
         assert al.format_cutoff(1.05) == "1.05"
 
+    def test_beyond_the_default_decimal_precision(self):
+        assert al.format_cutoff(1e30) == "1" + "0" * 30 + ".00"
+        assert al.format_cutoff(1.7976931348623157e308).startswith("17976931348623157")
+
 
 class TestNeighborhood:
     def test_center_first_and_sorted(self, para_nd):
-        state = al.initial_state(para_nd)
-        cut = al.cutoff_distance(state.matrix)
-        for i in range(state.matrix.n):
-            nb = al.neighborhood(state.matrix, i, cut)
+        _, _, matrix = adaptive.initial_state(para_nd)
+        cut = al.cutoff_distance(matrix)
+        for i in range(matrix.n):
+            nb = al.neighborhood(matrix, i, cut)
             assert nb.members[0] == i
             assert nb.distances[0] == 0.0
             assert len(nb.members) >= 2  # Lemma 1: the cut-off admits a neighbor
@@ -90,11 +83,11 @@ class TestNeighborhood:
             assert list(nb.distances) == sorted(nb.distances)
 
     def test_para_cl_contains_br(self, para_nd):
-        state = al.initial_state(para_nd)
-        cut = al.cutoff_distance(state.matrix)
+        _, _, matrix = adaptive.initial_state(para_nd)
+        cut = al.cutoff_distance(matrix)
         cl = para_nd.labels.index("Cl")
         br = para_nd.labels.index("Br")
-        nb = al.neighborhood(state.matrix, cl, cut)
+        nb = al.neighborhood(matrix, cl, cut)
         assert br in nb.members
 
     def test_center_out_of_range(self, para_nd):
@@ -106,26 +99,14 @@ class TestNeighborhood:
 
 
 class TestSubNeighborhood:
-    def test_prefixes(self):
-        nb = al.Neighborhood(center=3, members=(3, 1, 0), distances=(0.0, 0.5, 0.9), cutoff=1.0)
-        assert al.sub_neighborhood(nb, 1) == (3,)
-        assert al.sub_neighborhood(nb, 2) == (3, 1)
-        assert al.sub_neighborhood(nb, 3) == (3, 1, 0)
-
-    def test_out_of_range(self):
-        nb = al.Neighborhood(center=0, members=(0, 1), distances=(0.0, 1.0), cutoff=1.0)
-        for v in (0, 3, -1):
-            with pytest.raises(al.OutOfRange):
-                al.sub_neighborhood(nb, v)
-
     def test_mutual_pair_on_fixture(self, para_nd):
-        state = al.initial_state(para_nd)
-        cut = al.cutoff_distance(state.matrix)
+        _, _, matrix = adaptive.initial_state(para_nd)
+        cut = al.cutoff_distance(matrix)
         cl = para_nd.labels.index("Cl")
         br = para_nd.labels.index("Br")
-        a = al.neighborhood(state.matrix, cl, cut)
-        b = al.neighborhood(state.matrix, br, cut)
-        assert set(al.sub_neighborhood(a, 2)) == set(al.sub_neighborhood(b, 2)) == {cl, br}
+        a = al.neighborhood(matrix, cl, cut)
+        b = al.neighborhood(matrix, br, cut)
+        assert set(a.members[:2]) == set(b.members[:2]) == {cl, br}
 
 
 class TestExtremelyCloseSets:
@@ -144,18 +125,18 @@ class TestExtremelyCloseSets:
         assert [g.members for g in groups] == [(0, 1), (2, 3)]
 
     def test_para_depth1_groups(self, para_nd):
-        state = al.initial_state(para_nd)
-        cut = al.cutoff_distance(state.matrix)
-        nbs = [al.neighborhood(state.matrix, i, cut) for i in range(state.matrix.n)]
+        _, _, matrix = adaptive.initial_state(para_nd)
+        cut = al.cutoff_distance(matrix)
+        nbs = [al.neighborhood(matrix, i, cut) for i in range(matrix.n)]
         groups = {g.members for g in al.extremely_close_sets(nbs)}
         assert groups == {
             (1, 21), (3, 8), (4, 7), (6, 24), (9, 17), (10, 18), (13, 14), (15, 16)
         }
 
     def test_meta_depth1_groups(self, meta_nd):
-        state = al.initial_state(meta_nd)
-        cut = al.cutoff_distance(state.matrix)
-        nbs = [al.neighborhood(state.matrix, i, cut) for i in range(state.matrix.n)]
+        _, _, matrix = adaptive.initial_state(meta_nd)
+        cut = al.cutoff_distance(matrix)
+        nbs = [al.neighborhood(matrix, i, cut) for i in range(matrix.n)]
         groups = {g.members for g in al.extremely_close_sets(nbs)}
         assert groups == {
             (0, 21), (2, 19), (4, 22), (5, 23), (6, 7, 24),
@@ -163,9 +144,9 @@ class TestExtremelyCloseSets:
         }
 
     def test_groups_disjoint_and_sorted(self, meta_nd):
-        state = al.initial_state(meta_nd)
-        cut = al.cutoff_distance(state.matrix)
-        nbs = [al.neighborhood(state.matrix, i, cut) for i in range(state.matrix.n)]
+        _, _, matrix = adaptive.initial_state(meta_nd)
+        cut = al.cutoff_distance(matrix)
+        nbs = [al.neighborhood(matrix, i, cut) for i in range(matrix.n)]
         groups = al.extremely_close_sets(nbs)
         seen = set()
         for g in groups:
@@ -219,39 +200,26 @@ class TestExtremelyCloseSets:
 
 class TestMergeGroup:
     def test_identical_points(self):
-        state = leaf_state([[2.0, 3.0], [2.0, 3.0], [9.0, 9.0]])
-        p = al.merge_group(state, al.MergeGroup(members=(0, 1)), 1)
-        assert np.array_equal(p.coords, [2.0, 3.0])
-        assert p.leaves == frozenset({0, 1})
-        assert p.id == 0 and p.formed_at_depth == 1
+        out = merge([[2.0, 3.0], [2.0, 3.0], [9.0, 9.0]], (0, 1))
+        assert np.array_equal(out, [[2.0, 3.0], [9.0, 9.0]])
 
     def test_midpoint(self):
-        state = leaf_state([[0.0, 0.0], [2.0, 2.0], [9.0, 9.0]])
-        p = al.merge_group(state, al.MergeGroup(members=(0, 1)), 1)
-        assert np.array_equal(p.coords, [1.0, 1.0])
+        out = merge([[0.0, 0.0], [2.0, 2.0], [9.0, 9.0]], (0, 1))
+        assert np.array_equal(out, [[1.0, 1.0], [9.0, 9.0]])
+
+    def test_smallest_slot_kept_others_dropped(self):
+        coords = [[0.0], [5.0], [1.0], [6.0], [2.0]]
+        out = merge(coords, (1, 3), (0, 2, 4))
+        assert np.array_equal(out, [[1.0], [5.5]])
+        assert np.array_equal(coords, [[0.0], [5.0], [1.0], [6.0], [2.0]])
 
     def test_mean_of_members_not_leaves(self):
         # merging a merged pair with a third point averages the two *members*
-        state = leaf_state([[0.0, 0.0], [2.0, 2.0], [4.0, 6.0]])
-        m = al.merge_group(state, al.MergeGroup(members=(0, 1)), 1)
-        state2 = al.ClusterState(
-            depth=1,
-            points=(m, state.points[2]),
-            matrix=al.matrix_from_coords(np.stack([m.coords, state.points[2].coords])),
-            labels=state.labels,
-            config=RAW,
-            sd_mode=al.SdMode.SAMPLE,
-        )
-        p = al.merge_group(state2, al.MergeGroup(members=(0, 1)), 2)
-        assert np.array_equal(p.coords, [2.5, 3.5])  # (m + c) / 2
+        once = merge([[0.0, 0.0], [2.0, 2.0], [4.0, 6.0]], (0, 1))
+        twice = merge(once, (0, 1))
+        assert np.array_equal(twice, [[2.5, 3.5]])  # (m + c) / 2
         leaf_mean = np.mean(np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 6.0]]), axis=0)
-        assert not np.array_equal(p.coords, leaf_mean)
-        assert p.leaves == frozenset({0, 1, 2})
-
-    def test_stale_index(self):
-        state = leaf_state([[0.0], [1.0], [2.0]])
-        with pytest.raises(al.StaleIndex):
-            al.merge_group(state, al.MergeGroup(members=(0, 7)), 1)
+        assert not np.array_equal(twice[0], leaf_mean)
 
     def test_group_validation(self):
         with pytest.raises(ValueError):
@@ -263,41 +231,46 @@ class TestMergeGroup:
 
 class TestClusterStep:
     def test_para_first_step_counts(self, para_nd):
-        state, record = al.cluster_step(al.initial_state(para_nd))
+        level, record, _ = adaptive._step(adaptive.initial_state(para_nd), para_nd, 1)
         assert record.depth == 1
         assert len(record.groups) == 8
-        assert len(state.points) == 25 - 8
-        assert state.depth == 1
+        coords, leaves, matrix = level
+        assert len(leaves) == coords.shape[0] == matrix.n == 25 - 8
 
     def test_meta_first_step_counts(self, meta_nd):
-        state, record = al.cluster_step(al.initial_state(meta_nd))
+        level, record, _ = adaptive._step(adaptive.initial_state(meta_nd), meta_nd, 1)
         assert len(record.groups) == 9
-        assert len(state.points) == 25 - 10  # eight pairs and one triple
+        assert len(level[1]) == 25 - 10  # eight pairs and one triple
 
     def test_two_points_collapse(self):
         nd = al.identity_normalized(
             al.Dataset(labels=("a", "b"), values=np.array([[0.0], [1.0]]), column_names=("x",))
         )
-        state, record = al.cluster_step(al.initial_state(nd, RAW))
-        assert len(state.points) == 1
+        (coords, leaves, matrix), record, _ = adaptive._step(
+            adaptive.initial_state(nd), nd, 1
+        )
         assert record.groups == (frozenset({"a", "b"}),)
-        assert state.points[0].leaves == frozenset({0, 1})
+        assert sorted(leaves[0]) == [0, 1] and len(leaves) == 1
+        assert np.array_equal(coords, [[0.5]]) and matrix is None
 
     def test_single_point_state_rejected(self):
         nd = al.identity_normalized(
             al.Dataset(labels=("a", "b"), values=np.array([[0.0], [1.0]]), column_names=("x",))
         )
-        state, _ = al.cluster_step(al.initial_state(nd, RAW))
+        level, _, _ = adaptive._step(adaptive.initial_state(nd), nd, 1)
         with pytest.raises(al.TooFewPoints):
-            al.cluster_step(state)
+            adaptive._step(level, nd, 2)
 
     def test_pseudo_point_ids_stay_unique(self, meta_nd):
-        state = al.initial_state(meta_nd)
-        while len(state.points) > 1:
-            state, _ = al.cluster_step(state)
-            ids = [p.id for p in state.points]
-            assert len(ids) == len(set(ids))
-            assert ids == sorted(ids)
+        # A pseudo-point's id is its smallest leaf; slots stay in id order.
+        level = adaptive.initial_state(meta_nd)
+        depth = 0
+        while len(level[1]) > 1:
+            depth += 1
+            level, _, _ = adaptive._step(level, meta_nd, depth)
+            firsts = [min(leaves) for leaves in level[1]]
+            assert firsts == sorted(set(firsts))
+            assert sorted(i for leaves in level[1] for i in leaves) == list(range(25))
 
 
 class TestBuildDendrogram:
@@ -305,7 +278,7 @@ class TestBuildDendrogram:
         nd = al.identity_normalized(
             al.Dataset(labels=("only",), values=np.array([[1.0, 2.0]]), column_names=("x", "y"))
         )
-        d = al.build_dendrogram(nd, RAW)
+        d = al.build_dendrogram(nd)
         assert d.trace == ()
         assert d.root.is_leaf and d.root.label == "only"
 
@@ -377,6 +350,12 @@ class TestBuildDendrogram:
         assert d.meta["restandardize"] is True
         assert d.meta["working_decimals"] == 6
 
+    def test_meta_dict_raw_frame(self, para_nd):
+        d = al.build_dendrogram(raw_frame(para_nd))
+        assert d.meta["normalized"] is False
+        assert d.meta["restandardize"] is False
+        assert d.meta["working_decimals"] is None
+
     def test_deterministic_across_runs(self, meta_nd):
         a = al.build_dendrogram(meta_nd)
         b = al.build_dendrogram(meta_nd)
@@ -386,7 +365,7 @@ class TestBuildDendrogram:
             assert ra.groups == rb.groups
 
     def test_raw_config_terminates(self, para_nd):
-        d = al.build_dendrogram(para_nd, RAW)
+        d = al.build_dendrogram(raw_frame(para_nd))
         assert d.root.leaves == frozenset(para_nd.labels)
         assert 1 <= len(d.trace) <= 24
 
@@ -406,7 +385,7 @@ class TestAgainstOracle:
         assert report.failures == []
 
     def test_meta_raw_config(self, meta_nd):
-        report = verify_run(meta_nd, RAW)
+        report = verify_run(raw_frame(meta_nd))
         assert report.failures == []
 
     @pytest.mark.parametrize("regime", REGIMES)

@@ -1,0 +1,58 @@
+"""The package's public surface: a change to it shows up as a diff here."""
+import adaptlink as al
+
+PUBLIC = [
+    "ClusteringError",
+    "ComparisonReport",
+    "Dataset",
+    "Dendrogram",
+    "DepthRecord",
+    "DimensionMismatch",
+    "DistanceMatrix",
+    "LeafMismatch",
+    "LinkageMethod",
+    "MergeGroup",
+    "Neighborhood",
+    "NormalizationStats",
+    "NormalizedDataset",
+    "OutOfRange",
+    "Overflow",
+    "ParseError",
+    "SchemaError",
+    "SdMode",
+    "StepwiseDendrogram",
+    "TooFewPoints",
+    "TraceDocument",
+    "TreeNode",
+    "ZeroVariance",
+    "__version__",
+    "build_dendrogram",
+    "compare_compactness",
+    "cutoff_distance",
+    "distance_matrix",
+    "euclidean_distance",
+    "extremely_close_sets",
+    "format_cutoff",
+    "format_table",
+    "identity_normalized",
+    "load_fixture",
+    "matrix_from_coords",
+    "neighborhood",
+    "normalize",
+    "parse_table",
+    "read_trace",
+    "serialize_trace",
+    "stepwise_cluster",
+    "write_dot",
+    "write_trace",
+    "write_tree_text",
+]
+
+
+def test_public_names():
+    assert sorted(al.__all__) == PUBLIC
+
+
+def test_every_public_name_resolves():
+    for name in al.__all__:
+        assert getattr(al, name) is not None, name

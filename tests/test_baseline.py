@@ -205,9 +205,7 @@ class TestCompare:
 
     def test_two_points_tie(self):
         nd = tiny([[0.0], [1.0]])
-        adaptive = al.build_dendrogram(
-            nd, al.EngineConfig(restandardize=False, working_decimals=None)
-        )
+        adaptive = al.build_dendrogram(nd)
         stepwise = al.stepwise_cluster(nd, al.LinkageMethod.SINGLE)
         report = al.compare_compactness(adaptive, stepwise)
         assert report.adaptive_levels == report.stepwise_steps == 1

@@ -123,6 +123,41 @@ class TestExport:
         assert out.splitlines()[0] == "[depth 10, cutoff 2.00]"
 
 
+class TestDeepTree:
+    """Single linkage on x = i² adds one point per step: a chain n-1 deep,
+    deeper than Python's default recursion limit."""
+
+    N = 1200
+
+    @pytest.fixture
+    def chain(self, tmp_path):
+        table = tmp_path / "chain.csv"
+        rows = "".join(f"p{i},{i * i}\n" for i in range(self.N))
+        table.write_text("label,x\n" + rows, encoding="utf-8")
+        return str(table)
+
+    def test_dot(self, capsys, chain):
+        code, out, err = run_cli(
+            capsys, "cluster", "--method", "single", "--format", "dot", "--input", chain
+        )
+        assert (code, err) == (0, "")
+        assert sum(" -> " in line for line in out.splitlines()) == 2 * (self.N - 1)
+
+    def test_tree_text(self, capsys, chain):
+        code, out, err = run_cli(
+            capsys, "cluster", "--method", "single", "--format", "tree-text", "--input", chain
+        )
+        assert (code, err) == (0, "")
+        indents = [len(line) - len(line.lstrip(" ")) for line in out.splitlines()]
+        assert max(indents) == 2 * (self.N - 1)
+
+    def test_compare(self, capsys, chain):
+        code, out, err = run_cli(capsys, "compare", "--method", "single", "--input", chain)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0].endswith(f"single-linkage: {self.N - 1} steps")
+        assert out.splitlines()[1].endswith("single 2")
+
+
 class TestErrors:
     def test_missing_input_file(self, capsys):
         code, out, err = run_cli(capsys, "cluster", "--input", "/nonexistent/table.csv")

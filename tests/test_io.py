@@ -1,11 +1,14 @@
 """Tests for table parsing, trace documents, and dendrogram exports."""
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import adaptlink as al
 from adaptlink import io
+from adaptlink.adaptive import TreeNode
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +199,33 @@ class TestTraceDocuments:
         with pytest.raises(io.SchemaError, match=problem):
             io.read_trace(trace_text(levels))
 
+    @pytest.mark.parametrize(
+        "entry, problem",
+        [
+            ({"depth": True}, "mistyped"),
+            ({"cutoff": True, "cutoff_display": "1.00"}, "mistyped"),
+            ({"cutoff": 1, "cutoff_display": "1.00"}, "mistyped"),
+            ({"cutoff": math.nan, "cutoff_display": "nan"}, "not a distance"),
+            ({"cutoff": math.inf, "cutoff_display": "inf"}, "not a distance"),
+            ({"cutoff": -1.0, "cutoff_display": "-1.00"}, "not a distance"),
+            ({"cutoff": 1.239, "cutoff_display": "1.24"}, "expected '1.23'"),
+        ],
+    )
+    def test_values_the_package_never_writes(self, entry, problem):
+        payload = json.loads(trace_text([(1, [["A", "B"]])]))
+        payload["trace"][0].update(entry)
+        with pytest.raises(io.SchemaError, match=problem):
+            io.read_trace(json.dumps(payload))
+
+    def test_huge_cutoff_round_trip(self):
+        nd = al.identity_normalized(
+            al.Dataset(labels=("a", "b", "c"), values=[[0.0], [1e30], [3e30]], column_names=("x",))
+        )
+        d = al.build_dendrogram(nd)
+        assert d.trace[-1].display == "2500000000000000000000000000000.00"
+        text = io.write_trace(d)
+        assert io.serialize_trace(io.read_trace(text)) == text
+
     def test_first_seen_label_is_a_singleton(self):
         levels = [
             (1, [["A", "B"], ["C", "D"]]),
@@ -216,12 +246,42 @@ class TestTraceDocuments:
         assert io.serialize_trace(io.read_trace(text)) == text
 
 
+def hand_forest():
+    """Three roots: a 3-way merge over a pair and two leaves, a pair, a leaf."""
+
+    def leaf(lab):
+        return TreeNode(leaves=frozenset({lab}), label=lab)
+
+    def join(depth, cutoff, *children):
+        leaves = frozenset().union(*(c.leaves for c in children))
+        return TreeNode(leaves=leaves, children=children, depth=depth, cutoff=cutoff)
+
+    return SimpleNamespace(
+        roots=(
+            join(2, 1.5, join(1, 0.5, leaf("a"), leaf("b")), leaf("c"), leaf("d")),
+            join(1, 0.25, leaf("e"), leaf("f")),
+            leaf("g"),
+        )
+    )
+
+
 class TestDot:
+    def test_forest_bytes(self):
+        # Preorder names; a node's edges follow those of its whole subtree.
+        nodes = ["2:1.50", "1:0.50", "a", "b", "c", "d", "1:0.25", "e", "f", "g"]
+        edges = [(1, 2), (1, 3), (0, 1), (0, 4), (0, 5), (6, 7), (6, 8)]
+        assert io.write_dot(hand_forest()) == "\n".join(
+            ["digraph dendrogram {", "  node [shape=box];"]
+            + [f'  n{k} [label="{lab}"];' for k, lab in enumerate(nodes)]
+            + [f"  n{a} -> n{b};" for a, b in edges]
+            + ["}\n"]
+        )
+
     def test_single_leaf(self):
         nd = al.identity_normalized(
             al.Dataset(labels=("only",), values=np.array([[1.0]]), column_names=("x",))
         )
-        d = al.build_dendrogram(nd, al.EngineConfig(restandardize=False, working_decimals=None))
+        d = al.build_dendrogram(nd)
         dot = io.write_dot(d)
         assert dot.count("label=") == 1
         assert "->" not in dot
@@ -231,7 +291,7 @@ class TestDot:
         nd = al.identity_normalized(
             al.Dataset(labels=("a", "b"), values=np.array([[0.0], [1.0]]), column_names=("x",))
         )
-        d = al.build_dendrogram(nd, al.EngineConfig(restandardize=False, working_decimals=None))
+        d = al.build_dendrogram(nd)
         dot = io.write_dot(d)
         assert dot.count("label=") == 3
         assert dot.count("->") == 2
@@ -253,7 +313,7 @@ class TestDot:
         nd = al.identity_normalized(
             al.Dataset(labels=('say "hi"', "b"), values=np.array([[0.0], [1.0]]), column_names=("x",))
         )
-        d = al.build_dendrogram(nd, al.EngineConfig(restandardize=False, working_decimals=None))
+        d = al.build_dendrogram(nd)
         dot = io.write_dot(d)
         assert '\\"hi\\"' in dot
 
@@ -268,11 +328,17 @@ class TestDot:
 
 
 class TestTreeText:
+    def test_forest_bytes(self):
+        assert io.write_tree_text(hand_forest()) == (
+            "[depth 2, cutoff 1.50]\n  [depth 1, cutoff 0.50]\n    a\n    b\n  c\n  d\n"
+            "[depth 1, cutoff 0.25]\n  e\n  f\ng\n"
+        )
+
     def test_pair(self):
         nd = al.identity_normalized(
             al.Dataset(labels=("a", "b"), values=np.array([[0.0], [2.0]]), column_names=("x",))
         )
-        d = al.build_dendrogram(nd, al.EngineConfig(restandardize=False, working_decimals=None))
+        d = al.build_dendrogram(nd)
         text = io.write_tree_text(d)
         assert text == "[depth 1, cutoff 2.00]\n  a\n  b\n"
 

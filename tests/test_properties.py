@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import adaptlink as al
 from adaptlink import io
 
-from _oracle import oracle_stepwise, random_dataset, verify_run
+from _oracle import oracle_stepwise, random_dataset, raw_frame, verify_run
 
 
 def finite_floats(lo=-5.0, hi=5.0):
@@ -66,9 +66,6 @@ def outlier_datasets(draw):
     return al.Dataset(labels=data.labels, values=values, column_names=data.column_names)
 
 
-RAW = al.EngineConfig(restandardize=False, working_decimals=None)
-
-
 def wrap(data):
     try:
         return al.normalize(data)
@@ -86,22 +83,22 @@ class TestEngineInvariants:
     @settings(max_examples=25, deadline=None)
     @given(datasets(max_n=9))
     def test_oracle_verifies_raw_config(self, data):
-        report = verify_run(wrap(data), RAW)
+        report = verify_run(raw_frame(wrap(data)))
         assert report.failures == []
 
     @settings(max_examples=60, deadline=None)
     @given(tie_heavy_datasets(min_n=8), st.booleans())
     def test_oracle_verifies_tie_heavy(self, data, raw):
         # raw integer coordinates keep every tie exact
-        nd, config = (al.identity_normalized(data), RAW) if raw else (wrap(data), None)
-        report = verify_run(nd, config)
+        nd = al.identity_normalized(data) if raw else wrap(data)
+        report = verify_run(nd)
         assert report.failures == [], report.failures[:3]
 
     @settings(max_examples=60, deadline=None)
     @given(outlier_datasets(), st.booleans())
     def test_oracle_verifies_far_outlier(self, data, raw):
-        nd, config = (al.identity_normalized(data), RAW) if raw else (wrap(data), None)
-        report = verify_run(nd, config)
+        nd = al.identity_normalized(data) if raw else wrap(data)
+        report = verify_run(nd)
         assert report.failures == [], report.failures[:3]
 
     @settings(max_examples=60, deadline=None)
@@ -244,14 +241,9 @@ class TestSeededSuite:
         rng = np.random.default_rng(7)
         for k in range(30):
             data = random_dataset(rng)
-            config = (
-                al.EngineConfig()
-                if k % 2
-                else al.EngineConfig(restandardize=False, working_decimals=None)
-            )
             try:
                 nd = al.normalize(data)
             except al.ZeroVariance:
                 nd = al.identity_normalized(data)
-            report = verify_run(nd, config)
+            report = verify_run(nd if k % 2 else raw_frame(nd))
             assert report.failures == [], report.failures[:3]

@@ -2,17 +2,21 @@
 
 * :func:`pairwise_condensed` computes the condensed (row-major upper
   triangle) Euclidean distances of an n×p matrix;
-* :func:`square_from_condensed` scatters condensed entries into a symmetric
-  n×n array, the one square builder of the package;
+* :func:`square_from_condensed` fills a symmetric n×n array from condensed
+  entries, block by block, the one square builder of the package;
 * :func:`cutoff_from_condensed` is the minimax scan over condensed entries;
 * :func:`sq_distance` is the single-pair distance.
 
-The two O(n²) kernels work on blocks of rows: rows ``r..r1`` against the
+The O(n²) kernels work on blocks of rows: rows ``r..r1`` against the
 columns ``r..n``, with rows per block chosen so a block holds at most
 ``_CELL_BUDGET`` cells. The condensed entries of a block of rows form one
 contiguous segment, and a boolean upper-triangle mask over the block visits
-its cells right of the diagonal in that segment's order. So neither kernel
-allocates an n×n array or an index array of n²/2 entries.
+its cells right of the diagonal in that segment's order. The mask depends
+only on a cell's offset from the block's first row and column, so one mask
+as tall as the tallest block serves every block of a call. The distance
+and cut-off kernels therefore allocate no n×n array, the square builder
+none besides its output, and no kernel builds an index array of n²/2
+entries.
 
 Squared differences accumulate feature by feature in ascending order in
 both distance functions, so a distance has the same bits whichever of them
@@ -43,9 +47,15 @@ def _row_blocks(n: int):
         r, lo = r1, hi
 
 
-def _upper(rows: int, cols: int) -> np.ndarray:
-    """Mask of the cells right of the diagonal in a block of ``rows``×``cols``."""
-    return np.arange(rows)[:, None] < np.arange(cols)
+def _blocks(n: int) -> tuple[list, np.ndarray]:
+    """The row blocks of ``n`` points and one mask of the cells right of the diagonal.
+
+    The mask is as tall as the tallest block; block ``r..r1`` uses
+    ``mask[: r1 - r, : n - r]``.
+    """
+    blocks = list(_row_blocks(n))
+    rows = max((r1 - r for r, r1, _, _ in blocks), default=0)
+    return blocks, np.arange(rows)[:, None] < np.arange(n)
 
 
 def pairwise_condensed(coords: np.ndarray) -> np.ndarray:
@@ -54,7 +64,8 @@ def pairwise_condensed(coords: np.ndarray) -> np.ndarray:
     xt = np.ascontiguousarray(np.asarray(coords, dtype=np.float64).T)
     p, n = xt.shape
     out = np.empty(n * (n - 1) // 2)
-    for r, r1, lo, hi in _row_blocks(n):
+    blocks, upper = _blocks(n)
+    for r, r1, lo, hi in blocks:
         acc = np.subtract.outer(xt[0, r:r1], xt[0, r:])
         acc *= acc
         d = np.empty_like(acc)
@@ -62,21 +73,25 @@ def pairwise_condensed(coords: np.ndarray) -> np.ndarray:
             np.subtract.outer(xt[k, r:r1], xt[k, r:], out=d)
             d *= d
             acc += d
-        np.sqrt(acc[_upper(r1 - r, n - r)], out=out[lo:hi])
+        np.sqrt(acc[upper[: r1 - r, : n - r]], out=out[lo:hi])
     return out
 
 
 def square_from_condensed(entries: np.ndarray, n: int, diagonal: float) -> np.ndarray:
     """Symmetric n×n array of condensed entries, ``diagonal`` on the diagonal.
 
-    A boolean upper-triangle mask visits its cells in row-major order, the
-    order of condensed storage, and the same mask over the transposed view
-    fills the lower triangle.
+    Each row block's segment fills the block's cells right of the diagonal;
+    the block is then mirrored below the diagonal, the part right of the
+    block's own rows as one transposed copy and the in-block triangle
+    through the transposed view.
     """
-    upper = _upper(n, n)
     square = np.empty((n, n))
-    square[upper] = entries
-    square.T[upper] = entries
+    blocks, upper = _blocks(n)
+    for r, r1, lo, hi in blocks:
+        tri = upper[: r1 - r, : r1 - r]
+        square[r:r1, r:][upper[: r1 - r, : n - r]] = entries[lo:hi]
+        square[r1:, r:r1] = square[r:r1, r1:].T
+        square[r:r1, r:r1].T[tri] = square[r:r1, r:r1][tri]
     np.fill_diagonal(square, diagonal)
     return square
 
@@ -90,9 +105,10 @@ def cutoff_from_condensed(entries: np.ndarray, n: int) -> float:
     nearest-neighbour distance per point.
     """
     nearest = np.full(n, np.inf)
-    for r, r1, lo, hi in _row_blocks(n):
+    blocks, upper = _blocks(n)
+    for r, r1, lo, hi in blocks:
         block = np.full((r1 - r, n - r), np.inf)
-        block[_upper(r1 - r, n - r)] = entries[lo:hi]
+        block[upper[: r1 - r, : n - r]] = entries[lo:hi]
         np.minimum(nearest[r:r1], block.min(axis=1), out=nearest[r:r1])
         np.minimum(nearest[r:], block.min(axis=0), out=nearest[r:])
     return float(nearest.max())

@@ -11,7 +11,8 @@ the full tree typically needs far fewer levels than one-merge-at-a-time
 agglomeration.
 
 A level is three things: the active coordinates (an m x p float64 array),
-the tuple of leaf indices each row covers, and their distance matrix.
+the tree node of each row, and their distance matrix. A step builds each
+merged node once and records its leaves in the trace.
 
 The working coordinate frame follows the input (see README for the rationale
 and the reference tabulation it reproduces):
@@ -36,12 +37,7 @@ import numpy as np
 
 from . import _kernels
 from .core import (
-    ClusteringError,
-    DistanceMatrix,
-    NormalizedDataset,
-    SdMode,
-    TooFewPoints,
-    matrix_from_coords,
+    ClusteringError, DistanceMatrix, NormalizedDataset, SdMode, TooFewPoints, matrix_from_coords
 )
 
 # Decimals of the grid a z-scored working frame is rounded to.
@@ -58,11 +54,8 @@ _DISPLAY_CONTEXT = Context(prec=320)
 
 def format_cutoff(x: float) -> str:
     """Two-decimal display of a cut-off, truncated toward zero (not rounded)."""
-    return str(
-        Decimal(repr(float(x))).quantize(
-            Decimal("0.01"), rounding=ROUND_DOWN, context=_DISPLAY_CONTEXT
-        )
-    )
+    exact = Decimal(repr(float(x)))
+    return str(exact.quantize(Decimal("0.01"), rounding=ROUND_DOWN, context=_DISPLAY_CONTEXT))
 
 
 @dataclass(frozen=True)
@@ -99,9 +92,13 @@ class DepthRecord:
     groups: tuple[frozenset[str], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeNode:
-    """Dendrogram node; leaves carry a label, merges carry depth and cut-off."""
+    """Dendrogram node; leaves carry a label, merges carry depth and cut-off.
+
+    Equality walks both subtrees with a stack, and hash and repr read only
+    the node's own fields, so trees deeper than the recursion limit work too.
+    """
 
     leaves: frozenset[str]
     children: tuple["TreeNode", ...] = ()
@@ -112,6 +109,30 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return not self.children
+
+    def _own(self) -> tuple:
+        return self.leaves, self.label, self.depth, self.cutoff
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b:
+                if a._own() != b._own() or len(a.children) != len(b.children):
+                    return False
+                stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        return hash(self._own())
+
+    def __repr__(self) -> str:
+        return (
+            f"TreeNode(label={self.label!r}, depth={self.depth}, cutoff={self.cutoff!r}, "
+            f"{len(self.leaves)} leaves, {len(self.children)} children)"
+        )
 
 
 @dataclass(frozen=True)
@@ -148,12 +169,8 @@ def neighborhood(m: DistanceMatrix, i: int, d_u: float) -> Neighborhood:
     dist = row[inside]
     # A stable sort of ascending indices breaks distance ties by index.
     by_dist = dist.argsort(kind="stable")
-    return Neighborhood(
-        center=i,
-        members=(i, *inside[by_dist].tolist()),
-        distances=(0.0, *dist[by_dist].tolist()),
-        cutoff=float(d_u),
-    )
+    members, distances = (i, *inside[by_dist].tolist()), (0.0, *dist[by_dist].tolist())
+    return Neighborhood(center=i, members=members, distances=distances, cutoff=float(d_u))
 
 
 # Rank-block cells evaluated per batch of centers in extremely_close_sets.
@@ -262,9 +279,14 @@ def _merge(coords: np.ndarray, groups: list[MergeGroup]) -> np.ndarray:
     """
     out = coords.copy()
     keep = np.ones(len(coords), dtype=bool)
+    by_size: dict[int, list[tuple[int, ...]]] = {}
     for g in groups:
-        out[g.members[0]] = coords[list(g.members)].mean(axis=0)
-        keep[list(g.members[1:])] = False
+        by_size.setdefault(len(g.members), []).append(g.members)
+    # One mean per size over the (groups x size) member slots has the bits of
+    # each group's own mean (np.add.reduceat does not).
+    for members in map(np.array, by_size.values()):
+        out[members[:, 0]] = coords[members].mean(axis=1)
+        keep[members[:, 1:]] = False
     return out[keep]
 
 
@@ -281,66 +303,57 @@ def _standardize_working(coords: np.ndarray, mode: SdMode) -> np.ndarray:
     return out
 
 
-def _apply_groups(items, groups: list[MergeGroup], merge) -> list:
-    """Replace each group by ``merge(its members' items)`` at its smallest slot.
+def _apply_groups(nodes: list[TreeNode], groups: list[MergeGroup], depth: int, cutoff: float):
+    """Next level's nodes and the merged ones: each group's node at its smallest slot.
 
-    The group's other slots are dropped; the remaining items keep their order.
+    The group's other slots are dropped; the remaining nodes keep their order.
     Groups are pairwise disjoint (:func:`extremely_close_sets` checks it).
     """
-    heads = {g.members[0]: g.members for g in groups}
+    heads: dict[int, TreeNode] = {}
+    for g in groups:
+        kids = tuple(nodes[k] for k in g.members)
+        leaves = frozenset().union(*(c.leaves for c in kids))
+        heads[g.members[0]] = TreeNode(leaves, kids, depth=depth, cutoff=cutoff)
     dropped = {k for g in groups for k in g.members[1:]}
-    return [
-        merge(tuple(items[k] for k in heads[i])) if i in heads else item
-        for i, item in enumerate(items)
-        if i not in dropped
-    ]
+    kept = [heads.get(i, node) for i, node in enumerate(nodes) if i not in dropped]
+    return kept, list(heads.values())
 
 
-# A level: active coordinates, the leaves of each row, and their matrix
-# (None once a single row is left).
-Level = tuple[np.ndarray, list[tuple[int, ...]], DistanceMatrix | None]
+# Coordinates, the tree node of each row, and their matrix (None once one row is left).
+Level = tuple[np.ndarray, list[TreeNode], DistanceMatrix | None]
 
 
 def initial_state(nd: NormalizedDataset) -> Level:
-    """Depth-0 level: one row per leaf (z-scored input on the working grid)."""
+    """Depth-0 level: one leaf node per row (z-scored input on the working grid)."""
     coords = np.asarray(nd.coords, dtype=np.float64)
     if nd.normalized:
         coords = np.round(coords, _WORKING_DECIMALS)
     matrix = matrix_from_coords(coords) if nd.n >= 2 else None
-    return coords, [(i,) for i in range(nd.n)], matrix
+    nodes = [TreeNode(leaves=frozenset({lab}), label=lab) for lab in nd.labels]
+    return coords, nodes, matrix
 
 
-def _step(
-    level: Level, nd: NormalizedDataset, depth: int
-) -> tuple[Level, DepthRecord, list[MergeGroup]]:
+def _step(level: Level, nd: NormalizedDataset, depth: int) -> tuple[Level, DepthRecord]:
     """One iteration: cut-off, neighborhoods, maximal groups, simultaneous merge."""
-    coords, leaves, matrix = level
+    coords, nodes, matrix = level
     if matrix is None:
         raise TooFewPoints("cluster step needs at least two active points")
-    d_u = cutoff_distance(matrix)
-    nbs = [neighborhood(matrix, i, d_u) for i in range(len(leaves))]
+    d_u = float(cutoff_distance(matrix))
+    nbs = [neighborhood(matrix, i, d_u) for i in range(len(nodes))]
     groups = extremely_close_sets(nbs)
     if not groups:
         raise RuntimeError("internal invariant violated: no extremely close set")
-    record = DepthRecord(
-        depth=depth,
-        cutoff=float(d_u),
-        display=format_cutoff(d_u),
-        groups=tuple(
-            frozenset(nd.labels[i] for k in g.members for i in leaves[k])
-            for g in groups
-        ),
-    )
-    leaves = _apply_groups(leaves, groups, lambda parts: tuple(itertools.chain(*parts)))
+    nodes, merged = _apply_groups(nodes, groups, depth, d_u)
+    record = DepthRecord(depth, d_u, format_cutoff(d_u), tuple(m.leaves for m in merged))
     coords = _merge(coords, groups)
     matrix = None
-    if len(leaves) > 1:
+    if len(nodes) > 1:
         if nd.normalized:
             coords = np.round(
                 _standardize_working(coords, nd.stats.mode), _WORKING_DECIMALS
             )
         matrix = matrix_from_coords(coords)
-    return (coords, leaves, matrix), record, groups
+    return (coords, nodes, matrix), record
 
 
 def build_dendrogram(nd: NormalizedDataset) -> Dendrogram:
@@ -351,23 +364,10 @@ def build_dendrogram(nd: NormalizedDataset) -> Dendrogram:
     most n-1 iterations occur.
     """
     level = initial_state(nd)
-    nodes = [
-        TreeNode(leaves=frozenset({lab}), label=lab, depth=0) for lab in nd.labels
-    ]
     records: list[DepthRecord] = []
     while len(level[1]) > 1:
-        level, record, groups = _step(level, nd, len(records) + 1)
+        level, record = _step(level, nd, len(records) + 1)
         records.append(record)
-        nodes = _apply_groups(
-            nodes,
-            groups,
-            lambda children: TreeNode(
-                leaves=frozenset().union(*(c.leaves for c in children)),
-                children=children,
-                depth=record.depth,
-                cutoff=record.cutoff,
-            ),
-        )
     meta = {
         "method": "adaptive",
         "sd_mode": nd.stats.mode.value,
@@ -377,6 +377,4 @@ def build_dendrogram(nd: NormalizedDataset) -> Dendrogram:
         "columns": list(nd.column_names),
         "dataset_sha256": nd.source_hash,
     }
-    return Dendrogram(
-        labels=nd.labels, root=nodes[0], trace=tuple(records), meta=meta
-    )
+    return Dendrogram(labels=nd.labels, root=level[1][0], trace=tuple(records), meta=meta)

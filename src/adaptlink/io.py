@@ -79,8 +79,9 @@ def parse_table(text: str) -> Dataset:
 def format_table(data: Dataset, label_column: str = "label") -> str:
     """Canonical serialization; parse_table(format_table(d)) preserves labels/values."""
     lines = [",".join((label_column, *data.column_names))]
-    for i, lab in enumerate(data.labels):
-        lines.append(",".join((lab, *(repr(float(v)) for v in data.values[i]))))
+    # tolist() yields Python floats, so each cell reads repr(float(v)).
+    for lab, row in zip(data.labels, data.values.tolist()):
+        lines.append(",".join((lab, *map(repr, row))))
     return "\n".join(lines) + "\n"
 
 

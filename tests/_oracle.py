@@ -101,19 +101,25 @@ def _replay(nd):
     level = adaptive.initial_state(nd)
     trace = []
     while len(level[1]) > 1:
-        level, record, _ = adaptive._step(level, nd, len(trace) + 1)
+        level, record = adaptive._step(level, nd, len(trace) + 1)
         trace.append((record.cutoff, frozenset(record.groups)))
     return trace
 
 
 def _drive(nd, report: RunReport):
     label_of = dict(enumerate(nd.labels))
+    index_of = {lab: i for i, lab in label_of.items()}
     all_leaves = frozenset(range(nd.n))
+
+    def leaf_indices(nodes):
+        return [frozenset(index_of[lab] for lab in node.leaves) for node in nodes]
+
     level = adaptive.initial_state(nd)
     trace = []
     depths = 0
     while len(level[1]) > 1:
-        coords, prev_leaf_sets, _ = level
+        coords, prev_nodes, _ = level
+        prev_leaf_sets = leaf_indices(prev_nodes)
         square = oracle_square(coords)
         cutoff = oracle_cutoff(square)
         groups, orders = oracle_groups(square, cutoff)
@@ -163,7 +169,7 @@ def _drive(nd, report: RunReport):
                     "merged coords are not the member mean",
                 )
 
-        level, record, _ = adaptive._step(level, nd, depths + 1)
+        level, record = adaptive._step(level, nd, depths + 1)
         depths += 1
 
         report.expect(record.cutoff == cutoff, f"cutoff mismatch at depth {record.depth}")
@@ -176,7 +182,7 @@ def _drive(nd, report: RunReport):
             f"group mismatch at depth {record.depth}",
         )
         shrink = sum(len(s) - 1 for s in groups)
-        leaf_sets = [frozenset(leaves) for leaves in level[1]]
+        leaf_sets = leaf_indices(level[1])
         report.expect(
             len(leaf_sets) == len(level[0]) == len(prev_leaf_sets) - shrink,
             "active count did not shrink by sum(|group|-1)",

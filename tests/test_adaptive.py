@@ -231,14 +231,14 @@ class TestMergeGroup:
 
 class TestClusterStep:
     def test_para_first_step_counts(self, para_nd):
-        level, record, _ = adaptive._step(adaptive.initial_state(para_nd), para_nd, 1)
+        level, record = adaptive._step(adaptive.initial_state(para_nd), para_nd, 1)
         assert record.depth == 1
         assert len(record.groups) == 8
-        coords, leaves, matrix = level
-        assert len(leaves) == coords.shape[0] == matrix.n == 25 - 8
+        coords, nodes, matrix = level
+        assert len(nodes) == coords.shape[0] == matrix.n == 25 - 8
 
     def test_meta_first_step_counts(self, meta_nd):
-        level, record, _ = adaptive._step(adaptive.initial_state(meta_nd), meta_nd, 1)
+        level, record = adaptive._step(adaptive.initial_state(meta_nd), meta_nd, 1)
         assert len(record.groups) == 9
         assert len(level[1]) == 25 - 10  # eight pairs and one triple
 
@@ -246,31 +246,33 @@ class TestClusterStep:
         nd = al.identity_normalized(
             al.Dataset(labels=("a", "b"), values=np.array([[0.0], [1.0]]), column_names=("x",))
         )
-        (coords, leaves, matrix), record, _ = adaptive._step(
-            adaptive.initial_state(nd), nd, 1
-        )
+        (coords, nodes, matrix), record = adaptive._step(adaptive.initial_state(nd), nd, 1)
         assert record.groups == (frozenset({"a", "b"}),)
-        assert sorted(leaves[0]) == [0, 1] and len(leaves) == 1
+        assert sorted(nodes[0].leaves) == ["a", "b"] and len(nodes) == 1
+        assert [c.label for c in nodes[0].children] == ["a", "b"]
+        assert (nodes[0].depth, nodes[0].cutoff) == (1, 1.0)
         assert np.array_equal(coords, [[0.5]]) and matrix is None
 
     def test_single_point_state_rejected(self):
         nd = al.identity_normalized(
             al.Dataset(labels=("a", "b"), values=np.array([[0.0], [1.0]]), column_names=("x",))
         )
-        level, _, _ = adaptive._step(adaptive.initial_state(nd), nd, 1)
+        level, _ = adaptive._step(adaptive.initial_state(nd), nd, 1)
         with pytest.raises(al.TooFewPoints):
             adaptive._step(level, nd, 2)
 
     def test_pseudo_point_ids_stay_unique(self, meta_nd):
         # A pseudo-point's id is its smallest leaf; slots stay in id order.
+        index = {lab: i for i, lab in enumerate(meta_nd.labels)}
         level = adaptive.initial_state(meta_nd)
         depth = 0
         while len(level[1]) > 1:
             depth += 1
-            level, _, _ = adaptive._step(level, meta_nd, depth)
-            firsts = [min(leaves) for leaves in level[1]]
+            level, _ = adaptive._step(level, meta_nd, depth)
+            leaf_sets = [[index[lab] for lab in node.leaves] for node in level[1]]
+            firsts = [min(leaves) for leaves in leaf_sets]
             assert firsts == sorted(set(firsts))
-            assert sorted(i for leaves in level[1] for i in leaves) == list(range(25))
+            assert sorted(i for leaves in leaf_sets for i in leaves) == list(range(25))
 
 
 class TestBuildDendrogram:
@@ -342,6 +344,29 @@ class TestBuildDendrogram:
         assert len(found[0].children) == 3
         assert all(c.is_leaf for c in found[0].children)
 
+    @pytest.mark.parametrize("source", ["para", "meta", *REGIMES])
+    def test_trace_groups_are_the_tree_merges(self, source):
+        data = io.load_fixture(source) if source in io.FIXTURES else regime_dataset(source, 3)
+        nd = al.normalize(data)
+        d = al.build_dendrogram(nd)
+        merges = {}
+        stack = [d.root]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                merges.setdefault(node.depth, []).append(node)
+                stack.extend(node.children)
+        assert sorted(merges) == list(range(1, len(d.trace) + 1))
+        index = {lab: i for i, lab in enumerate(nd.labels)}
+        for k, rec in enumerate(d.trace):
+            nodes = merges[k + 1]
+            assert all(node.cutoff == rec.cutoff for node in nodes)
+            assert len(rec.groups) == len(nodes)
+            assert set(rec.groups) == {node.leaves for node in nodes}
+            # smallest-slot order: a slot is named by its smallest leaf
+            firsts = [min(index[lab] for lab in g) for g in rec.groups]
+            assert firsts == sorted(firsts)
+
     def test_meta_dict(self, para_nd):
         d = al.build_dendrogram(para_nd)
         assert d.meta["method"] == "adaptive"
@@ -359,6 +384,7 @@ class TestBuildDendrogram:
     def test_deterministic_across_runs(self, meta_nd):
         a = al.build_dendrogram(meta_nd)
         b = al.build_dendrogram(meta_nd)
+        assert a.root == b.root and hash(a.root) == hash(b.root)
         assert len(a.trace) == len(b.trace)
         for ra, rb in zip(a.trace, b.trace):
             assert ra.cutoff == rb.cutoff  # bit-for-bit

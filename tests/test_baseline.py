@@ -1,4 +1,5 @@
 """Tests for the classical stepwise baselines and the compactness comparison."""
+import dataclasses
 import functools
 
 import numpy as np
@@ -221,3 +222,49 @@ class TestCompare:
         stepwise = al.stepwise_cluster(other, al.LinkageMethod.AVERAGE)
         with pytest.raises(al.LeafMismatch):
             al.compare_compactness(adaptive, stepwise)
+
+
+class TestDeepTree:
+    """Single linkage on x = i² adds one point per step: a chain n-1 deep,
+    deeper than Python's default recursion limit."""
+
+    N = 1200
+
+    def chain(self):
+        return al.stepwise_cluster(
+            tiny([[float(i * i)] for i in range(self.N)]), al.LinkageMethod.SINGLE
+        ).root
+
+    @staticmethod
+    def with_deepest_cutoff(root, cutoff):
+        """A copy of the chain whose deepest merge has another cut-off."""
+        path = [root]
+        while not all(c.is_leaf for c in path[-1].children):
+            path.append(next(c for c in path[-1].children if not c.is_leaf))
+        node = dataclasses.replace(path[-1], cutoff=cutoff)
+        for parent in reversed(path[:-1]):
+            children = tuple(c if c.is_leaf else node for c in parent.children)
+            node = dataclasses.replace(parent, children=children)
+        return node, len(path)
+
+    def test_equal_trees_compare_equal(self):
+        a, b = self.chain(), self.chain()
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b) and repr(a).startswith("TreeNode(")
+
+    def test_one_changed_cutoff_compares_unequal(self):
+        a = self.chain()
+        changed, depth = self.with_deepest_cutoff(a, 0.5)
+        assert depth == self.N - 1
+        assert changed != a and a != changed
+        assert changed == self.with_deepest_cutoff(self.chain(), 0.5)[0]
+        assert changed == self.with_deepest_cutoff(a, 0.5)[0]
+        assert a == self.with_deepest_cutoff(a, 1.0)[0]  # x = 0, 1: the first merge is at 1
+
+    def test_leaf_and_other_types(self):
+        leaf = al.TreeNode(leaves=frozenset({"a"}), label="a")
+        assert leaf == al.TreeNode(leaves=frozenset({"a"}), label="a")
+        assert leaf != al.TreeNode(leaves=frozenset({"a"}), label="a", depth=1)
+        assert leaf != "a" and len({leaf, al.TreeNode(frozenset({"a"}), label="a")}) == 1

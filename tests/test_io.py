@@ -94,6 +94,21 @@ class TestFormatTable:
         data = io.load_fixture("para")
         assert io.format_table(data) == io.format_table(data)
 
+    def test_cells_are_float_reprs(self):
+        values = np.array(
+            [[-0.0, 5e-324, 1e-300], [1e308, 3.0, -12.0], [0.0, 0.1 + 0.2, 2.0**53]]
+        )
+        data = al.Dataset(labels=("a", "b", "c"), values=values, column_names=("x", "y", "z"))
+        want = "".join(
+            ",".join((lab, *(repr(float(v)) for v in row))) + "\n"
+            for lab, row in zip(data.labels, data.values)
+        )
+        assert io.format_table(data) == "label,x,y,z\n" + want
+        assert io.format_table(data).splitlines()[1:3] == [
+            "a,-0.0,5e-324,1e-300",
+            "b,1e+308,3.0,-12.0",
+        ]
+
 
 class TestFixtures:
     @pytest.mark.parametrize("name", io.FIXTURES)

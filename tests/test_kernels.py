@@ -128,6 +128,19 @@ class TestRowBlocks:
         monkeypatch.setattr(_kernels, "_CELL_BUDGET", budget)
         assert_exact(block_inputs()[name])
 
+    @pytest.mark.parametrize("budget", [1, 16, 150])
+    @pytest.mark.parametrize("name", list(block_inputs()))
+    def test_square_matches_squareform(self, monkeypatch, budget, name):
+        squareform = pytest.importorskip("scipy.spatial.distance").squareform
+        monkeypatch.setattr(_kernels, "_CELL_BUDGET", budget)
+        x = block_inputs()[name]
+        n = x.shape[0]
+        entries = _kernels.pairwise_condensed(x)
+        want = squareform(entries)
+        assert np.array_equal(_kernels.square_from_condensed(entries, n, 0.0), want)
+        np.fill_diagonal(want, np.inf)
+        assert np.array_equal(_kernels.square_from_condensed(entries, n, np.inf), want)
+
     def test_same_bits_at_the_real_budget(self):
         rng = np.random.default_rng(18)
         x = rng.integers(0, 10, size=(400, 3))
@@ -136,7 +149,7 @@ class TestRowBlocks:
 
 
 class TestMemory:
-    """tracemalloc sees numpy's allocations: the kernels build no n×n array."""
+    """tracemalloc sees numpy's allocations: only the square builder makes an n×n array."""
 
     n = 1000
 
@@ -154,6 +167,12 @@ class TestMemory:
         x = np.random.default_rng(19).standard_normal((self.n, 3))
         entries, peak = self.peak_bytes(_kernels.pairwise_condensed, x)
         assert peak < 1.5 * entries.nbytes
+
+    def test_square_peak_near_its_output(self):
+        x = np.random.default_rng(21).standard_normal((self.n, 3))
+        entries = _kernels.pairwise_condensed(x)
+        square, peak = self.peak_bytes(_kernels.square_from_condensed, entries, self.n, 0.0)
+        assert peak <= 1.05 * square.nbytes
 
     def test_cutoff_peak_far_below_a_square(self):
         x = np.random.default_rng(20).standard_normal((self.n, 3))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import adaptlink as al
-from adaptlink import io
+from adaptlink import adaptive, io
 
 from _oracle import oracle_stepwise, random_dataset, raw_frame, verify_run
 
@@ -66,11 +66,46 @@ def outlier_datasets(draw):
     return al.Dataset(labels=data.labels, values=values, column_names=data.column_names)
 
 
+@st.composite
+def merge_cases(draw):
+    """Rows of mixed magnitudes with duplicates, and disjoint groups, several of one size."""
+    p = draw(st.integers(1, 5))
+    runs = draw(
+        st.lists(st.tuples(st.integers(2, 140), st.integers(1, 4)), min_size=1, max_size=4)
+    )
+    sizes = [k for k, count in runs for _ in range(count)]
+    m = sum(sizes) + draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coords = rng.standard_normal((m, p)) * 10.0 ** rng.integers(-3, 4, size=(m, 1))
+    copies = rng.integers(0, m, size=m // 3)
+    coords[copies] = coords[rng.integers(0, m, size=copies.size)]  # duplicate rows
+    slots = np.split(rng.permutation(m), np.cumsum(sizes))[:-1]
+    groups = sorted(
+        (al.MergeGroup(members=tuple(s.tolist())) for s in slots), key=lambda g: g.members[0]
+    )
+    return coords, groups
+
+
 def wrap(data):
     try:
         return al.normalize(data)
     except al.ZeroVariance:
         return al.identity_normalized(data)
+
+
+class TestMerge:
+    @settings(max_examples=80, deadline=None)
+    @given(merge_cases())
+    def test_batched_means_have_the_bits_of_per_group_means(self, case):
+        coords, groups = case
+        want = coords.copy()
+        keep = np.ones(len(coords), dtype=bool)
+        for g in groups:
+            want[g.members[0]] = coords[list(g.members)].mean(axis=0)
+            keep[list(g.members[1:])] = False
+        got = adaptive._merge(coords, groups)
+        assert got.shape == want[keep].shape
+        assert got.tobytes() == want[keep].tobytes()
 
 
 class TestEngineInvariants:

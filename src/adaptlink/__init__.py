@@ -7,15 +7,10 @@ export. See README for the algorithm and the bundled case study.
 from .adaptive import (
     Dendrogram,
     DepthRecord,
-    MergeGroup,
-    Neighborhood,
-    OutOfRange,
     TreeNode,
     build_dendrogram,
     cutoff_distance,
-    extremely_close_sets,
     format_cutoff,
-    neighborhood,
 )
 from .baseline import (
     ComparisonReport,
@@ -68,11 +63,8 @@ __all__ = [
     "DistanceMatrix",
     "LeafMismatch",
     "LinkageMethod",
-    "MergeGroup",
-    "Neighborhood",
     "NormalizationStats",
     "NormalizedDataset",
-    "OutOfRange",
     "Overflow",
     "ParseError",
     "SchemaError",
@@ -87,13 +79,11 @@ __all__ = [
     "cutoff_distance",
     "distance_matrix",
     "euclidean_distance",
-    "extremely_close_sets",
     "format_cutoff",
     "format_table",
     "identity_normalized",
     "load_fixture",
     "matrix_from_coords",
-    "neighborhood",
     "normalize",
     "parse_table",
     "read_trace",

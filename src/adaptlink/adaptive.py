@@ -14,6 +14,11 @@ A level is three things: the active coordinates (an m x p float64 array),
 the tree node of each row, and their distance matrix. A step builds each
 merged node once and records its leaves in the trace.
 
+:func:`_step` calls :func:`cutoff_distance`, the per-point
+:func:`neighborhood` and :func:`extremely_close_sets` through this module's
+globals, so a tracer that rebinds them here (the benchmark's per-layer
+timers do) sees every call of a level.
+
 The working coordinate frame follows the input (see README for the rationale
 and the reference tabulation it reproduces):
 
@@ -60,12 +65,10 @@ def format_cutoff(x: float) -> str:
 
 @dataclass(frozen=True)
 class Neighborhood:
-    """All points within ``cutoff`` of ``center``, nearest first."""
+    """The points within a cut-off of ``center``, nearest first (center leading)."""
 
     center: int
     members: tuple[int, ...]
-    distances: tuple[float, ...]
-    cutoff: float
 
 
 @dataclass(frozen=True)
@@ -88,8 +91,12 @@ class DepthRecord:
 
     depth: int
     cutoff: float
-    display: str
     groups: tuple[frozenset[str], ...]
+
+    @property
+    def display(self) -> str:
+        """The cut-off as :func:`format_cutoff` shows it."""
+        return format_cutoff(self.cutoff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,11 +173,9 @@ def neighborhood(m: DistanceMatrix, i: int, d_u: float) -> Neighborhood:
     mask = row <= d_u
     mask[i] = False
     inside = mask.nonzero()[0]
-    dist = row[inside]
     # A stable sort of ascending indices breaks distance ties by index.
-    by_dist = dist.argsort(kind="stable")
-    members, distances = (i, *inside[by_dist].tolist()), (0.0, *dist[by_dist].tolist())
-    return Neighborhood(center=i, members=members, distances=distances, cutoff=float(d_u))
+    by_dist = row[inside].argsort(kind="stable")
+    return Neighborhood(center=i, members=(i, *inside[by_dist].tolist()))
 
 
 # Rank-block cells evaluated per batch of centers in extremely_close_sets.
@@ -269,13 +274,13 @@ def extremely_close_sets(neighborhoods: list[Neighborhood]) -> list[MergeGroup]:
     return groups
 
 
-def _merge(coords: np.ndarray, groups: list[MergeGroup]) -> np.ndarray:
-    """Next level's rows: each group's member mean at its smallest slot.
+def _merge(coords: np.ndarray, groups: list[MergeGroup]) -> tuple[np.ndarray, list[int]]:
+    """Next level's rows, each group's member mean at its smallest slot, and the kept slots.
 
     The mean is taken over the *member* rows of the current frame, so merging
     a pseudo-point with a singleton weights them equally, regardless of how
     many leaves each covers. A group's other slots are dropped; the remaining
-    rows keep their order.
+    rows keep their order, and row k of the result is slot ``kept[k]``.
     """
     out = coords.copy()
     keep = np.ones(len(coords), dtype=bool)
@@ -287,7 +292,7 @@ def _merge(coords: np.ndarray, groups: list[MergeGroup]) -> np.ndarray:
     for members in map(np.array, by_size.values()):
         out[members[:, 0]] = coords[members].mean(axis=1)
         keep[members[:, 1:]] = False
-    return out[keep]
+    return out[keep], np.flatnonzero(keep).tolist()
 
 
 def _standardize_working(coords: np.ndarray, mode: SdMode) -> np.ndarray:
@@ -301,22 +306,6 @@ def _standardize_working(coords: np.ndarray, mode: SdMode) -> np.ndarray:
         else:
             out[:, k] = (col - col.mean()) / col.std(ddof=ddof)
     return out
-
-
-def _apply_groups(nodes: list[TreeNode], groups: list[MergeGroup], depth: int, cutoff: float):
-    """Next level's nodes and the merged ones: each group's node at its smallest slot.
-
-    The group's other slots are dropped; the remaining nodes keep their order.
-    Groups are pairwise disjoint (:func:`extremely_close_sets` checks it).
-    """
-    heads: dict[int, TreeNode] = {}
-    for g in groups:
-        kids = tuple(nodes[k] for k in g.members)
-        leaves = frozenset().union(*(c.leaves for c in kids))
-        heads[g.members[0]] = TreeNode(leaves, kids, depth=depth, cutoff=cutoff)
-    dropped = {k for g in groups for k in g.members[1:]}
-    kept = [heads.get(i, node) for i, node in enumerate(nodes) if i not in dropped]
-    return kept, list(heads.values())
 
 
 # Coordinates, the tree node of each row, and their matrix (None once one row is left).
@@ -343,9 +332,16 @@ def _step(level: Level, nd: NormalizedDataset, depth: int) -> tuple[Level, Depth
     groups = extremely_close_sets(nbs)
     if not groups:
         raise RuntimeError("internal invariant violated: no extremely close set")
-    nodes, merged = _apply_groups(nodes, groups, depth, d_u)
-    record = DepthRecord(depth, d_u, format_cutoff(d_u), tuple(m.leaves for m in merged))
-    coords = _merge(coords, groups)
+    coords, kept = _merge(coords, groups)
+    # Groups are disjoint and sorted by smallest member, which is the slot
+    # their merged node takes; the trace lists them in that order.
+    heads: dict[int, TreeNode] = {}
+    for g in groups:
+        kids = tuple(nodes[k] for k in g.members)
+        leaves = frozenset().union(*(c.leaves for c in kids))
+        heads[g.members[0]] = TreeNode(leaves, kids, depth=depth, cutoff=d_u)
+    record = DepthRecord(depth, d_u, tuple(h.leaves for h in heads.values()))
+    nodes = [heads.get(k, nodes[k]) for k in kept]
     matrix = None
     if len(nodes) > 1:
         if nd.normalized:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .adaptive import DepthRecord, TreeNode, format_cutoff
+from .adaptive import DepthRecord, TreeNode
 from .core import (
     ClusteringError,
     NormalizedDataset,
@@ -125,12 +125,7 @@ def stepwise_cluster(
         )
         nodes[b] = None
         records.append(
-            DepthRecord(
-                depth=step,
-                cutoff=float(d),
-                display=format_cutoff(d),
-                groups=(frozenset(merged_leaves),),
-            )
+            DepthRecord(depth=step, cutoff=float(d), groups=(frozenset(merged_leaves),))
         )
         na, nb = sizes[a], sizes[b]
         sizes[a] = na + nb

@@ -45,10 +45,14 @@ class SdMode(str, enum.Enum):
     POPULATION = "population"  # divide by n
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    # A view of a read-only base cannot be made writable again.
+    return a.view()
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
+    return _frozen(np.array(a, dtype=np.float64, copy=True))
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,11 @@ class Dataset:
 
     def content_hash(self) -> str:
         """SHA-256 of the canonical table serialization (provenance key)."""
+        return self._content_hash
+
+    @cached_property
+    def _content_hash(self) -> str:
+        # Computed once: the labels, names and read-only values cannot change.
         from .io import format_table
 
         return hashlib.sha256(format_table(self).encode("utf-8")).hexdigest()
@@ -221,14 +230,15 @@ class DistanceMatrix:
     @classmethod
     def _adopt(cls, n: int, entries: np.ndarray) -> "DistanceMatrix":
         """Matrix over a fresh float64 vector no caller holds: no copy is made."""
-        entries.setflags(write=False)
         m = cls.__new__(cls)
         object.__setattr__(m, "n", n)
-        object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "entries", _frozen(entries))
         m._check()
         return m
 
     def _check(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 0:
+            raise ValueError(f"n must be a non-negative integer, got {self.n!r}")
         expected = self.n * (self.n - 1) // 2
         if self.entries.shape[0] != expected:
             raise ValueError(
@@ -252,9 +262,7 @@ class DistanceMatrix:
 
     @cached_property
     def _square(self) -> np.ndarray:
-        square = _kernels.square_from_condensed(self.entries, self.n, 0.0)
-        square.setflags(write=False)
-        return square
+        return _frozen(_kernels.square_from_condensed(self.entries, self.n, 0.0))
 
     def row(self, i: int) -> np.ndarray:
         """All distances from point i (read-only view, d(i,i)=0 included)."""

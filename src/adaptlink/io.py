@@ -185,12 +185,7 @@ def read_trace(text: str) -> TraceDocument:
                 f"expected {format_cutoff(cutoff)!r}"
             )
         records.append(
-            DepthRecord(
-                depth=depth,
-                cutoff=cutoff,
-                display=display,
-                groups=_replay(k, depth, groups, cluster_of),
-            )
+            DepthRecord(depth=depth, cutoff=cutoff, groups=_replay(k, depth, groups, cluster_of))
         )
     return TraceDocument(metadata=meta, records=tuple(records))
 

@@ -21,7 +21,7 @@ import numpy as np
 
 import adaptlink as al
 from adaptlink import _kernels, adaptive
-from adaptlink.adaptive import DepthRecord, TreeNode, format_cutoff
+from adaptlink.adaptive import DepthRecord, TreeNode
 from adaptlink.baseline import LinkageMethod, StepwiseDendrogram
 from adaptlink.core import TooFewPoints, matrix_from_coords
 
@@ -157,7 +157,7 @@ def _drive(nd, report: RunReport):
 
         # merge means (exact-mean contract of the merge): a group's row sits
         # at its smallest slot among the slots the merge keeps
-        merged = adaptive._merge(coords, [al.MergeGroup(tuple(s)) for s in groups])
+        merged, _ = adaptive._merge(coords, [adaptive.MergeGroup(tuple(s)) for s in groups])
         dropped = {k for s in groups for k in s if k != min(s)}
         kept = [k for k in range(len(coords)) if k not in dropped]
         for s in groups:
@@ -326,12 +326,7 @@ def oracle_stepwise(
         )
         nodes[b] = None
         records.append(
-            DepthRecord(
-                depth=step,
-                cutoff=float(d),
-                display=format_cutoff(d),
-                groups=(frozenset(merged_leaves),),
-            )
+            DepthRecord(depth=step, cutoff=float(d), groups=(frozenset(merged_leaves),))
         )
         na, nb = sizes[a], sizes[b]
         sizes[a] = na + nb

@@ -12,9 +12,10 @@ from _oracle import (
 
 
 def merge(coords, *groups):
-    return adaptive._merge(
-        np.asarray(coords, dtype=float), [al.MergeGroup(members=g) for g in groups]
+    rows, _ = adaptive._merge(
+        np.asarray(coords, dtype=float), [adaptive.MergeGroup(members=g) for g in groups]
     )
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -75,27 +76,28 @@ class TestNeighborhood:
         _, _, matrix = adaptive.initial_state(para_nd)
         cut = al.cutoff_distance(matrix)
         for i in range(matrix.n):
-            nb = al.neighborhood(matrix, i, cut)
+            nb = adaptive.neighborhood(matrix, i, cut)
+            dists = [matrix.value(i, j) for j in nb.members]
             assert nb.members[0] == i
-            assert nb.distances[0] == 0.0
+            assert dists[0] == 0.0
             assert len(nb.members) >= 2  # Lemma 1: the cut-off admits a neighbor
-            assert all(d <= cut for d in nb.distances)
-            assert list(nb.distances) == sorted(nb.distances)
+            assert all(d <= cut for d in dists)
+            assert dists == sorted(dists)
 
     def test_para_cl_contains_br(self, para_nd):
         _, _, matrix = adaptive.initial_state(para_nd)
         cut = al.cutoff_distance(matrix)
         cl = para_nd.labels.index("Cl")
         br = para_nd.labels.index("Br")
-        nb = al.neighborhood(matrix, cl, cut)
+        nb = adaptive.neighborhood(matrix, cl, cut)
         assert br in nb.members
 
     def test_center_out_of_range(self, para_nd):
         m = al.distance_matrix(para_nd)
-        with pytest.raises(al.OutOfRange):
-            al.neighborhood(m, 25, 1.0)
-        with pytest.raises(al.OutOfRange):
-            al.neighborhood(m, -1, 1.0)
+        with pytest.raises(adaptive.OutOfRange):
+            adaptive.neighborhood(m, 25, 1.0)
+        with pytest.raises(adaptive.OutOfRange):
+            adaptive.neighborhood(m, -1, 1.0)
 
 
 class TestSubNeighborhood:
@@ -104,8 +106,8 @@ class TestSubNeighborhood:
         cut = al.cutoff_distance(matrix)
         cl = para_nd.labels.index("Cl")
         br = para_nd.labels.index("Br")
-        a = al.neighborhood(matrix, cl, cut)
-        b = al.neighborhood(matrix, br, cut)
+        a = adaptive.neighborhood(matrix, cl, cut)
+        b = adaptive.neighborhood(matrix, br, cut)
         assert set(a.members[:2]) == set(b.members[:2]) == {cl, br}
 
 
@@ -113,22 +115,22 @@ class TestExtremelyCloseSets:
     def nbhds(self, coords):
         m = al.matrix_from_coords(coords)
         cut = al.cutoff_distance(m)
-        return [al.neighborhood(m, i, cut) for i in range(m.n)]
+        return [adaptive.neighborhood(m, i, cut) for i in range(m.n)]
 
     def test_two_points_merge(self):
-        groups = al.extremely_close_sets(self.nbhds(np.array([[0.0], [1.0]])))
+        groups = adaptive.extremely_close_sets(self.nbhds(np.array([[0.0], [1.0]])))
         assert [g.members for g in groups] == [(0, 1)]
 
     def test_clustered_pairs(self):
         coords = np.array([[0.0], [0.1], [5.0], [5.1]])
-        groups = al.extremely_close_sets(self.nbhds(coords))
+        groups = adaptive.extremely_close_sets(self.nbhds(coords))
         assert [g.members for g in groups] == [(0, 1), (2, 3)]
 
     def test_para_depth1_groups(self, para_nd):
         _, _, matrix = adaptive.initial_state(para_nd)
         cut = al.cutoff_distance(matrix)
-        nbs = [al.neighborhood(matrix, i, cut) for i in range(matrix.n)]
-        groups = {g.members for g in al.extremely_close_sets(nbs)}
+        nbs = [adaptive.neighborhood(matrix, i, cut) for i in range(matrix.n)]
+        groups = {g.members for g in adaptive.extremely_close_sets(nbs)}
         assert groups == {
             (1, 21), (3, 8), (4, 7), (6, 24), (9, 17), (10, 18), (13, 14), (15, 16)
         }
@@ -136,8 +138,8 @@ class TestExtremelyCloseSets:
     def test_meta_depth1_groups(self, meta_nd):
         _, _, matrix = adaptive.initial_state(meta_nd)
         cut = al.cutoff_distance(matrix)
-        nbs = [al.neighborhood(matrix, i, cut) for i in range(matrix.n)]
-        groups = {g.members for g in al.extremely_close_sets(nbs)}
+        nbs = [adaptive.neighborhood(matrix, i, cut) for i in range(matrix.n)]
+        groups = {g.members for g in adaptive.extremely_close_sets(nbs)}
         assert groups == {
             (0, 21), (2, 19), (4, 22), (5, 23), (6, 7, 24),
             (9, 17), (10, 18), (11, 12), (15, 16),
@@ -146,8 +148,8 @@ class TestExtremelyCloseSets:
     def test_groups_disjoint_and_sorted(self, meta_nd):
         _, _, matrix = adaptive.initial_state(meta_nd)
         cut = al.cutoff_distance(matrix)
-        nbs = [al.neighborhood(matrix, i, cut) for i in range(matrix.n)]
-        groups = al.extremely_close_sets(nbs)
+        nbs = [adaptive.neighborhood(matrix, i, cut) for i in range(matrix.n)]
+        groups = adaptive.extremely_close_sets(nbs)
         seen = set()
         for g in groups:
             assert not (seen & set(g.members))
@@ -156,31 +158,32 @@ class TestExtremelyCloseSets:
 
     def test_center_first_before_lower_index_duplicate(self):
         m = al.matrix_from_coords(np.array([[0.0], [0.0], [5.0]]))
-        nb = al.neighborhood(m, 1, al.cutoff_distance(m))
-        assert nb.members == (1, 0, 2) and nb.distances == (0.0, 0.0, 5.0)
+        nb = adaptive.neighborhood(m, 1, al.cutoff_distance(m))
+        assert nb.members == (1, 0, 2)
+        assert [m.value(1, j) for j in nb.members] == [0.0, 0.0, 5.0]
 
     def test_unequal_neighborhood_lengths(self):
         # Lengths 3, 3, 4, 2: the padded rows must not admit the fourth point.
         nbs = self.nbhds(np.array([[0.0], [1.0], [2.5], [6.0]]))
         assert [len(nb.members) for nb in nbs] == [3, 3, 4, 2]
-        assert [g.members for g in al.extremely_close_sets(nbs)] == [(0, 1, 2)]
+        assert [g.members for g in adaptive.extremely_close_sets(nbs)] == [(0, 1, 2)]
 
     def test_degenerate_level_merges_all_but_one(self):
         rng = np.random.default_rng(3)
         coords = np.concatenate([[[100.0]], rng.uniform(0, 1, size=(59, 1))])
-        groups = al.extremely_close_sets(self.nbhds(coords))
+        groups = adaptive.extremely_close_sets(self.nbhds(coords))
         assert [g.members for g in groups] == [tuple(range(1, 60))]
 
     def test_sorted_by_smallest_member_in_any_input_order(self):
         coords = np.array([[5.0], [0.0], [5.1], [0.1], [9.0], [9.2]])
         nbs = self.nbhds(coords)
-        groups = al.extremely_close_sets(nbs[::-1])
+        groups = adaptive.extremely_close_sets(nbs[::-1])
         assert [g.members for g in groups] == [(0, 2), (1, 3), (4, 5)]
 
     def test_missing_neighborhood_rejected(self):
         nbs = self.nbhds(np.array([[0.0], [1.0], [3.0]]))
         with pytest.raises(ValueError):
-            al.extremely_close_sets(nbs[1:])
+            adaptive.extremely_close_sets(nbs[1:])
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_batching_does_not_change_groups(self, regime, monkeypatch):
@@ -189,13 +192,13 @@ class TestExtremelyCloseSets:
         coords = al.normalize(regime_dataset(regime)).coords
         m = al.matrix_from_coords(coords)
         cut = al.cutoff_distance(m)
-        nbs = [al.neighborhood(m, i, cut) for i in range(m.n)]
+        nbs = [adaptive.neighborhood(m, i, cut) for i in range(m.n)]
         want, _ = oracle_groups(oracle_square(coords), cut)
         want = sorted(tuple(sorted(s)) for s in want)
-        assert [g.members for g in al.extremely_close_sets(nbs)] == want
+        assert [g.members for g in adaptive.extremely_close_sets(nbs)] == want
         monkeypatch.setattr(al.adaptive, "_CELL_BUDGET", 1)
         monkeypatch.setattr(al.adaptive, "_FIRST_ROWS", 1)
-        assert [g.members for g in al.extremely_close_sets(nbs)] == want
+        assert [g.members for g in adaptive.extremely_close_sets(nbs)] == want
 
 
 class TestMergeGroup:
@@ -212,6 +215,9 @@ class TestMergeGroup:
         out = merge(coords, (1, 3), (0, 2, 4))
         assert np.array_equal(out, [[1.0], [5.5]])
         assert np.array_equal(coords, [[0.0], [5.0], [1.0], [6.0], [2.0]])
+        groups = [adaptive.MergeGroup(members=(1, 3)), adaptive.MergeGroup(members=(0, 2))]
+        _, kept = adaptive._merge(np.array(coords), groups)
+        assert kept == [0, 1, 4]
 
     def test_mean_of_members_not_leaves(self):
         # merging a merged pair with a third point averages the two *members*
@@ -223,10 +229,10 @@ class TestMergeGroup:
 
     def test_group_validation(self):
         with pytest.raises(ValueError):
-            al.MergeGroup(members=(3,))
+            adaptive.MergeGroup(members=(3,))
         with pytest.raises(ValueError):
-            al.MergeGroup(members=(3, 3))
-        assert al.MergeGroup(members=(4, 2)).members == (2, 4)
+            adaptive.MergeGroup(members=(3, 3))
+        assert adaptive.MergeGroup(members=(4, 2)).members == (2, 4)
 
 
 class TestClusterStep:

@@ -11,11 +11,8 @@ PUBLIC = [
     "DistanceMatrix",
     "LeafMismatch",
     "LinkageMethod",
-    "MergeGroup",
-    "Neighborhood",
     "NormalizationStats",
     "NormalizedDataset",
-    "OutOfRange",
     "Overflow",
     "ParseError",
     "SchemaError",
@@ -31,13 +28,11 @@ PUBLIC = [
     "cutoff_distance",
     "distance_matrix",
     "euclidean_distance",
-    "extremely_close_sets",
     "format_cutoff",
     "format_table",
     "identity_normalized",
     "load_fixture",
     "matrix_from_coords",
-    "neighborhood",
     "normalize",
     "parse_table",
     "read_trace",
@@ -56,3 +51,9 @@ def test_public_names():
 def test_every_public_name_resolves():
     for name in al.__all__:
         assert getattr(al, name) is not None, name
+
+
+def test_per_level_names_live_in_adaptive():
+    for name in ("Neighborhood", "neighborhood", "extremely_close_sets", "MergeGroup", "OutOfRange"):
+        assert name not in al.__all__ and not hasattr(al, name), name
+        assert getattr(al.adaptive, name) is not None, name

@@ -192,16 +192,30 @@ class TestDistance:
         assert m.value(0, 1) == 1.0
         assert not np.shares_memory(m.entries, src)
         from_coords = al.matrix_from_coords(np.array([[0.0], [1.0], [3.0]]))
-        for entries in (m.entries, from_coords.entries):
+        for entries in (m.entries, from_coords.entries, from_coords.row(0)):
             with pytest.raises(ValueError):
                 entries[0] = 0.5
+            with pytest.raises(ValueError):
+                entries.setflags(write=True)
 
     @pytest.mark.parametrize(
-        "entries", [[np.nan], [np.inf], [-np.inf], [-1.0], [1.0, np.nan, 2.0], [3.0, 2.0, -1e-300]]
+        "n, entries, problem",
+        [
+            (2, [np.nan], "finite and non-negative"),
+            (2, [np.inf], "finite and non-negative"),
+            (2, [-np.inf], "finite and non-negative"),
+            (2, [-1.0], "finite and non-negative"),
+            (3, [1.0, np.nan, 2.0], "finite and non-negative"),
+            (3, [3.0, 2.0, -1e-300], "finite and non-negative"),
+            (-1, [0.0], "non-negative integer"),
+            (2.5, [1.0], "non-negative integer"),
+            (True, [], "non-negative integer"),
+        ],
+        # The distance cases keep their positional ids.
+        ids=[f"entries{k}" for k in range(6)] + ["n-negative", "n-fractional", "n-bool"],
     )
-    def test_matrix_rejects_bad_distances(self, entries):
-        n = {1: 2, 3: 3}[len(entries)]
-        with pytest.raises(ValueError, match="finite and non-negative"):
+    def test_matrix_rejects_bad_distances(self, n, entries, problem):
+        with pytest.raises(ValueError, match=problem):
             al.DistanceMatrix(n=n, entries=entries)
 
     def test_matrix_accepts_empty_and_negative_zero(self):
@@ -258,6 +272,16 @@ class TestDataset:
         )
         again = io.parse_table(io.format_table(data))
         assert (again.labels, again.column_names) == (data.labels, data.column_names)
+
+    def test_content_hash_is_computed_once(self, monkeypatch):
+        data = small([[1.0, 2.0], [3.0, 4.0]])
+        first = data.content_hash()
+        calls = []
+        monkeypatch.setattr(io, "format_table", lambda d: calls.append(d) or "")
+        assert data.content_hash() == first and calls == []
+        with pytest.raises(ValueError):
+            data.values.setflags(write=True)  # so the cached hash cannot go stale
+        assert small([[1.0, 2.0], [3.0, 4.0]]).content_hash() != first and len(calls) == 1
 
     def test_content_hash_stable(self):
         a = small([[1.0, 2.0], [3.0, 4.0]])

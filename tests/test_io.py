@@ -241,6 +241,14 @@ class TestTraceDocuments:
         text = io.write_trace(d)
         assert io.serialize_trace(io.read_trace(text)) == text
 
+    def test_built_record_writes_a_trace_that_reads_back(self):
+        # The display is derived from the cut-off, so no record can disagree with it.
+        rec = al.DepthRecord(depth=1, cutoff=0.8974, groups=(frozenset({"A", "B"}),))
+        assert rec.display == al.format_cutoff(0.8974) == "0.89"
+        doc = io.TraceDocument(metadata={}, records=(rec,))
+        again = io.read_trace(io.serialize_trace(doc))
+        assert again == doc and again.records[0].display == "0.89"
+
     def test_first_seen_label_is_a_singleton(self):
         levels = [
             (1, [["A", "B"], ["C", "D"]]),

@@ -81,7 +81,7 @@ def merge_cases(draw):
     coords[copies] = coords[rng.integers(0, m, size=copies.size)]  # duplicate rows
     slots = np.split(rng.permutation(m), np.cumsum(sizes))[:-1]
     groups = sorted(
-        (al.MergeGroup(members=tuple(s.tolist())) for s in slots), key=lambda g: g.members[0]
+        (adaptive.MergeGroup(members=tuple(s.tolist())) for s in slots), key=lambda g: g.members[0]
     )
     return coords, groups
 
@@ -103,9 +103,10 @@ class TestMerge:
         for g in groups:
             want[g.members[0]] = coords[list(g.members)].mean(axis=0)
             keep[list(g.members[1:])] = False
-        got = adaptive._merge(coords, groups)
+        got, kept = adaptive._merge(coords, groups)
         assert got.shape == want[keep].shape
         assert got.tobytes() == want[keep].tobytes()
+        assert kept == np.flatnonzero(keep).tolist()
 
 
 class TestEngineInvariants:
@@ -160,7 +161,7 @@ class TestEngineInvariants:
         m = al.distance_matrix(nd)
         cut = al.cutoff_distance(m)
         for i in range(m.n):
-            assert len(al.neighborhood(m, i, cut).members) >= 2
+            assert len(adaptive.neighborhood(m, i, cut).members) >= 2
 
     @settings(max_examples=60, deadline=None)
     @given(datasets())
@@ -168,8 +169,8 @@ class TestEngineInvariants:
         nd = wrap(data)
         m = al.distance_matrix(nd)
         cut = al.cutoff_distance(m)
-        nbs = [al.neighborhood(m, i, cut) for i in range(m.n)]
-        groups = al.extremely_close_sets(nbs)
+        nbs = [adaptive.neighborhood(m, i, cut) for i in range(m.n)]
+        groups = adaptive.extremely_close_sets(nbs)
         assert len(groups) >= 1
         seen = set()
         for g in groups:

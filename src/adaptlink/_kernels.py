@@ -3,8 +3,11 @@
 * :func:`pairwise_condensed` computes the condensed (row-major upper
   triangle) Euclidean distances of an n×p matrix;
 * :func:`square_from_condensed` fills a symmetric n×n array from condensed
-  entries, block by block, the one square builder of the package;
+  entries, block by block; only the stepwise baseline builds one;
 * :func:`cutoff_from_condensed` is the minimax scan over condensed entries;
+* :func:`neighbors_within` orders every point's neighbours within a radius
+  with one sort of packed int64 keys (row, distance rank, column), which
+  fit for n < 65 536;
 * :func:`sq_distance` is the single-pair distance.
 
 The O(n²) kernels work on blocks of rows: rows ``r..r1`` against the
@@ -112,6 +115,71 @@ def cutoff_from_condensed(entries: np.ndarray, n: int) -> float:
         np.minimum(nearest[r:r1], block.min(axis=1), out=nearest[r:r1])
         np.minimum(nearest[r:], block.min(axis=0), out=nearest[r:])
     return float(nearest.max())
+
+
+# Keys (row·D + rank)·n + column stay below n²·D <= n⁴/2 < 2⁶³ for smaller n.
+_MAX_NEIGHBOR_POINTS = 1 << 16
+
+
+def neighbors_within(entries: np.ndarray, n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every point's neighbours within ``radius``, by (distance, index), in CSR form.
+
+    Point i's neighbours are ``members[starts[i]:starts[i + 1]]``: every
+    j != i with d(i, j) <= radius, nearest first, ties (``-0.0`` and ``0.0``
+    included) broken by index. Only the condensed entries are read.
+
+    The D distinct in-radius distances get one dense rank each, so the int64
+    key ``(row·D + rank)·n + column`` sorts like (row, distance, column);
+    each in-radius pair is written as (i, j) and (j, i), and one sort of
+    these unique keys orders every neighbourhood. The keys stay below
+    n⁴/2, so n must be below 65 536, where the condensed vector alone
+    already takes 17 GB; a larger n raises ``ValueError`` before anything
+    is allocated. The ranks and the key are built in place and the index
+    arrays are freed before the sort; where every pair is in radius the peak
+    stays near 2.5 n×n float64 squares.
+    """
+    if n >= _MAX_NEIGHBOR_POINTS:
+        raise ValueError(f"neighbour keys overflow int64 for n={n} >= {_MAX_NEIGHBOR_POINTS}")
+    idx = np.flatnonzero(entries <= radius)
+    m = idx.size
+    # Dense ranks without np.unique's five temporaries: rank the sorted copy
+    # in its own buffer, then scatter the ranks back to pair order.
+    dist = entries[idx]
+    order = dist.argsort()
+    dist = dist[order]
+    new_value = dist[1:] != dist[:-1]
+    sorted_rank = dist.view(np.int64)
+    sorted_rank[:1] = 0
+    np.cumsum(new_value, out=sorted_rank[1:])
+    d = int(sorted_rank[-1]) + 1 if m else 1
+    rank = np.empty_like(idx)
+    rank[order] = sorted_rank
+    del dist, order, new_value, sorted_rank
+    # Row r's entries start at r(2n - r - 1)/2, and idx is sorted, so the
+    # rows are runs; idx becomes the column j.
+    r = np.arange(n, dtype=np.int64)
+    row_starts = r * (2 * n - r - 1) // 2
+    i = np.repeat(r, np.diff(np.searchsorted(idx, row_starts), append=m))
+    j = idx
+    j -= row_starts[i]
+    j += i
+    j += 1
+    key = np.empty(2 * m, dtype=np.int64)
+    ij, ji = key[:m], key[m:]
+    np.multiply(i, d, out=ij)
+    ij += rank
+    ij *= n
+    ij += j
+    np.multiply(j, d, out=ji)
+    ji += rank
+    ji *= n
+    ji += i
+    del idx, i, j, rank, ij, ji
+    key.sort()
+    # Row r's keys are those from r·D·n up to (r + 1)·D·n.
+    starts = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * (d * n))
+    key %= n
+    return starts, key
 
 
 def sq_distance(x: np.ndarray, y: np.ndarray) -> float:

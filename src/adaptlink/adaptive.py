@@ -169,13 +169,8 @@ def neighborhood(m: DistanceMatrix, i: int, d_u: float) -> Neighborhood:
     """
     if not 0 <= i < m.n:
         raise OutOfRange(f"center index {i} outside [0, {m.n})")
-    row = m.row(i)
-    mask = row <= d_u
-    mask[i] = False
-    inside = mask.nonzero()[0]
-    # A stable sort of ascending indices breaks distance ties by index.
-    by_dist = row[inside].argsort(kind="stable")
-    return Neighborhood(center=i, members=(i, *inside[by_dist].tolist()))
+    starts, members = m.within(d_u)
+    return Neighborhood(center=i, members=(i, *members[starts[i] : starts[i + 1]].tolist()))
 
 
 # Rank-block cells evaluated per batch of centers in extremely_close_sets.

@@ -260,13 +260,33 @@ class DistanceMatrix:
         i, j = min(i, j), max(i, j)
         return float(self.entries[i * (2 * self.n - i - 1) // 2 + (j - i - 1)])
 
-    @cached_property
-    def _square(self) -> np.ndarray:
-        return _frozen(_kernels.square_from_condensed(self.entries, self.n, 0.0))
-
     def row(self, i: int) -> np.ndarray:
-        """All distances from point i (read-only view, d(i,i)=0 included)."""
-        return self._square[i]
+        """All distances from point i (read-only, d(i,i)=0 included)."""
+        n = self.n
+        if not 0 <= i < n:
+            raise IndexError(f"index {i} out of range for n={n}")
+        out = np.empty(n)
+        # Column i of the rows above i, then the contiguous rest of row i.
+        above = np.arange(i)
+        out[:i] = self.entries[above * (2 * n - above - 1) // 2 + (i - above - 1)]
+        out[i] = 0.0
+        start = i * (2 * n - i - 1) // 2
+        out[i + 1 :] = self.entries[start : start + n - i - 1]
+        return _frozen(out)
+
+    def within(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """Every point's neighbours within ``radius`` as read-only CSR arrays.
+
+        Point i's neighbours, nearest first and ties broken by index, are
+        ``members[starts[i]:starts[i + 1]]`` (see
+        :func:`~adaptlink._kernels.neighbors_within`). The last radius's
+        result is kept: the matrix cannot change, so it cannot go stale.
+        """
+        last = self.__dict__.get("_within")
+        if last is None or last[0] != radius:
+            starts, members = _kernels.neighbors_within(self.entries, self.n, radius)
+            last = self.__dict__["_within"] = (radius, _frozen(starts), _frozen(members))
+        return last[1], last[2]
 
 
 def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:

@@ -1,13 +1,16 @@
 """Tests for the adaptive clustering engine."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import adaptlink as al
-from adaptlink import adaptive, io
+from adaptlink import _kernels, adaptive, io
 
 import _expected as exp
 from _oracle import (
-    REGIMES, oracle_groups, oracle_square, raw_frame, regime_dataset, verify_run
+    REGIMES, oracle_groups, oracle_neighbor_order, oracle_square, raw_frame,
+    regime_dataset, verify_run
 )
 
 
@@ -98,6 +101,81 @@ class TestNeighborhood:
             adaptive.neighborhood(m, 25, 1.0)
         with pytest.raises(adaptive.OutOfRange):
             adaptive.neighborhood(m, -1, 1.0)
+
+
+class TestNeighborOrdering:
+    """The per-point orderings sliced from one sort of a level's condensed distances."""
+
+    @staticmethod
+    def orders(m, d_u):
+        return [list(adaptive.neighborhood(m, i, d_u).members) for i in range(m.n)]
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_every_level_matches_the_oracle(self, regime):
+        nd = al.normalize(regime_dataset(regime))
+        level = adaptive.initial_state(nd)
+        depth = 0
+        while len(level[1]) > 1:
+            coords, _, matrix = level
+            d_u = al.cutoff_distance(matrix)
+            square = oracle_square(coords)
+            want = [oracle_neighbor_order(square, i, d_u) for i in range(matrix.n)]
+            assert self.orders(matrix, d_u) == want, f"level {depth + 1}"
+            depth += 1
+            level, _ = adaptive._step(level, nd, depth)
+        assert depth >= 2
+
+    def test_radius_below_every_distance(self):
+        m = al.matrix_from_coords(np.array([[0.0], [1.0], [3.0], [7.0]]))
+        assert self.orders(m, 0.5) == [[0], [1], [2], [3]]
+        starts, members = m.within(0.5)
+        assert starts.tolist() == [0] * 5 and members.size == 0
+
+    def test_second_radius_is_not_the_stored_one(self):
+        m = al.matrix_from_coords(np.array([[0.0], [1.0], [3.0], [7.0]]))
+        assert self.orders(m, 2.0) == [[0, 1], [1, 0, 2], [2, 1], [3]]
+        assert self.orders(m, 4.0) == [[0, 1, 2], [1, 0, 2], [2, 1, 0, 3], [3, 2]]
+        assert m.within(4.0)[1] is m.within(4.0)[1]
+        assert self.orders(m, 2.0) == [[0, 1], [1, 0, 2], [2, 1], [3]]
+
+    def test_negative_zero_ties_zero_by_index(self):
+        # d03 = 0.0, d13 = -0.0, d23 = 0.0; every other pair 1.0.
+        m = al.DistanceMatrix(n=4, entries=[1.0, 1.0, 0.0, 1.0, -0.0, 0.0])
+        assert self.orders(m, 0.0) == [[0, 3], [1, 3], [2, 3], [3, 0, 1, 2]]
+        assert self.orders(m, -0.0) == self.orders(m, 0.0)
+        # Enough mixed values that the sort moves the signed zeros around.
+        n = 40
+        values = np.random.default_rng(5).choice([-0.0, 0.0, 1.0], n * (n - 1) // 2)
+        m = al.DistanceMatrix(n=n, entries=values)
+        want = [
+            [i, *sorted((j for j in range(n) if j != i), key=lambda j: (m.value(i, j), j))]
+            for i in range(n)
+        ]
+        assert self.orders(m, 1.0) == want
+
+    def test_two_points(self):
+        m = al.matrix_from_coords(np.array([[0.0, 1.0], [3.0, 5.0]]))
+        assert self.orders(m, al.cutoff_distance(m)) == [[0, 1], [1, 0]]
+        assert self.orders(m, 4.9) == [[0], [1]]
+
+    def test_csr_arrays_are_read_only(self):
+        m = al.matrix_from_coords(np.array([[0.0], [1.0], [3.0]]))
+        for a in m.within(2.0):
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+    def test_too_many_points_rejected_before_allocating(self):
+        n = 1 << 16
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="overflow int64"):
+                _kernels.neighbors_within(np.empty(0), n, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        starts, _ = _kernels.neighbors_within(np.empty(0), 1, 1.0)
+        assert starts.tolist() == [0, 0]
 
 
 class TestSubNeighborhood:

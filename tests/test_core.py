@@ -184,6 +184,9 @@ class TestDistance:
             assert np.array_equal(m.row(i), [m.value(i, j) for j in range(nd.n)])
         pair = al.matrix_from_coords(np.array([[0.0, 1.0], [3.0, 5.0]]))
         assert np.array_equal([pair.row(0), pair.row(1)], [[0.0, 5.0], [5.0, 0.0]])
+        for i in (-1, nd.n):
+            with pytest.raises(IndexError):
+                m.row(i)
 
     def test_matrix_keeps_a_read_only_copy(self):
         src = np.array([1.0, 3.0, 2.0])

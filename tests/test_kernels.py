@@ -1,4 +1,4 @@
-"""Tests for the numpy distance, square and cut-off kernels."""
+"""Tests for the numpy distance, square, cut-off and neighbour kernels."""
 import tracemalloc
 
 import numpy as np
@@ -149,7 +149,11 @@ class TestRowBlocks:
 
 
 class TestMemory:
-    """tracemalloc sees numpy's allocations: only the square builder makes an n×n array."""
+    """tracemalloc sees numpy's allocations: only the square builder makes an n×n array.
+
+    The neighbour kernel holds O(pairs within the radius): far below a square
+    on a typical level, a few squares' worth on a degenerate one.
+    """
 
     n = 1000
 
@@ -180,3 +184,26 @@ class TestMemory:
         _, peak = self.peak_bytes(_kernels.cutoff_from_condensed, entries, self.n)
         square_bytes = self.n * self.n * 8
         assert peak < square_bytes / 8
+
+    def test_neighbors_peak_far_below_a_square_on_a_grid_level(self):
+        values = np.random.default_rng(22).integers(0, 10, size=(self.n, 3))
+        data = al.Dataset(
+            labels=[f"r{i}" for i in range(self.n)], values=values, column_names="abc"
+        )
+        _, _, m = al.adaptive.initial_state(al.normalize(data))
+        cut = al.cutoff_distance(m)
+        (_, members), peak = self.peak_bytes(_kernels.neighbors_within, m.entries, m.n, cut)
+        square_bytes = self.n * self.n * 8
+        assert 0 < members.size < self.n * self.n / 50
+        assert peak < square_bytes / 8
+
+    def test_neighbors_peak_on_a_degenerate_level(self):
+        # One far row sets the cut-off, so every other pair is within it.
+        x = np.random.default_rng(23).standard_normal((self.n, 3))
+        x[0] = 40.0
+        entries = _kernels.pairwise_condensed(x)
+        cut = _kernels.cutoff_from_condensed(entries, self.n)
+        (_, members), peak = self.peak_bytes(_kernels.neighbors_within, entries, self.n, cut)
+        square_bytes = self.n * self.n * 8
+        assert members.size >= (self.n - 1) * (self.n - 2)
+        assert peak < 3 * square_bytes

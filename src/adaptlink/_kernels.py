@@ -2,12 +2,10 @@
 
 * :func:`pairwise_condensed` computes the condensed (row-major upper
   triangle) Euclidean distances of an n×p matrix;
-* :func:`square_from_condensed` fills a symmetric n×n array from condensed
-  entries, block by block; only the stepwise baseline builds one;
 * :func:`cutoff_from_condensed` is the minimax scan over condensed entries;
-* :func:`neighbors_within` orders every point's neighbours within a radius
-  with one sort of packed int64 keys (row, distance rank, column), which
-  fit for n < 65 536;
+* :func:`neighbors_within` gives every point's ordering within a radius,
+  center first, in CSR form, from one sort of packed int64 keys (row,
+  distance rank, column), which fit for n < 65 536;
 * :func:`sq_distance` is the single-pair distance.
 
 The O(n²) kernels work on blocks of rows: rows ``r..r1`` against the
@@ -17,9 +15,8 @@ contiguous segment, and a boolean upper-triangle mask over the block visits
 its cells right of the diagonal in that segment's order. The mask depends
 only on a cell's offset from the block's first row and column, so one mask
 as tall as the tallest block serves every block of a call. The distance
-and cut-off kernels therefore allocate no n×n array, the square builder
-none besides its output, and no kernel builds an index array of n²/2
-entries.
+and cut-off kernels therefore allocate no n×n array, and no kernel builds
+an index array of n²/2 entries.
 
 Squared differences accumulate feature by feature in ascending order in
 both distance functions, so a distance has the same bits whichever of them
@@ -80,25 +77,6 @@ def pairwise_condensed(coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def square_from_condensed(entries: np.ndarray, n: int, diagonal: float) -> np.ndarray:
-    """Symmetric n×n array of condensed entries, ``diagonal`` on the diagonal.
-
-    Each row block's segment fills the block's cells right of the diagonal;
-    the block is then mirrored below the diagonal, the part right of the
-    block's own rows as one transposed copy and the in-block triangle
-    through the transposed view.
-    """
-    square = np.empty((n, n))
-    blocks, upper = _blocks(n)
-    for r, r1, lo, hi in blocks:
-        tri = upper[: r1 - r, : r1 - r]
-        square[r:r1, r:][upper[: r1 - r, : n - r]] = entries[lo:hi]
-        square[r1:, r:r1] = square[r:r1, r1:].T
-        square[r:r1, r:r1].T[tri] = square[r:r1, r:r1][tri]
-    np.fill_diagonal(square, diagonal)
-    return square
-
-
 def cutoff_from_condensed(entries: np.ndarray, n: int) -> float:
     """Minimax scan: max over points of the distance to their nearest other point.
 
@@ -117,26 +95,29 @@ def cutoff_from_condensed(entries: np.ndarray, n: int) -> float:
     return float(nearest.max())
 
 
-# Keys (row·D + rank)·n + column stay below n²·D <= n⁴/2 < 2⁶³ for smaller n.
+# Keys (row·(D + 1) + rank)·n + column stay below n²·(D + 1) <= n⁴/2 < 2⁶³ for smaller n.
 _MAX_NEIGHBOR_POINTS = 1 << 16
 
 
 def neighbors_within(entries: np.ndarray, n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every point's neighbours within ``radius``, by (distance, index), in CSR form.
+    """Every point's ordering within ``radius``, center first, in CSR form.
 
-    Point i's neighbours are ``members[starts[i]:starts[i + 1]]``: every
-    j != i with d(i, j) <= radius, nearest first, ties (``-0.0`` and ``0.0``
-    included) broken by index. Only the condensed entries are read.
+    Point i's ordering is ``members[starts[i]:starts[i + 1]]``: i itself,
+    then every j != i with d(i, j) <= radius, nearest first, ties (``-0.0``
+    and ``0.0`` included) broken by index. The center leads even where a
+    lower-index duplicate lies at distance 0. Only the condensed entries are
+    read.
 
-    The D distinct in-radius distances get one dense rank each, so the int64
-    key ``(row·D + rank)·n + column`` sorts like (row, distance, column);
-    each in-radius pair is written as (i, j) and (j, i), and one sort of
-    these unique keys orders every neighbourhood. The keys stay below
-    n⁴/2, so n must be below 65 536, where the condensed vector alone
-    already takes 17 GB; a larger n raises ``ValueError`` before anything
-    is allocated. The ranks and the key are built in place and the index
-    arrays are freed before the sort; where every pair is in radius the peak
-    stays near 2.5 n×n float64 squares.
+    The D distinct in-radius distances get the dense ranks 1..D and each
+    center the rank 0, so the int64 key ``(row·(D + 1) + rank)·n + column``
+    sorts like (row, distance, column); each in-radius pair is written as
+    (i, j) and (j, i), each center as (i, i), and one sort of these unique
+    keys orders every neighbourhood. The keys stay below n⁴/2, so n must be
+    below 65 536, where the condensed vector alone already takes 17 GB; a
+    larger n raises ``ValueError`` before anything is allocated. The ranks
+    and the key are built in place and the index arrays are freed before
+    the sort; where every pair is in radius the peak stays near 2.5 n×n
+    float64 squares.
     """
     if n >= _MAX_NEIGHBOR_POINTS:
         raise ValueError(f"neighbour keys overflow int64 for n={n} >= {_MAX_NEIGHBOR_POINTS}")
@@ -149,9 +130,11 @@ def neighbors_within(entries: np.ndarray, n: int, radius: float) -> tuple[np.nda
     dist = dist[order]
     new_value = dist[1:] != dist[:-1]
     sorted_rank = dist.view(np.int64)
-    sorted_rank[:1] = 0
+    sorted_rank[:1] = 1
     np.cumsum(new_value, out=sorted_rank[1:])
-    d = int(sorted_rank[-1]) + 1 if m else 1
+    sorted_rank[1:] += 1
+    # w = D + 1 rank values per row, the centers' 0 included.
+    w = int(sorted_rank[-1]) + 1 if m else 1
     rank = np.empty_like(idx)
     rank[order] = sorted_rank
     del dist, order, new_value, sorted_rank
@@ -164,20 +147,21 @@ def neighbors_within(entries: np.ndarray, n: int, radius: float) -> tuple[np.nda
     j -= row_starts[i]
     j += i
     j += 1
-    key = np.empty(2 * m, dtype=np.int64)
-    ij, ji = key[:m], key[m:]
-    np.multiply(i, d, out=ij)
+    key = np.empty(2 * m + n, dtype=np.int64)
+    ij, ji, ii = key[:m], key[m : 2 * m], key[2 * m :]
+    np.multiply(i, w, out=ij)
     ij += rank
     ij *= n
     ij += j
-    np.multiply(j, d, out=ji)
+    np.multiply(j, w, out=ji)
     ji += rank
     ji *= n
     ji += i
-    del idx, i, j, rank, ij, ji
+    np.multiply(r, w * n + 1, out=ii)
+    del idx, i, j, rank, ij, ji, ii
     key.sort()
-    # Row r's keys are those from r·D·n up to (r + 1)·D·n.
-    starts = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * (d * n))
+    # Row r's keys are those from r·(D + 1)·n up to (r + 1)·(D + 1)·n.
+    starts = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * (w * n))
     key %= n
     return starts, key
 

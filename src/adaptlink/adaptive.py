@@ -14,10 +14,10 @@ A level is three things: the active coordinates (an m x p float64 array),
 the tree node of each row, and their distance matrix. A step builds each
 merged node once and records its leaves in the trace.
 
-:func:`_step` calls :func:`cutoff_distance`, the per-point
-:func:`neighborhood` and :func:`extremely_close_sets` through this module's
-globals, so a tracer that rebinds them here (the benchmark's per-layer
-timers do) sees every call of a level.
+:func:`_step` calls :func:`cutoff_distance`, :func:`neighborhood` (once per
+level: every point's ordering in CSR form) and :func:`extremely_close_sets`
+through this module's globals, so a tracer that rebinds them here (the
+benchmark's per-layer timers do) sees every call of a level.
 
 The working coordinate frame follows the input (see README for the rationale
 and the reference tabulation it reproduces):
@@ -33,10 +33,8 @@ and the reference tabulation it reproduces):
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, Context, Decimal
-from operator import attrgetter
 
 import numpy as np
 
@@ -47,10 +45,6 @@ from .core import (
 
 # Decimals of the grid a z-scored working frame is rounded to.
 _WORKING_DECIMALS = 6
-
-
-class OutOfRange(ClusteringError):
-    """A neighborhood center is outside the active points."""
 
 
 # Digits enough to show any finite float to two decimals (the default keeps 28).
@@ -64,11 +58,19 @@ def format_cutoff(x: float) -> str:
 
 
 @dataclass(frozen=True)
-class Neighborhood:
-    """The points within a cut-off of ``center``, nearest first (center leading)."""
+class Neighborhoods:
+    """Every point's ordering under one cut-off, in read-only CSR arrays.
 
-    center: int
-    members: tuple[int, ...]
+    Point i's ordering is ``members[starts[i]:starts[i + 1]]``: i itself,
+    then the points within the cut-off, nearest first.
+    """
+
+    starts: np.ndarray
+    members: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.starts, self.members):
+            a.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -159,18 +161,15 @@ def cutoff_distance(m: DistanceMatrix) -> float:
     return _kernels.cutoff_from_condensed(m.entries, m.n)
 
 
-def neighborhood(m: DistanceMatrix, i: int, d_u: float) -> Neighborhood:
-    """Ordered neighborhood of point i under cut-off d_u (center first).
+def neighborhood(m: DistanceMatrix, d_u: float) -> Neighborhoods:
+    """Every point's ordered neighborhood under cut-off d_u, center first.
 
-    Members are every j with d(i, j) <= d_u, sorted by (distance, index)
-    ascending; the index component makes tied distances (e.g. duplicate rows)
-    resolve deterministically. The center leads even when a duplicate of it
-    (distance 0) has a lower index.
+    Point i's members are i, then every j with d(i, j) <= d_u, sorted by
+    (distance, index) ascending; the index component makes tied distances
+    (e.g. duplicate rows) resolve deterministically. The center leads even
+    when a duplicate of it (distance 0) has a lower index.
     """
-    if not 0 <= i < m.n:
-        raise OutOfRange(f"center index {i} outside [0, {m.n})")
-    starts, members = m.within(d_u)
-    return Neighborhood(center=i, members=(i, *members[starts[i] : starts[i + 1]].tolist()))
+    return Neighborhoods(*_kernels.neighbors_within(m.entries, m.n, d_u))
 
 
 # Rank-block cells evaluated per batch of centers in extremely_close_sets.
@@ -214,14 +213,13 @@ def _longest_prefixes(orders: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return longest
 
 
-def extremely_close_sets(neighborhoods: list[Neighborhood]) -> list[MergeGroup]:
+def extremely_close_sets(nbs: Neighborhoods) -> list[MergeGroup]:
     """All maximal extremely close sets, pairwise disjoint, sorted by smallest member.
 
-    Takes one neighborhood per point 0..n-1, in any order. A set S of size v
-    qualifies when, for every member c, the first v entries of c's
-    neighborhood equal S as a set. So every qualifying set that contains a
-    point i is a prefix of i's ordering, and the maximal set containing i is
-    the longest qualifying prefix of that ordering.
+    A set S of size v qualifies when, for every member c, the first v
+    entries of c's ordering equal S as a set. So every qualifying set that
+    contains a point i is a prefix of i's ordering, and the maximal set
+    containing i is the longest qualifying prefix of that ordering.
 
     Write pos_i(x) for x's position in i's ordering, or n when x lies outside
     the cut-off. The prefix P of length v qualifies iff pos_i(o_c[k]) <= v - 1
@@ -232,38 +230,32 @@ def extremely_close_sets(neighborhoods: list[Neighborhood]) -> list[MergeGroup]:
     longer prefix. Centers are batched under a fixed cell budget, and a
     center already placed in a group is skipped.
     """
-    n = len(neighborhoods)
+    n = nbs.starts.size - 1
     if n == 0:
         return []
-    by_center = sorted(neighborhoods, key=attrgetter("center"))
-    if [nb.center for nb in by_center] != list(range(n)):
-        raise ValueError("expected one neighborhood per point 0..n-1")
-    width = max(len(nb.members) for nb in by_center)
+    sizes = np.diff(nbs.starts)
+    width = int(sizes.max())
     # Row c holds c's ordering padded with n; row n is all padding, so a
-    # padded member's own ordering is padding too.
-    pad = (n,) * width
-    padded = itertools.chain(
-        (nb.members + pad[len(nb.members) :] for nb in by_center), [pad]
-    )
-    orders = np.fromiter(
-        itertools.chain.from_iterable(padded), np.intp, (n + 1) * width
-    ).reshape(n + 1, width)
-    placed: set[int] = set()
+    # padded member's own ordering is padding too. The mask's row-major
+    # order is the CSR order.
+    orders = np.full((n + 1, width), n, dtype=np.intp)
+    orders[:n][np.arange(width) < sizes[:, None]] = nbs.members
+    placed = np.zeros(n, dtype=bool)
     batch = max(1, _CELL_BUDGET // (n + width * width))
     groups: list[MergeGroup] = []
     for start in range(0, n, batch):
-        todo = [c for c in range(start, min(start + batch, n)) if c not in placed]
-        if not todo:
+        todo = start + np.flatnonzero(~placed[start : start + batch])
+        if not todo.size:
             continue
-        longest = _longest_prefixes(orders, np.array(todo, dtype=np.intp))
-        for c, v in zip(todo, longest.tolist()):
-            if v < 2 or c in placed:
+        longest = _longest_prefixes(orders, todo)
+        for c, v in zip(todo.tolist(), longest.tolist()):
+            if v < 2 or placed[c]:
                 continue
-            members = by_center[c].members[:v]
-            placed.update(members)
-            groups.append(MergeGroup(members=members))
+            members = orders[c, :v]
+            placed[members] = True
+            groups.append(MergeGroup(members=members.tolist()))
     # Overlapping groups would place fewer points than they hold.
-    if len(placed) != sum(len(g.members) for g in groups):
+    if placed.sum() != sum(len(g.members) for g in groups):
         raise RuntimeError("internal invariant violated: overlapping maximal sets")
     groups.sort(key=lambda g: g.members[0])
     return groups
@@ -308,7 +300,16 @@ Level = tuple[np.ndarray, list[TreeNode], DistanceMatrix | None]
 
 
 def initial_state(nd: NormalizedDataset) -> Level:
-    """Depth-0 level: one leaf node per row (z-scored input on the working grid)."""
+    """Depth-0 level: one leaf node per row (z-scored input on the working grid).
+
+    Raises :class:`ClusteringError` for 65 536 points or more, which the
+    neighbour ordering's int64 keys cannot hold, before any O(n²) allocation.
+    """
+    if nd.n >= _kernels._MAX_NEIGHBOR_POINTS:
+        raise ClusteringError(
+            f"the adaptive engine takes fewer than {_kernels._MAX_NEIGHBOR_POINTS} "
+            f"points, got n={nd.n}"
+        )
     coords = np.asarray(nd.coords, dtype=np.float64)
     if nd.normalized:
         coords = np.round(coords, _WORKING_DECIMALS)
@@ -323,8 +324,7 @@ def _step(level: Level, nd: NormalizedDataset, depth: int) -> tuple[Level, Depth
     if matrix is None:
         raise TooFewPoints("cluster step needs at least two active points")
     d_u = float(cutoff_distance(matrix))
-    nbs = [neighborhood(matrix, i, d_u) for i in range(len(nodes))]
-    groups = extremely_close_sets(nbs)
+    groups = extremely_close_sets(neighborhood(matrix, d_u))
     if not groups:
         raise RuntimeError("internal invariant violated: no extremely close set")
     coords, kept = _merge(coords, groups)

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .adaptive import DepthRecord, TreeNode
 from .core import (
     ClusteringError,
@@ -65,6 +64,21 @@ def _centroid_distances(centroids: np.ndarray, a: int, idx: np.ndarray) -> np.nd
     return np.sqrt(acc)
 
 
+def _upper_square(entries: np.ndarray, n: int) -> np.ndarray:
+    """n×n array with the condensed entries above the diagonal and inf elsewhere.
+
+    Each row's entries are one contiguous run of the condensed vector, so
+    the rows are copied one by one and nothing besides the output is
+    allocated.
+    """
+    dist = np.full((n, n), np.inf)
+    lo = 0
+    for i in range(n - 1):
+        dist[i, i + 1 :] = entries[lo : lo + n - 1 - i]
+        lo += n - 1 - i
+    return dist
+
+
 def stepwise_cluster(
     nd: NormalizedDataset,
     method: LinkageMethod,
@@ -94,8 +108,7 @@ def stepwise_cluster(
     # Distances live in the upper triangle (i < j); the lower triangle, the
     # diagonal and the row and column of every merged-away slot hold inf.
     entries = matrix_from_coords(nd.coords).entries
-    dist = _kernels.square_from_condensed(entries, n, np.inf)
-    dist[np.tri(n, k=-1, dtype=bool)] = np.inf
+    dist = _upper_square(entries, n)
     nn_j = dist.argmin(axis=1)
     nn_d = dist[np.arange(n), nn_j]
     nodes: list[TreeNode | None] = [

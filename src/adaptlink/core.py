@@ -274,20 +274,6 @@ class DistanceMatrix:
         out[i + 1 :] = self.entries[start : start + n - i - 1]
         return _frozen(out)
 
-    def within(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
-        """Every point's neighbours within ``radius`` as read-only CSR arrays.
-
-        Point i's neighbours, nearest first and ties broken by index, are
-        ``members[starts[i]:starts[i + 1]]`` (see
-        :func:`~adaptlink._kernels.neighbors_within`). The last radius's
-        result is kept: the matrix cannot change, so it cannot go stale.
-        """
-        last = self.__dict__.get("_within")
-        if last is None or last[0] != radius:
-            starts, members = _kernels.neighbors_within(self.entries, self.n, radius)
-            last = self.__dict__["_within"] = (radius, _frozen(starts), _frozen(members))
-        return last[1], last[2]
-
 
 def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
     """Condensed Euclidean distance matrix over the rows of ``coords``.

@@ -42,6 +42,15 @@ def oracle_square(coords: np.ndarray) -> list[list[float]]:
     ]
 
 
+def condensed_square(entries: np.ndarray, n: int) -> np.ndarray:
+    """Symmetric n×n array of condensed entries with inf on the diagonal."""
+    square = np.full((n, n), np.inf)
+    upper = np.triu_indices(n, 1)
+    square[upper] = entries
+    square.T[upper] = entries
+    return square
+
+
 def oracle_cutoff(square) -> float:
     return max(
         min(row[j] for j in range(len(row)) if j != i) for i, row in enumerate(square)
@@ -291,7 +300,7 @@ def oracle_stepwise(
         raise TooFewPoints(f"stepwise clustering needs n >= 2, got {nd.n}")
     n = nd.n
     entries = matrix_from_coords(nd.coords).entries
-    dist = _kernels.square_from_condensed(entries, n, np.inf)
+    dist = condensed_square(entries, n)
     nodes: list[TreeNode | None] = [
         TreeNode(leaves=frozenset({lab}), label=lab, depth=0) for lab in nd.labels
     ]

@@ -14,6 +14,11 @@ from _oracle import (
 )
 
 
+def orderings(nbs):
+    """Each point's ordering, sliced from the level's CSR arrays."""
+    return [nbs.members[a:b].tolist() for a, b in zip(nbs.starts[:-1], nbs.starts[1:])]
+
+
 def merge(coords, *groups):
     rows, _ = adaptive._merge(
         np.asarray(coords, dtype=float), [adaptive.MergeGroup(members=g) for g in groups]
@@ -78,12 +83,11 @@ class TestNeighborhood:
     def test_center_first_and_sorted(self, para_nd):
         _, _, matrix = adaptive.initial_state(para_nd)
         cut = al.cutoff_distance(matrix)
-        for i in range(matrix.n):
-            nb = adaptive.neighborhood(matrix, i, cut)
-            dists = [matrix.value(i, j) for j in nb.members]
-            assert nb.members[0] == i
+        for i, members in enumerate(orderings(adaptive.neighborhood(matrix, cut))):
+            dists = [matrix.value(i, j) for j in members]
+            assert members[0] == i
             assert dists[0] == 0.0
-            assert len(nb.members) >= 2  # Lemma 1: the cut-off admits a neighbor
+            assert len(members) >= 2  # Lemma 1: the cut-off admits a neighbor
             assert all(d <= cut for d in dists)
             assert dists == sorted(dists)
 
@@ -92,15 +96,7 @@ class TestNeighborhood:
         cut = al.cutoff_distance(matrix)
         cl = para_nd.labels.index("Cl")
         br = para_nd.labels.index("Br")
-        nb = adaptive.neighborhood(matrix, cl, cut)
-        assert br in nb.members
-
-    def test_center_out_of_range(self, para_nd):
-        m = al.distance_matrix(para_nd)
-        with pytest.raises(adaptive.OutOfRange):
-            adaptive.neighborhood(m, 25, 1.0)
-        with pytest.raises(adaptive.OutOfRange):
-            adaptive.neighborhood(m, -1, 1.0)
+        assert br in orderings(adaptive.neighborhood(matrix, cut))[cl]
 
 
 class TestNeighborOrdering:
@@ -108,7 +104,7 @@ class TestNeighborOrdering:
 
     @staticmethod
     def orders(m, d_u):
-        return [list(adaptive.neighborhood(m, i, d_u).members) for i in range(m.n)]
+        return orderings(adaptive.neighborhood(m, d_u))
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_every_level_matches_the_oracle(self, regime):
@@ -128,14 +124,13 @@ class TestNeighborOrdering:
     def test_radius_below_every_distance(self):
         m = al.matrix_from_coords(np.array([[0.0], [1.0], [3.0], [7.0]]))
         assert self.orders(m, 0.5) == [[0], [1], [2], [3]]
-        starts, members = m.within(0.5)
-        assert starts.tolist() == [0] * 5 and members.size == 0
+        nbs = adaptive.neighborhood(m, 0.5)
+        assert nbs.starts.tolist() == list(range(5)) and nbs.members.tolist() == [0, 1, 2, 3]
 
     def test_second_radius_is_not_the_stored_one(self):
         m = al.matrix_from_coords(np.array([[0.0], [1.0], [3.0], [7.0]]))
         assert self.orders(m, 2.0) == [[0, 1], [1, 0, 2], [2, 1], [3]]
         assert self.orders(m, 4.0) == [[0, 1, 2], [1, 0, 2], [2, 1, 0, 3], [3, 2]]
-        assert m.within(4.0)[1] is m.within(4.0)[1]
         assert self.orders(m, 2.0) == [[0, 1], [1, 0, 2], [2, 1], [3]]
 
     def test_negative_zero_ties_zero_by_index(self):
@@ -160,7 +155,8 @@ class TestNeighborOrdering:
 
     def test_csr_arrays_are_read_only(self):
         m = al.matrix_from_coords(np.array([[0.0], [1.0], [3.0]]))
-        for a in m.within(2.0):
+        nbs = adaptive.neighborhood(m, 2.0)
+        for a in (nbs.starts, nbs.members):
             with pytest.raises(ValueError):
                 a[0] = 1
 
@@ -175,7 +171,7 @@ class TestNeighborOrdering:
             tracemalloc.stop()
         assert peak < 64 * 1024
         starts, _ = _kernels.neighbors_within(np.empty(0), 1, 1.0)
-        assert starts.tolist() == [0, 0]
+        assert starts.tolist() == [0, 1]
 
 
 class TestSubNeighborhood:
@@ -184,16 +180,15 @@ class TestSubNeighborhood:
         cut = al.cutoff_distance(matrix)
         cl = para_nd.labels.index("Cl")
         br = para_nd.labels.index("Br")
-        a = adaptive.neighborhood(matrix, cl, cut)
-        b = adaptive.neighborhood(matrix, br, cut)
-        assert set(a.members[:2]) == set(b.members[:2]) == {cl, br}
+        orders = orderings(adaptive.neighborhood(matrix, cut))
+        assert set(orders[cl][:2]) == set(orders[br][:2]) == {cl, br}
 
 
 class TestExtremelyCloseSets:
     def nbhds(self, coords):
         m = al.matrix_from_coords(coords)
         cut = al.cutoff_distance(m)
-        return [adaptive.neighborhood(m, i, cut) for i in range(m.n)]
+        return adaptive.neighborhood(m, cut)
 
     def test_two_points_merge(self):
         groups = adaptive.extremely_close_sets(self.nbhds(np.array([[0.0], [1.0]])))
@@ -207,7 +202,7 @@ class TestExtremelyCloseSets:
     def test_para_depth1_groups(self, para_nd):
         _, _, matrix = adaptive.initial_state(para_nd)
         cut = al.cutoff_distance(matrix)
-        nbs = [adaptive.neighborhood(matrix, i, cut) for i in range(matrix.n)]
+        nbs = adaptive.neighborhood(matrix, cut)
         groups = {g.members for g in adaptive.extremely_close_sets(nbs)}
         assert groups == {
             (1, 21), (3, 8), (4, 7), (6, 24), (9, 17), (10, 18), (13, 14), (15, 16)
@@ -216,7 +211,7 @@ class TestExtremelyCloseSets:
     def test_meta_depth1_groups(self, meta_nd):
         _, _, matrix = adaptive.initial_state(meta_nd)
         cut = al.cutoff_distance(matrix)
-        nbs = [adaptive.neighborhood(matrix, i, cut) for i in range(matrix.n)]
+        nbs = adaptive.neighborhood(matrix, cut)
         groups = {g.members for g in adaptive.extremely_close_sets(nbs)}
         assert groups == {
             (0, 21), (2, 19), (4, 22), (5, 23), (6, 7, 24),
@@ -226,7 +221,7 @@ class TestExtremelyCloseSets:
     def test_groups_disjoint_and_sorted(self, meta_nd):
         _, _, matrix = adaptive.initial_state(meta_nd)
         cut = al.cutoff_distance(matrix)
-        nbs = [adaptive.neighborhood(matrix, i, cut) for i in range(matrix.n)]
+        nbs = adaptive.neighborhood(matrix, cut)
         groups = adaptive.extremely_close_sets(nbs)
         seen = set()
         for g in groups:
@@ -236,14 +231,14 @@ class TestExtremelyCloseSets:
 
     def test_center_first_before_lower_index_duplicate(self):
         m = al.matrix_from_coords(np.array([[0.0], [0.0], [5.0]]))
-        nb = adaptive.neighborhood(m, 1, al.cutoff_distance(m))
-        assert nb.members == (1, 0, 2)
-        assert [m.value(1, j) for j in nb.members] == [0.0, 0.0, 5.0]
+        members = orderings(adaptive.neighborhood(m, al.cutoff_distance(m)))[1]
+        assert members == [1, 0, 2]
+        assert [m.value(1, j) for j in members] == [0.0, 0.0, 5.0]
 
     def test_unequal_neighborhood_lengths(self):
         # Lengths 3, 3, 4, 2: the padded rows must not admit the fourth point.
         nbs = self.nbhds(np.array([[0.0], [1.0], [2.5], [6.0]]))
-        assert [len(nb.members) for nb in nbs] == [3, 3, 4, 2]
+        assert np.diff(nbs.starts).tolist() == [3, 3, 4, 2]
         assert [g.members for g in adaptive.extremely_close_sets(nbs)] == [(0, 1, 2)]
 
     def test_degenerate_level_merges_all_but_one(self):
@@ -252,17 +247,6 @@ class TestExtremelyCloseSets:
         groups = adaptive.extremely_close_sets(self.nbhds(coords))
         assert [g.members for g in groups] == [tuple(range(1, 60))]
 
-    def test_sorted_by_smallest_member_in_any_input_order(self):
-        coords = np.array([[5.0], [0.0], [5.1], [0.1], [9.0], [9.2]])
-        nbs = self.nbhds(coords)
-        groups = adaptive.extremely_close_sets(nbs[::-1])
-        assert [g.members for g in groups] == [(0, 2), (1, 3), (4, 5)]
-
-    def test_missing_neighborhood_rejected(self):
-        nbs = self.nbhds(np.array([[0.0], [1.0], [3.0]]))
-        with pytest.raises(ValueError):
-            adaptive.extremely_close_sets(nbs[1:])
-
     @pytest.mark.parametrize("regime", REGIMES)
     def test_batching_does_not_change_groups(self, regime, monkeypatch):
         # One center per batch and one first row force every batch and row
@@ -270,7 +254,7 @@ class TestExtremelyCloseSets:
         coords = al.normalize(regime_dataset(regime)).coords
         m = al.matrix_from_coords(coords)
         cut = al.cutoff_distance(m)
-        nbs = [adaptive.neighborhood(m, i, cut) for i in range(m.n)]
+        nbs = adaptive.neighborhood(m, cut)
         want, _ = oracle_groups(oracle_square(coords), cut)
         want = sorted(tuple(sorted(s)) for s in want)
         assert [g.members for g in adaptive.extremely_close_sets(nbs)] == want

@@ -54,6 +54,6 @@ def test_every_public_name_resolves():
 
 
 def test_per_level_names_live_in_adaptive():
-    for name in ("Neighborhood", "neighborhood", "extremely_close_sets", "MergeGroup", "OutOfRange"):
+    for name in ("Neighborhoods", "neighborhood", "extremely_close_sets", "MergeGroup"):
         assert name not in al.__all__ and not hasattr(al, name), name
         assert getattr(al.adaptive, name) is not None, name

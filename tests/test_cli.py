@@ -271,6 +271,45 @@ class TestErrors:
         assert "O(n^2)" in err
 
 
+# Builds a 65 536-point table, caps its own address space 1 GiB above what
+# it maps already, then runs the engine and the CLI on the table.
+CAPPED_RUN = """
+import resource, sys
+import numpy as np
+import adaptlink as al
+from adaptlink.cli import main
+
+n, path = 1 << 16, sys.argv[1]
+data = al.Dataset([f"p{i}" for i in range(n)], np.arange(n, dtype=float)[:, None], ["x"])
+with open(path, "w", encoding="utf-8") as fh:
+    fh.write(al.format_table(data))
+with open("/proc/self/status") as fh:
+    mapped = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize"))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (1 << 30), hard))
+try:
+    al.build_dendrogram(al.normalize(data))
+except al.ClusteringError as e:
+    print(e)
+sys.exit(main(["cluster", "--input", path]))
+"""
+
+
+class TestTooManyPoints:
+    def test_refused_before_allocating(self, tmp_path):
+        # The condensed vector alone would take 17 GB, far beyond the cap,
+        # so a run that allocated it would fail with MemoryError instead.
+        proc = subprocess.run(
+            [sys.executable, "-c", CAPPED_RUN, str(tmp_path / "big.csv")],
+            capture_output=True,
+            text=True,
+        )
+        refusal = "the adaptive engine takes fewer than 65536 points, got n=65536"
+        assert proc.stdout == refusal + "\n"
+        assert proc.returncode == 1
+        assert proc.stderr == f"adaptlink: error: {refusal}\n"
+
+
 HELP = Path(__file__).parent / "help"
 
 

@@ -1,11 +1,20 @@
-"""Tests for the numpy distance, square, cut-off and neighbour kernels."""
+"""Tests for the numpy distance, cut-off and neighbour kernels, and the stepwise square."""
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import adaptlink as al
-from adaptlink import _kernels, io
+from adaptlink import _kernels, adaptive, baseline, io
+
+from _oracle import condensed_square
+
+
+def upper_squareform(entries, n):
+    """scipy's square of the condensed entries with inf on and below the diagonal."""
+    square = pytest.importorskip("scipy.spatial.distance").squareform(entries)
+    square[np.tril_indices(n)] = np.inf
+    return square
 
 
 def random_coords(rng, n, p):
@@ -45,19 +54,18 @@ class TestSqDistance:
 
 
 class TestSquareFromCondensed:
+    """The stepwise baseline's working square: condensed entries above the diagonal."""
+
     def test_matches_squareform(self):
-        squareform = pytest.importorskip("scipy.spatial.distance").squareform
         rng = np.random.default_rng(15)
         for n, p in ((2, 1), (7, 2), (40, 3)):
             entries = _kernels.pairwise_condensed(random_coords(rng, n, p))
-            square = _kernels.square_from_condensed(entries, n, 0.0)
-            assert np.array_equal(square, squareform(entries))
-            square = _kernels.square_from_condensed(entries, n, np.inf)
-            assert np.array_equal(np.diag(square), np.full(n, np.inf))
+            square = baseline._upper_square(entries, n)
+            assert np.array_equal(square, upper_squareform(entries, n))
 
     def test_two_points(self):
-        square = _kernels.square_from_condensed(np.array([2.5]), 2, np.inf)
-        assert np.array_equal(square, [[np.inf, 2.5], [2.5, np.inf]])
+        square = baseline._upper_square(np.array([2.5]), 2)
+        assert np.array_equal(square, [[np.inf, 2.5], [np.inf, np.inf]])
         assert _kernels.cutoff_from_condensed(np.array([2.5]), 2) == 2.5
 
     def test_cutoff_zero_when_every_point_has_a_duplicate(self):
@@ -71,7 +79,7 @@ class TestSquareFromCondensed:
 
 def scan_cutoff(entries, n):
     """Brute-force minimax: every row of the inf-diagonal square, in Python."""
-    square = _kernels.square_from_condensed(entries, n, np.inf).tolist()
+    square = condensed_square(entries, n).tolist()
     return max(min(row) for row in square)
 
 
@@ -131,15 +139,12 @@ class TestRowBlocks:
     @pytest.mark.parametrize("budget", [1, 16, 150])
     @pytest.mark.parametrize("name", list(block_inputs()))
     def test_square_matches_squareform(self, monkeypatch, budget, name):
-        squareform = pytest.importorskip("scipy.spatial.distance").squareform
         monkeypatch.setattr(_kernels, "_CELL_BUDGET", budget)
         x = block_inputs()[name]
         n = x.shape[0]
         entries = _kernels.pairwise_condensed(x)
-        want = squareform(entries)
-        assert np.array_equal(_kernels.square_from_condensed(entries, n, 0.0), want)
-        np.fill_diagonal(want, np.inf)
-        assert np.array_equal(_kernels.square_from_condensed(entries, n, np.inf), want)
+        want = upper_squareform(entries, n)
+        assert np.array_equal(baseline._upper_square(entries, n), want)
 
     def test_same_bits_at_the_real_budget(self):
         rng = np.random.default_rng(18)
@@ -149,10 +154,12 @@ class TestRowBlocks:
 
 
 class TestMemory:
-    """tracemalloc sees numpy's allocations: only the square builder makes an n×n array.
+    """tracemalloc sees numpy's allocations: no kernel allocates an n×n array.
 
-    The neighbour kernel holds O(pairs within the radius): far below a square
-    on a typical level, a few squares' worth on a degenerate one.
+    The stepwise baseline's square is its output. The neighbour kernel holds
+    O(pairs within the radius): far below a square on a typical level, a few
+    squares' worth on a degenerate one, where group discovery adds its padded
+    ordering matrix.
     """
 
     n = 1000
@@ -175,7 +182,7 @@ class TestMemory:
     def test_square_peak_near_its_output(self):
         x = np.random.default_rng(21).standard_normal((self.n, 3))
         entries = _kernels.pairwise_condensed(x)
-        square, peak = self.peak_bytes(_kernels.square_from_condensed, entries, self.n, 0.0)
+        square, peak = self.peak_bytes(baseline._upper_square, entries, self.n)
         assert peak <= 1.05 * square.nbytes
 
     def test_cutoff_peak_far_below_a_square(self):
@@ -207,3 +214,16 @@ class TestMemory:
         square_bytes = self.n * self.n * 8
         assert members.size >= (self.n - 1) * (self.n - 2)
         assert peak < 3 * square_bytes
+
+    def test_orderings_and_groups_peak_on_a_degenerate_level(self):
+        # The orderings, their padded matrix and the rank blocks of group
+        # discovery; every ordering but the far row's spans the set.
+        x = np.random.default_rng(23).standard_normal((self.n, 3))
+        x[0] = 40.0
+        m = al.matrix_from_coords(x)
+        cut = al.cutoff_distance(m)
+        groups, peak = self.peak_bytes(
+            lambda: adaptive.extremely_close_sets(adaptive.neighborhood(m, cut))
+        )
+        assert [g.members for g in groups] == [tuple(range(1, self.n))]
+        assert peak < 4 * self.n * self.n * 8

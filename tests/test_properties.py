@@ -160,8 +160,7 @@ class TestEngineInvariants:
         nd = wrap(data)
         m = al.distance_matrix(nd)
         cut = al.cutoff_distance(m)
-        for i in range(m.n):
-            assert len(adaptive.neighborhood(m, i, cut).members) >= 2
+        assert (np.diff(adaptive.neighborhood(m, cut).starts) >= 2).all()
 
     @settings(max_examples=60, deadline=None)
     @given(datasets())
@@ -169,8 +168,7 @@ class TestEngineInvariants:
         nd = wrap(data)
         m = al.distance_matrix(nd)
         cut = al.cutoff_distance(m)
-        nbs = [adaptive.neighborhood(m, i, cut) for i in range(m.n)]
-        groups = adaptive.extremely_close_sets(nbs)
+        groups = adaptive.extremely_close_sets(adaptive.neighborhood(m, cut))
         assert len(groups) >= 1
         seen = set()
         for g in groups:

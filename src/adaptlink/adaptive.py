@@ -10,20 +10,21 @@ pseudo-point remains, so several points can join a cluster in one step and
 the full tree typically needs far fewer levels than one-merge-at-a-time
 agglomeration.
 
-A level is three things: the active coordinates (an m x p float64 array),
-the tree node of each row, and their distance matrix. A step builds each
-merged node once and records its leaves in the trace.
+A level is the active coordinates (an m x p float64 array) and the tree
+node of each row. A step builds its own distance matrix, so one is alive at
+a time, builds each merged node once and records its leaves in the trace.
 
-:func:`_step` calls :func:`cutoff_distance`, :func:`neighborhood` (once per
-level: every point's ordering in CSR form) and :func:`extremely_close_sets`
-through this module's globals, so a tracer that rebinds them here (the
-benchmark's per-layer timers do) sees every call of a level.
+:func:`_step` calls :func:`~adaptlink.core.matrix_from_coords`,
+:func:`cutoff_distance`, :func:`neighborhood` (once per level: every point's
+ordering in CSR form) and :func:`extremely_close_sets` through this module's
+globals, so a tracer that rebinds them here (the benchmark's per-layer
+timers do) sees every call of a level.
 
 The working coordinate frame follows the input (see README for the rationale
 and the reference tabulation it reproduces):
 
-* z-scored input (:func:`~adaptlink.core.normalize`) is re-z-scored at the
-  start of every iteration, so the shrinking point set keeps zero-mean,
+* z-scored input (:func:`~adaptlink.core.normalize`) is re-z-scored after
+  every merge, so the shrinking point set keeps zero-mean,
   unit-s.d. columns, and each frame is rounded to six decimals, which
   resolves equal-distance ties identically on every platform (equal-step
   descriptor series otherwise tie at the last bit of the mantissa);
@@ -71,20 +72,6 @@ class Neighborhoods:
     def __post_init__(self):
         for a in (self.starts, self.members):
             a.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class MergeGroup:
-    """An extremely close set: every member's leading sub-neighborhood equals it."""
-
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
-        if len(self.members) < 2:
-            raise ValueError("merge groups have at least two members")
-        if len(set(self.members)) != len(self.members):
-            raise ValueError("merge group members must be distinct")
 
 
 @dataclass(frozen=True)
@@ -213,8 +200,8 @@ def _longest_prefixes(orders: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return longest
 
 
-def extremely_close_sets(nbs: Neighborhoods) -> list[MergeGroup]:
-    """All maximal extremely close sets, pairwise disjoint, sorted by smallest member.
+def extremely_close_sets(nbs: Neighborhoods) -> list[tuple[int, ...]]:
+    """All maximal extremely close sets as ascending tuples, disjoint, sorted by first member.
 
     A set S of size v qualifies when, for every member c, the first v
     entries of c's ordering equal S as a set. So every qualifying set that
@@ -242,7 +229,7 @@ def extremely_close_sets(nbs: Neighborhoods) -> list[MergeGroup]:
     orders[:n][np.arange(width) < sizes[:, None]] = nbs.members
     placed = np.zeros(n, dtype=bool)
     batch = max(1, _CELL_BUDGET // (n + width * width))
-    groups: list[MergeGroup] = []
+    groups: list[tuple[int, ...]] = []
     for start in range(0, n, batch):
         todo = start + np.flatnonzero(~placed[start : start + batch])
         if not todo.size:
@@ -253,15 +240,15 @@ def extremely_close_sets(nbs: Neighborhoods) -> list[MergeGroup]:
                 continue
             members = orders[c, :v]
             placed[members] = True
-            groups.append(MergeGroup(members=members.tolist()))
+            groups.append(tuple(sorted(members.tolist())))
     # Overlapping groups would place fewer points than they hold.
-    if placed.sum() != sum(len(g.members) for g in groups):
+    if placed.sum() != sum(map(len, groups)):
         raise RuntimeError("internal invariant violated: overlapping maximal sets")
-    groups.sort(key=lambda g: g.members[0])
+    groups.sort()  # disjoint tuples compare by their first members
     return groups
 
 
-def _merge(coords: np.ndarray, groups: list[MergeGroup]) -> tuple[np.ndarray, list[int]]:
+def _merge(coords: np.ndarray, groups: list[tuple[int, ...]]) -> tuple[np.ndarray, list[int]]:
     """Next level's rows, each group's member mean at its smallest slot, and the kept slots.
 
     The mean is taken over the *member* rows of the current frame, so merging
@@ -273,7 +260,7 @@ def _merge(coords: np.ndarray, groups: list[MergeGroup]) -> tuple[np.ndarray, li
     keep = np.ones(len(coords), dtype=bool)
     by_size: dict[int, list[tuple[int, ...]]] = {}
     for g in groups:
-        by_size.setdefault(len(g.members), []).append(g.members)
+        by_size.setdefault(len(g), []).append(g)
     # One mean per size over the (groups x size) member slots has the bits of
     # each group's own mean (np.add.reduceat does not).
     for members in map(np.array, by_size.values()):
@@ -295,15 +282,15 @@ def _standardize_working(coords: np.ndarray, mode: SdMode) -> np.ndarray:
     return out
 
 
-# Coordinates, the tree node of each row, and their matrix (None once one row is left).
-Level = tuple[np.ndarray, list[TreeNode], DistanceMatrix | None]
+# The active coordinates and the tree node of each row.
+Level = tuple[np.ndarray, list[TreeNode]]
 
 
 def initial_state(nd: NormalizedDataset) -> Level:
     """Depth-0 level: one leaf node per row (z-scored input on the working grid).
 
-    Raises :class:`ClusteringError` for 65 536 points or more, which the
-    neighbour ordering's int64 keys cannot hold, before any O(n²) allocation.
+    Nothing O(n²) is allocated here. Raises :class:`ClusteringError` for
+    65 536 points or more, which the neighbour ordering's int64 keys cannot hold.
     """
     if nd.n >= _kernels._MAX_NEIGHBOR_POINTS:
         raise ClusteringError(
@@ -313,16 +300,16 @@ def initial_state(nd: NormalizedDataset) -> Level:
     coords = np.asarray(nd.coords, dtype=np.float64)
     if nd.normalized:
         coords = np.round(coords, _WORKING_DECIMALS)
-    matrix = matrix_from_coords(coords) if nd.n >= 2 else None
-    nodes = [TreeNode(leaves=frozenset({lab}), label=lab) for lab in nd.labels]
-    return coords, nodes, matrix
+    return coords, [TreeNode(leaves=frozenset({lab}), label=lab) for lab in nd.labels]
 
 
 def _step(level: Level, nd: NormalizedDataset, depth: int) -> tuple[Level, DepthRecord]:
-    """One iteration: cut-off, neighborhoods, maximal groups, simultaneous merge."""
-    coords, nodes, matrix = level
-    if matrix is None:
-        raise TooFewPoints("cluster step needs at least two active points")
+    """One iteration: distances, cut-off, neighborhoods, maximal groups, simultaneous merge.
+
+    The matrix lives only inside the step; a one-row level raises :class:`TooFewPoints`.
+    """
+    coords, nodes = level
+    matrix = matrix_from_coords(coords)
     d_u = float(cutoff_distance(matrix))
     groups = extremely_close_sets(neighborhood(matrix, d_u))
     if not groups:
@@ -332,19 +319,14 @@ def _step(level: Level, nd: NormalizedDataset, depth: int) -> tuple[Level, Depth
     # their merged node takes; the trace lists them in that order.
     heads: dict[int, TreeNode] = {}
     for g in groups:
-        kids = tuple(nodes[k] for k in g.members)
+        kids = tuple(nodes[k] for k in g)
         leaves = frozenset().union(*(c.leaves for c in kids))
-        heads[g.members[0]] = TreeNode(leaves, kids, depth=depth, cutoff=d_u)
+        heads[g[0]] = TreeNode(leaves, kids, depth=depth, cutoff=d_u)
     record = DepthRecord(depth, d_u, tuple(h.leaves for h in heads.values()))
     nodes = [heads.get(k, nodes[k]) for k in kept]
-    matrix = None
-    if len(nodes) > 1:
-        if nd.normalized:
-            coords = np.round(
-                _standardize_working(coords, nd.stats.mode), _WORKING_DECIMALS
-            )
-        matrix = matrix_from_coords(coords)
-    return (coords, nodes, matrix), record
+    if nd.normalized:  # a one-row frame becomes zeros, which nothing reads
+        coords = np.round(_standardize_working(coords, nd.stats.mode), _WORKING_DECIMALS)
+    return (coords, nodes), record
 
 
 def build_dendrogram(nd: NormalizedDataset) -> Dendrogram:

@@ -120,6 +120,7 @@ class NormalizationStats:
     def __post_init__(self):
         object.__setattr__(self, "means", _readonly(self.means))
         object.__setattr__(self, "sds", _readonly(self.sds))
+        object.__setattr__(self, "mode", SdMode(self.mode))
         if self.means.shape != self.sds.shape:
             raise ValueError("means/sds length mismatch")
         if not np.isfinite(self.means).all():
@@ -143,8 +144,17 @@ class NormalizedDataset:
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "column_names", tuple(self.column_names))
         object.__setattr__(self, "coords", _readonly(np.atleast_2d(self.coords)))
-        if len(self.labels) != self.coords.shape[0]:
+        n, p = self.coords.shape
+        if len(self.labels) != n:
             raise ValueError("label/coordinate row count mismatch")
+        if len(set(self.labels)) != n:
+            raise ValueError("labels must be unique")
+        if len(self.column_names) not in (0, p):
+            raise ValueError(f"{len(self.column_names)} column names for {p} columns")
+        if self.stats.means.shape != (p,):
+            raise ValueError(f"stats of shape {self.stats.means.shape} for {p} columns")
+        if not np.isfinite(self.coords).all():
+            raise ValueError("coordinates must be finite")
 
     @property
     def n(self) -> int:

@@ -127,7 +127,7 @@ def _drive(nd, report: RunReport):
     trace = []
     depths = 0
     while len(level[1]) > 1:
-        coords, prev_nodes, _ = level
+        coords, prev_nodes = level
         prev_leaf_sets = leaf_indices(prev_nodes)
         square = oracle_square(coords)
         cutoff = oracle_cutoff(square)
@@ -166,7 +166,7 @@ def _drive(nd, report: RunReport):
 
         # merge means (exact-mean contract of the merge): a group's row sits
         # at its smallest slot among the slots the merge keeps
-        merged, _ = adaptive._merge(coords, [adaptive.MergeGroup(tuple(s)) for s in groups])
+        merged, _ = adaptive._merge(coords, [tuple(sorted(s)) for s in groups])
         dropped = {k for s in groups for k in s if k != min(s)}
         kept = [k for k in range(len(coords)) if k not in dropped]
         for s in groups:

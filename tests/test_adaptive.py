@@ -20,10 +20,13 @@ def orderings(nbs):
 
 
 def merge(coords, *groups):
-    rows, _ = adaptive._merge(
-        np.asarray(coords, dtype=float), [adaptive.MergeGroup(members=g) for g in groups]
-    )
+    rows, _ = adaptive._merge(np.asarray(coords, dtype=float), list(groups))
     return rows
+
+
+def first_matrix(nd):
+    """The distance matrix the first step of ``nd`` builds."""
+    return al.matrix_from_coords(adaptive.initial_state(nd)[0])
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +54,13 @@ class TestCutoff:
             al.cutoff_distance(al.DistanceMatrix(n=1, entries=np.array([])))
 
     def test_para_depth1_value(self, para_nd):
-        _, _, matrix = adaptive.initial_state(para_nd)
+        matrix = first_matrix(para_nd)
         cut = al.cutoff_distance(matrix)
         assert cut == exp.PARA_CUTOFFS[0]
         assert al.format_cutoff(cut) == "1.05"
 
     def test_meta_depth1_value(self, meta_nd):
-        _, _, matrix = adaptive.initial_state(meta_nd)
+        matrix = first_matrix(meta_nd)
         cut = al.cutoff_distance(matrix)
         assert cut == exp.META_CUTOFFS[0]
         assert al.format_cutoff(cut) == "0.89"
@@ -81,7 +84,7 @@ class TestFormatCutoff:
 
 class TestNeighborhood:
     def test_center_first_and_sorted(self, para_nd):
-        _, _, matrix = adaptive.initial_state(para_nd)
+        matrix = first_matrix(para_nd)
         cut = al.cutoff_distance(matrix)
         for i, members in enumerate(orderings(adaptive.neighborhood(matrix, cut))):
             dists = [matrix.value(i, j) for j in members]
@@ -92,7 +95,7 @@ class TestNeighborhood:
             assert dists == sorted(dists)
 
     def test_para_cl_contains_br(self, para_nd):
-        _, _, matrix = adaptive.initial_state(para_nd)
+        matrix = first_matrix(para_nd)
         cut = al.cutoff_distance(matrix)
         cl = para_nd.labels.index("Cl")
         br = para_nd.labels.index("Br")
@@ -112,7 +115,8 @@ class TestNeighborOrdering:
         level = adaptive.initial_state(nd)
         depth = 0
         while len(level[1]) > 1:
-            coords, _, matrix = level
+            coords, _ = level
+            matrix = al.matrix_from_coords(coords)
             d_u = al.cutoff_distance(matrix)
             square = oracle_square(coords)
             want = [oracle_neighbor_order(square, i, d_u) for i in range(matrix.n)]
@@ -176,7 +180,7 @@ class TestNeighborOrdering:
 
 class TestSubNeighborhood:
     def test_mutual_pair_on_fixture(self, para_nd):
-        _, _, matrix = adaptive.initial_state(para_nd)
+        matrix = first_matrix(para_nd)
         cut = al.cutoff_distance(matrix)
         cl = para_nd.labels.index("Cl")
         br = para_nd.labels.index("Br")
@@ -192,42 +196,42 @@ class TestExtremelyCloseSets:
 
     def test_two_points_merge(self):
         groups = adaptive.extremely_close_sets(self.nbhds(np.array([[0.0], [1.0]])))
-        assert [g.members for g in groups] == [(0, 1)]
+        assert groups == [(0, 1)]
 
     def test_clustered_pairs(self):
         coords = np.array([[0.0], [0.1], [5.0], [5.1]])
         groups = adaptive.extremely_close_sets(self.nbhds(coords))
-        assert [g.members for g in groups] == [(0, 1), (2, 3)]
+        assert groups == [(0, 1), (2, 3)]
 
     def test_para_depth1_groups(self, para_nd):
-        _, _, matrix = adaptive.initial_state(para_nd)
+        matrix = first_matrix(para_nd)
         cut = al.cutoff_distance(matrix)
         nbs = adaptive.neighborhood(matrix, cut)
-        groups = {g.members for g in adaptive.extremely_close_sets(nbs)}
+        groups = set(adaptive.extremely_close_sets(nbs))
         assert groups == {
             (1, 21), (3, 8), (4, 7), (6, 24), (9, 17), (10, 18), (13, 14), (15, 16)
         }
 
     def test_meta_depth1_groups(self, meta_nd):
-        _, _, matrix = adaptive.initial_state(meta_nd)
+        matrix = first_matrix(meta_nd)
         cut = al.cutoff_distance(matrix)
         nbs = adaptive.neighborhood(matrix, cut)
-        groups = {g.members for g in adaptive.extremely_close_sets(nbs)}
+        groups = set(adaptive.extremely_close_sets(nbs))
         assert groups == {
             (0, 21), (2, 19), (4, 22), (5, 23), (6, 7, 24),
             (9, 17), (10, 18), (11, 12), (15, 16),
         }
 
     def test_groups_disjoint_and_sorted(self, meta_nd):
-        _, _, matrix = adaptive.initial_state(meta_nd)
+        matrix = first_matrix(meta_nd)
         cut = al.cutoff_distance(matrix)
         nbs = adaptive.neighborhood(matrix, cut)
         groups = adaptive.extremely_close_sets(nbs)
         seen = set()
         for g in groups:
-            assert not (seen & set(g.members))
-            seen |= set(g.members)
-        assert [min(g.members) for g in groups] == sorted(min(g.members) for g in groups)
+            assert not (seen & set(g))
+            seen |= set(g)
+        assert [min(g) for g in groups] == sorted(min(g) for g in groups)
 
     def test_center_first_before_lower_index_duplicate(self):
         m = al.matrix_from_coords(np.array([[0.0], [0.0], [5.0]]))
@@ -239,13 +243,13 @@ class TestExtremelyCloseSets:
         # Lengths 3, 3, 4, 2: the padded rows must not admit the fourth point.
         nbs = self.nbhds(np.array([[0.0], [1.0], [2.5], [6.0]]))
         assert np.diff(nbs.starts).tolist() == [3, 3, 4, 2]
-        assert [g.members for g in adaptive.extremely_close_sets(nbs)] == [(0, 1, 2)]
+        assert adaptive.extremely_close_sets(nbs) == [(0, 1, 2)]
 
     def test_degenerate_level_merges_all_but_one(self):
         rng = np.random.default_rng(3)
         coords = np.concatenate([[[100.0]], rng.uniform(0, 1, size=(59, 1))])
         groups = adaptive.extremely_close_sets(self.nbhds(coords))
-        assert [g.members for g in groups] == [tuple(range(1, 60))]
+        assert groups == [tuple(range(1, 60))]
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_batching_does_not_change_groups(self, regime, monkeypatch):
@@ -257,10 +261,10 @@ class TestExtremelyCloseSets:
         nbs = adaptive.neighborhood(m, cut)
         want, _ = oracle_groups(oracle_square(coords), cut)
         want = sorted(tuple(sorted(s)) for s in want)
-        assert [g.members for g in adaptive.extremely_close_sets(nbs)] == want
+        assert adaptive.extremely_close_sets(nbs) == want
         monkeypatch.setattr(al.adaptive, "_CELL_BUDGET", 1)
         monkeypatch.setattr(al.adaptive, "_FIRST_ROWS", 1)
-        assert [g.members for g in adaptive.extremely_close_sets(nbs)] == want
+        assert adaptive.extremely_close_sets(nbs) == want
 
 
 class TestMergeGroup:
@@ -277,8 +281,7 @@ class TestMergeGroup:
         out = merge(coords, (1, 3), (0, 2, 4))
         assert np.array_equal(out, [[1.0], [5.5]])
         assert np.array_equal(coords, [[0.0], [5.0], [1.0], [6.0], [2.0]])
-        groups = [adaptive.MergeGroup(members=(1, 3)), adaptive.MergeGroup(members=(0, 2))]
-        _, kept = adaptive._merge(np.array(coords), groups)
+        _, kept = adaptive._merge(np.array(coords), [(1, 3), (0, 2)])
         assert kept == [0, 1, 4]
 
     def test_mean_of_members_not_leaves(self):
@@ -289,21 +292,14 @@ class TestMergeGroup:
         leaf_mean = np.mean(np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 6.0]]), axis=0)
         assert not np.array_equal(twice[0], leaf_mean)
 
-    def test_group_validation(self):
-        with pytest.raises(ValueError):
-            adaptive.MergeGroup(members=(3,))
-        with pytest.raises(ValueError):
-            adaptive.MergeGroup(members=(3, 3))
-        assert adaptive.MergeGroup(members=(4, 2)).members == (2, 4)
-
 
 class TestClusterStep:
     def test_para_first_step_counts(self, para_nd):
         level, record = adaptive._step(adaptive.initial_state(para_nd), para_nd, 1)
         assert record.depth == 1
         assert len(record.groups) == 8
-        coords, nodes, matrix = level
-        assert len(nodes) == coords.shape[0] == matrix.n == 25 - 8
+        coords, nodes = level
+        assert len(nodes) == coords.shape[0] == al.matrix_from_coords(coords).n == 25 - 8
 
     def test_meta_first_step_counts(self, meta_nd):
         level, record = adaptive._step(adaptive.initial_state(meta_nd), meta_nd, 1)
@@ -314,12 +310,12 @@ class TestClusterStep:
         nd = al.identity_normalized(
             al.Dataset(labels=("a", "b"), values=np.array([[0.0], [1.0]]), column_names=("x",))
         )
-        (coords, nodes, matrix), record = adaptive._step(adaptive.initial_state(nd), nd, 1)
+        (coords, nodes), record = adaptive._step(adaptive.initial_state(nd), nd, 1)
         assert record.groups == (frozenset({"a", "b"}),)
         assert sorted(nodes[0].leaves) == ["a", "b"] and len(nodes) == 1
         assert [c.label for c in nodes[0].children] == ["a", "b"]
         assert (nodes[0].depth, nodes[0].cutoff) == (1, 1.0)
-        assert np.array_equal(coords, [[0.5]]) and matrix is None
+        assert np.array_equal(coords, [[0.5]])
 
     def test_single_point_state_rejected(self):
         nd = al.identity_normalized(

@@ -1,4 +1,5 @@
 """Tests for normalization and distance computation."""
+import dataclasses
 import math
 from decimal import Decimal
 
@@ -292,3 +293,43 @@ class TestDataset:
         assert a.content_hash() == b.content_hash()
         c = small([[1.0, 2.0], [3.0, 4.5]])
         assert a.content_hash() != c.content_hash()
+
+
+class TestNormalizedDataset:
+    @staticmethod
+    def frame(labels=("a", "b", "c"), coords=((0.0, 1.0), (1.0, 0.0), (2.0, 2.0)), **kw):
+        kw.setdefault("column_names", ("x", "y"))
+        kw.setdefault(
+            "stats", al.NormalizationStats(means=np.zeros(2), sds=np.ones(2), mode="sample")
+        )
+        return al.NormalizedDataset(labels=labels, coords=np.array(coords), **kw)
+
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ValueError, match="unique"):
+            self.frame(labels=("a", "a", "b"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            self.frame(coords=((0.0, 1.0), (bad, 0.0), (2.0, 2.0)))
+
+    def test_column_names_must_be_empty_or_one_per_column(self):
+        assert self.frame(column_names=()).column_names == ()
+        with pytest.raises(ValueError, match="1 column names for 2 columns"):
+            self.frame(column_names=("x",))
+
+    def test_stats_must_have_one_entry_per_column(self):
+        stats = al.NormalizationStats(means=np.zeros(3), sds=np.ones(3), mode="sample")
+        with pytest.raises(ValueError, match="for 2 columns"):
+            self.frame(stats=stats)
+
+    def test_string_mode_is_coerced(self):
+        assert self.frame().stats.mode is al.SdMode.SAMPLE
+        with pytest.raises(ValueError):
+            al.NormalizationStats(means=np.zeros(1), sds=np.ones(1), mode="median")
+        nd = al.normalize(io.load_fixture("para"))
+        named = dataclasses.replace(
+            nd, stats=dataclasses.replace(nd.stats, mode=nd.stats.mode.value)
+        )
+        want, got = al.build_dendrogram(nd), al.build_dendrogram(named)
+        assert got.trace == want.trace and got.meta == want.meta

@@ -192,12 +192,20 @@ class TestMemory:
         square_bytes = self.n * self.n * 8
         assert peak < square_bytes / 8
 
-    def test_neighbors_peak_far_below_a_square_on_a_grid_level(self):
+    def grid(self):
         values = np.random.default_rng(22).integers(0, 10, size=(self.n, 3))
         data = al.Dataset(
             labels=[f"r{i}" for i in range(self.n)], values=values, column_names="abc"
         )
-        _, _, m = al.adaptive.initial_state(al.normalize(data))
+        return al.normalize(data)
+
+    def test_initial_state_peak_far_below_a_square(self):
+        # Each step builds its own matrix; the depth-0 level is rows and leaves.
+        _, peak = self.peak_bytes(al.adaptive.initial_state, self.grid())
+        assert peak < self.n * self.n * 8 / 8
+
+    def test_neighbors_peak_far_below_a_square_on_a_grid_level(self):
+        m = al.matrix_from_coords(al.adaptive.initial_state(self.grid())[0])
         cut = al.cutoff_distance(m)
         (_, members), peak = self.peak_bytes(_kernels.neighbors_within, m.entries, m.n, cut)
         square_bytes = self.n * self.n * 8
@@ -225,5 +233,5 @@ class TestMemory:
         groups, peak = self.peak_bytes(
             lambda: adaptive.extremely_close_sets(adaptive.neighborhood(m, cut))
         )
-        assert [g.members for g in groups] == [tuple(range(1, self.n))]
+        assert groups == [tuple(range(1, self.n))]
         assert peak < 4 * self.n * self.n * 8

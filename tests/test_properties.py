@@ -80,9 +80,7 @@ def merge_cases(draw):
     copies = rng.integers(0, m, size=m // 3)
     coords[copies] = coords[rng.integers(0, m, size=copies.size)]  # duplicate rows
     slots = np.split(rng.permutation(m), np.cumsum(sizes))[:-1]
-    groups = sorted(
-        (adaptive.MergeGroup(members=tuple(s.tolist())) for s in slots), key=lambda g: g.members[0]
-    )
+    groups = sorted(tuple(sorted(s.tolist())) for s in slots)
     return coords, groups
 
 
@@ -101,8 +99,8 @@ class TestMerge:
         want = coords.copy()
         keep = np.ones(len(coords), dtype=bool)
         for g in groups:
-            want[g.members[0]] = coords[list(g.members)].mean(axis=0)
-            keep[list(g.members[1:])] = False
+            want[g[0]] = coords[list(g)].mean(axis=0)
+            keep[list(g[1:])] = False
         got, kept = adaptive._merge(coords, groups)
         assert got.shape == want[keep].shape
         assert got.tobytes() == want[keep].tobytes()
@@ -172,8 +170,8 @@ class TestEngineInvariants:
         assert len(groups) >= 1
         seen = set()
         for g in groups:
-            assert not (seen & set(g.members))
-            seen |= set(g.members)
+            assert not (seen & set(g))
+            seen |= set(g)
 
 
 class TestDisplayRounding:

@@ -96,12 +96,14 @@ def stepwise_cluster(
 
     With ``stop_threshold`` the loop stops before any merge whose distance
     exceeds it, leaving a forest; by default it runs to a single root. A NaN
-    threshold raises :class:`ClusteringError`, and a centroid distance that
-    overflows raises :class:`Overflow`.
+    or infinite threshold raises :class:`ClusteringError`, and a centroid
+    distance that overflows raises :class:`Overflow`.
     """
     method = LinkageMethod(method)
-    if stop_threshold is not None and math.isnan(stop_threshold):
-        raise ClusteringError("stop threshold must be a number, got NaN")
+    if stop_threshold is not None and not math.isfinite(stop_threshold):
+        raise ClusteringError(
+            f"stop threshold must be finite, not NaN or infinite, got {stop_threshold}"
+        )
     if nd.n < 2:
         raise TooFewPoints(f"stepwise clustering needs n >= 2, got {nd.n}")
     n = nd.n

@@ -1,4 +1,4 @@
-"""Command-line front end: cluster, compare, export.
+"""Command-line front end: cluster, compare.
 
 Exit codes: 0 success; 1 input/config errors (bad flags, unreadable files,
 malformed tables, too many rows for memory); 2 internal invariant violations.
@@ -40,34 +40,27 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", metavar="PATH", help="write the document here instead of stdout")
 
 
-def _add_run(subs, name: str, help: str, formats: tuple[str, ...]) -> None:
-    """A subcommand that runs one clustering; ``formats[0]`` is its default."""
-    sub = subs.add_parser(name, help=help)
-    _add_common(sub)
-    sub.add_argument(
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="adaptlink", description=__doc__.splitlines()[0])
+    subs = parser.add_subparsers(dest="command", required=True)
+    cluster = subs.add_parser("cluster", help="run a clustering and emit a document")
+    _add_common(cluster)
+    cluster.add_argument(
         "--method",
         choices=("adaptive", *STEPWISE),
         default="adaptive",
         help="clustering algorithm (default: adaptive)",
     )
-    sub.add_argument(
+    cluster.add_argument(
         "--format",
-        choices=formats,
-        default=formats[0],
-        help=f"output document (default: {formats[0]})",
+        choices=("trace", "dot", "tree-text"),
+        default="trace",
+        help="output document (default: trace)",
     )
-    sub.add_argument(
+    cluster.add_argument(
         "--threshold",
         type=float,
         help="stop stepwise merging above this distance (stepwise methods only)",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="adaptlink", description=__doc__.splitlines()[0])
-    subs = parser.add_subparsers(dest="command", required=True)
-    _add_run(
-        subs, "cluster", "run a clustering and emit a document", ("trace", "dot", "tree-text")
     )
     compare = subs.add_parser("compare", help="compactness: adaptive vs stepwise")
     _add_common(compare)
@@ -76,9 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=STEPWISE,
         default=LinkageMethod.AVERAGE.value,
         help="stepwise baseline to compare against (default: average)",
-    )
-    _add_run(
-        subs, "export", "run a clustering and export the tree", ("dot", "tree-text", "trace")
     )
     return parser
 

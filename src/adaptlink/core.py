@@ -52,6 +52,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    if np.iscomplexobj(a):  # float64 conversion would drop the imaginary parts
+        raise ValueError("values must be real, not complex")
     return _frozen(np.array(a, dtype=np.float64, copy=True))
 
 
@@ -80,6 +82,8 @@ class Dataset:
             raise ValueError("labels must be unique")
         for kind, names in (("label", self.labels), ("column name", self.column_names)):
             for name in names:
+                if not isinstance(name, str):
+                    raise ValueError(f"{kind} {name!r} is not a string")
                 # The table format splits cells on "," and lines, and strips cells.
                 if "," in name or len(name.splitlines()) > 1 or name != name.strip():
                     raise ValueError(
@@ -145,8 +149,12 @@ class NormalizedDataset:
         object.__setattr__(self, "column_names", tuple(self.column_names))
         object.__setattr__(self, "coords", _readonly(np.atleast_2d(self.coords)))
         n, p = self.coords.shape
+        if n < 1 or p < 1:
+            raise ValueError("coordinates must have at least one row and one column")
         if len(self.labels) != n:
             raise ValueError("label/coordinate row count mismatch")
+        if not all(isinstance(lab, str) for lab in self.labels):
+            raise ValueError("labels must be strings")
         if len(set(self.labels)) != n:
             raise ValueError("labels must be unique")
         if len(self.column_names) not in (0, p):
@@ -235,18 +243,6 @@ class DistanceMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _readonly(self.entries).ravel())
-        self._check()
-
-    @classmethod
-    def _adopt(cls, n: int, entries: np.ndarray) -> "DistanceMatrix":
-        """Matrix over a fresh float64 vector no caller holds: no copy is made."""
-        m = cls.__new__(cls)
-        object.__setattr__(m, "n", n)
-        object.__setattr__(m, "entries", _frozen(entries))
-        m._check()
-        return m
-
-    def _check(self):
         if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 0:
             raise ValueError(f"n must be a non-negative integer, got {self.n!r}")
         expected = self.n * (self.n - 1) // 2
@@ -260,6 +256,14 @@ class DistanceMatrix:
             self.entries.min() >= 0 and math.isfinite(self.entries.max())
         ):
             raise ValueError("distances must be finite and non-negative")
+
+    @classmethod
+    def _adopt(cls, n: int, entries: np.ndarray) -> "DistanceMatrix":
+        """Matrix over a fresh, checked float64 vector no caller holds: no copy is made."""
+        m = cls.__new__(cls)
+        object.__setattr__(m, "n", n)
+        object.__setattr__(m, "entries", _frozen(entries))
+        return m
 
     def value(self, i: int, j: int) -> float:
         """d(i, j); symmetric, zero on the diagonal (never stored)."""
@@ -295,17 +299,18 @@ def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
     n = coords.shape[0]
     if n < 2:
         raise TooFewPoints(f"distance matrix needs n >= 2, got {n}")
-    try:
-        # Overflow surfaces as a non-finite distance below, not as a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            entries = _kernels.pairwise_condensed(coords)
-        return DistanceMatrix._adopt(n, entries)
-    except ValueError as e:
-        # The length is right and the kernel never yields a negative distance,
-        # so the matrix rejected a distance that is not finite.
+    if coords.shape[1] < 1:
+        raise ValueError("coordinates must have at least one column")
+    # Overflow surfaces as a non-finite distance below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = _kernels.pairwise_condensed(coords)
+    # The kernel yields no negative distance, and a NaN or inf makes the maximum
+    # non-finite: this one reduction checks the whole vector.
+    if not math.isfinite(entries.max()):
         raise Overflow(
             "pairwise distances overflow double precision; rescale the descriptors"
-        ) from e
+        )
+    return DistanceMatrix._adopt(n, entries)
 
 
 def distance_matrix(nd: NormalizedDataset) -> DistanceMatrix:

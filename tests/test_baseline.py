@@ -134,6 +134,11 @@ class TestStepwise:
                 para_nd, al.LinkageMethod.AVERAGE, stop_threshold=float("nan")
             )
 
+    @pytest.mark.parametrize("threshold", [float("inf"), float("-inf")])
+    def test_rejects_infinite_threshold(self, para_nd, threshold):
+        with pytest.raises(al.ClusteringError, match="finite"):
+            al.stepwise_cluster(para_nd, al.LinkageMethod.AVERAGE, stop_threshold=threshold)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_centroid(self):
         # distances are finite, but the mean of two 1.5e308 rows overflows

@@ -90,6 +90,11 @@ class TestCluster:
         assert code == 0
         assert out.splitlines()[0] == "[depth 7, cutoff 2.00]"
 
+    def test_para_tree_text(self, capsys):
+        code, out, _ = run_cli(capsys, "cluster", "--fixture", "para", "--format", "tree-text")
+        assert code == 0
+        assert out.splitlines()[0] == "[depth 10, cutoff 2.00]"
+
     def test_threshold_with_stepwise(self, capsys):
         code, out, _ = run_cli(
             capsys, "cluster", "--fixture", "para", "--method", "single", "--threshold", "0.5"
@@ -109,18 +114,6 @@ class TestCompare:
         code, out, _ = run_cli(capsys, "compare", "--fixture", "meta", "--method", "single")
         assert code == 0
         assert out.splitlines()[0] == "adaptive: 7 levels, single-linkage: 24 steps"
-
-
-class TestExport:
-    def test_default_is_dot(self, capsys):
-        code, out, _ = run_cli(capsys, "export", "--fixture", "para")
-        assert code == 0
-        assert out.startswith("digraph dendrogram {")
-
-    def test_tree_text(self, capsys):
-        code, out, _ = run_cli(capsys, "export", "--fixture", "para", "--format", "tree-text")
-        assert code == 0
-        assert out.splitlines()[0] == "[depth 10, cutoff 2.00]"
 
 
 class TestDeepTree:
@@ -204,6 +197,18 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert "NaN" in err
+
+    # "=" keeps argparse from reading "-inf" as a flag; 1e400 parses as inf.
+    @pytest.mark.parametrize("value", ["inf", "-inf", "1e400"])
+    def test_infinite_threshold(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "cluster", "--fixture", "para", "--method", "average",
+            f"--threshold={value}",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("adaptlink: error: stop threshold must be finite")
+        assert err.count("\n") == 1
 
     def test_single_row_table(self, capsys, tmp_path):
         one = tmp_path / "one.csv"
@@ -315,7 +320,7 @@ HELP = Path(__file__).parent / "help"
 
 class TestHelp:
     # Recorded from the parser that spelled every subcommand's flags out.
-    @pytest.mark.parametrize("command", ["", "cluster", "compare", "export"])
+    @pytest.mark.parametrize("command", ["", "cluster", "compare"])
     def test_help_unchanged(self, capsys, monkeypatch, command):
         monkeypatch.setenv("COLUMNS", "80")
         code, out, _ = run_cli(capsys, *([command] if command else []), "--help")

@@ -232,6 +232,28 @@ class TestDistance:
         with pytest.raises(al.Overflow):
             al.matrix_from_coords(np.array([[np.nan], [0.0], [1.0]]))
 
+    def test_matrix_needs_a_column(self):
+        with pytest.raises(ValueError, match="at least one column"):
+            al.matrix_from_coords(np.zeros((3, 0)))
+
+
+# Each public container builds its arrays through one float64 conversion,
+# which would keep only the real parts.
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: al.Dataset(labels=("a", "b"), values=[[1j], [2]], column_names=("c",)),
+        lambda: al.NormalizationStats(means=[1j], sds=[1.0], mode="sample"),
+        lambda: al.NormalizationStats(means=[0.0], sds=[1 + 1j], mode="sample"),
+        lambda: TestNormalizedDataset.frame(coords=((0.0, 1j), (1.0, 0.0), (2.0, 2.0))),
+        lambda: al.DistanceMatrix(n=2, entries=[1j]),
+    ],
+    ids=["dataset", "stats-means", "stats-sds", "normalized-dataset", "distance-matrix"],
+)
+def test_complex_values_rejected(build):
+    with pytest.raises(ValueError, match="complex"):
+        build()
+
 
 class TestDataset:
     def test_duplicate_labels_rejected(self):
@@ -265,6 +287,13 @@ class TestDataset:
     def test_label_that_cannot_round_trip_rejected(self, label):
         with pytest.raises(ValueError, match="does not survive the table format"):
             al.Dataset(labels=(label, "b"), values=np.zeros((2, 1)), column_names=("c",))
+
+    @pytest.mark.parametrize(
+        "labels, columns", [((1, 2), ("c",)), (("a", "b"), (0,))], ids=["label", "column-name"]
+    )
+    def test_non_string_names_rejected(self, labels, columns):
+        with pytest.raises(ValueError, match="is not a string"):
+            al.Dataset(labels=labels, values=np.zeros((2, 1)), column_names=columns)
 
     def test_column_name_that_cannot_round_trip_rejected(self):
         with pytest.raises(ValueError, match="column name"):
@@ -312,6 +341,25 @@ class TestNormalizedDataset:
     def test_non_finite_coordinates_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             self.frame(coords=((0.0, 1.0), (bad, 0.0), (2.0, 2.0)))
+
+    @pytest.mark.parametrize(
+        "kw, problem",
+        [
+            (dict(labels=(), coords=np.zeros((0, 2))), "at least one row"),
+            (
+                dict(
+                    labels=("a", "b"), coords=np.zeros((2, 0)), column_names=(),
+                    stats=al.NormalizationStats(means=[], sds=[], mode="sample"),
+                ),
+                "one column",
+            ),
+            (dict(labels=(1, 2, 3)), "must be strings"),
+        ],
+        ids=["no-rows", "no-columns", "non-string-labels"],
+    )
+    def test_unusable_frame_rejected(self, kw, problem):
+        with pytest.raises(ValueError, match=problem):
+            self.frame(**kw)
 
     def test_column_names_must_be_empty_or_one_per_column(self):
         assert self.frame(column_names=()).column_names == ()

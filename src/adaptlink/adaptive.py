@@ -15,10 +15,10 @@ node of each row. A step builds its own distance matrix, so one is alive at
 a time, builds each merged node once and records its leaves in the trace.
 
 :func:`_step` calls :func:`~adaptlink.core.matrix_from_coords`,
-:func:`cutoff_distance`, :func:`neighborhood` (once per level: every point's
-ordering in CSR form) and :func:`extremely_close_sets` through this module's
-globals, so a tracer that rebinds them here (the benchmark's per-layer
-timers do) sees every call of a level.
+:func:`cutoff_distance`, :func:`neighborhood` (every point's ordering, in CSR
+form, once per level) and :func:`extremely_close_sets` (prefix hashes, then an
+exact check) through this module's globals, so a tracer that rebinds them
+here (the benchmark's per-layer timers do) sees every call of a level.
 
 The working coordinate frame follows the input (see README for the rationale
 and the reference tabulation it reproduces):
@@ -34,6 +34,7 @@ and the reference tabulation it reproduces):
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, Context, Decimal
 
@@ -159,45 +160,72 @@ def neighborhood(m: DistanceMatrix, d_u: float) -> Neighborhoods:
     return Neighborhoods(*_kernels.neighbors_within(m.entries, m.n, d_u))
 
 
-# Rank-block cells evaluated per batch of centers in extremely_close_sets.
-_CELL_BUDGET = 1 << 17
-# Rows of the rank block evaluated first; doubled while a longer prefix may qualify.
-_FIRST_ROWS = 8
+# splitmix64's state increment and output multipliers, and its three shifts.
+_SPLITMIX = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB], np.uint64)
+_SHIFTS = np.array([30, 27, 31], np.uint64)
+# Key seeds a level is tried with before its groups count as unverifiable.
+_KEY_SEEDS = 4
 
 
-def _longest_prefixes(orders: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Length of the longest qualifying prefix of each center's ordering.
+def _keys(n: int, seed: int) -> np.ndarray:
+    """The uint64 key of each of n points: splitmix64 of seed·2³² + index + 1."""
+    z = np.arange((seed << 32) + 1, (seed << 32) + n + 1, dtype=np.uint64) * _SPLITMIX[0]
+    for shift, mult in zip(_SHIFTS, _SPLITMIX[1:]):
+        z ^= z >> shift
+        z *= mult
+    return z ^ (z >> _SHIFTS[2])
 
-    ``orders`` holds every point's ordering padded with n, plus an all-padding
-    row n. Where only the center itself qualifies the length is 1.
-    """
-    n, width = orders.shape[0] - 1, orders.shape[1]
-    cols = np.arange(width)
-    sizes = cols + 1
-    prefixes = orders[centers]
-    # Rank rows: ranks[b, x] is x's position in the ordering of centers[b].
-    ranks = np.full((centers.size, n + 1), n, dtype=np.int32)
-    ranks[np.arange(centers.size)[:, None], prefixes] = cols
-    ranks[:, n] = n  # padding was written there; it stays outside the cut-off
-    longest = np.ones(centers.size, dtype=np.intp)
-    live = np.arange(centers.size)
-    rows = min(width, _FIRST_ROWS)
-    while live.size:
-        block = ranks[live[:, None, None], orders[prefixes[live, :rows]]]
-        np.maximum.accumulate(block, axis=1, out=block)
-        np.maximum.accumulate(block, axis=2, out=block)
-        # The diagonal holds the maximum rank of each leading square, which
-        # decides every prefix of up to `rows` points.
-        reach = block.reshape(live.size, -1)[:, : rows * width : width + 1]
-        longest[live] = ((reach < sizes[:rows]) * sizes[:rows]).max(axis=1)
-        if rows == width:
-            break
-        # Maxima only grow with more rows, so a longer prefix can still
-        # qualify only where the last row's running maximum allows it.
-        live = live[(block[:, -1, rows:] < sizes[rows:]).any(axis=1)]
-        del block, reach  # free them before the next, larger block is built
-        rows = min(width, 2 * rows)
+
+def _longest_candidates(nbs: Neighborhoods, keys: np.ndarray) -> np.ndarray:
+    """Each center's longest prefix whose key sum occurs at least as often as it is long."""
+    starts = nbs.starts
+    h = keys[nbs.members]
+    # One cumsum over all rows, restarted per row by taking off the previous row's sum.
+    h[starts[1:-1]] -= np.add.reduceat(h, starts[:-1])[:-1]
+    np.add.accumulate(h, out=h)
+    order = h.argsort()
+    h.sort()
+    # Where h[k] == h[k + 1], both lie in one run of a repeated sum.
+    k = (h[1:] == h[:-1]).nonzero()[0]
+    count = h.searchsorted(h[k], "right") - h.searchsorted(h[k])
+    pos = order[np.concatenate((k, k + 1))]
+    del h, order
+    rows = np.repeat(np.arange(starts.size - 1), starts[1:] - starts[:-1])[pos]
+    sizes = pos - starts[rows] + 1
+    ok = np.concatenate((count, count)) >= sizes
+    longest = np.ones(starts.size - 1, dtype=np.intp)
+    np.maximum.at(longest, rows[ok], sizes[ok])
     return longest
+
+
+def _verified_groups(nbs: Neighborhoods, keys: np.ndarray) -> list[tuple[int, ...]] | None:
+    """Each unplaced center's longest candidate as a group, or None if one fails the check."""
+    starts, members = nbs.starts, nbs.members
+    bounds = starts.tolist()
+    longest = _longest_candidates(nbs, keys)
+    centers = (longest > 1).nonzero()[0]
+    owner = array("q", [-1]) * keys.size  # each point's group
+    groups: list[tuple[int, ...]] = []
+    by_size: dict[int, list[int]] = {}
+    for c, v in zip(centers.tolist(), longest[centers].tolist()):
+        if owner[c] < 0:
+            g = members[bounds[c] : bounds[c] + v].tolist()
+            for x in g:  # a point in two groups, or an ordering shorter than v, fails
+                if owner[x] >= 0 or bounds[x + 1] - bounds[x] < v:
+                    return None
+                owner[x] = len(groups)
+            by_size.setdefault(v, []).extend(g)
+            groups.append(tuple(sorted(g)))
+    owner = np.frombuffer(owner, dtype=np.int64)
+    for v, rows in by_size.items():
+        rows, cols = np.array(rows), np.arange(v)
+        step = max(1, _kernels._CELL_BUDGET // v)
+        for lo in range(0, rows.size, step):
+            part = rows[lo : lo + step]
+            if (owner[members[starts[part, None] + cols]] != owner[part, None]).any():
+                return None
+    groups.sort()  # disjoint tuples compare by their first members
+    return groups
 
 
 def extremely_close_sets(nbs: Neighborhoods) -> list[tuple[int, ...]]:
@@ -208,44 +236,26 @@ def extremely_close_sets(nbs: Neighborhoods) -> list[tuple[int, ...]]:
     contains a point i is a prefix of i's ordering, and the maximal set
     containing i is the longest qualifying prefix of that ordering.
 
-    Write pos_i(x) for x's position in i's ordering, or n when x lies outside
-    the cut-off. The prefix P of length v qualifies iff pos_i(o_c[k]) <= v - 1
-    for every c in P and every k < v, where o_c is c's ordering. The running
-    maximum of this rank block along both axes tests every v at once on its
-    diagonal. The block is evaluated over its first few rows, and the rows
-    double only while the last row's running maximum leaves room for a
-    longer prefix. Centers are batched under a fixed cell budget, and a
-    center already placed in a group is skipped.
+    Every point gets a pseudo-random 64-bit key, and one segmented cumsum
+    over the CSR arrays gives every prefix the wrapping sum of its keys; one
+    argsort counts the sums that repeat. Each center takes its longest prefix
+    whose sum occurs at least as often as the prefix is long. A qualifying
+    set is the length-v prefix of each of its v members, so its sum occurs v
+    times whatever the keys: no candidate is shorter than the maximal set,
+    and one is longer only through a collision of sums. So each group is
+    checked exactly: every member's ordering holds v entries or more, and
+    the first v all lie in the group. A collision that fails the check
+    redoes the level with the next of a few fixed key seeds, so runs stay
+    deterministic.
     """
     n = nbs.starts.size - 1
     if n == 0:
         return []
-    sizes = np.diff(nbs.starts)
-    width = int(sizes.max())
-    # Row c holds c's ordering padded with n; row n is all padding, so a
-    # padded member's own ordering is padding too. The mask's row-major
-    # order is the CSR order.
-    orders = np.full((n + 1, width), n, dtype=np.intp)
-    orders[:n][np.arange(width) < sizes[:, None]] = nbs.members
-    placed = np.zeros(n, dtype=bool)
-    batch = max(1, _CELL_BUDGET // (n + width * width))
-    groups: list[tuple[int, ...]] = []
-    for start in range(0, n, batch):
-        todo = start + np.flatnonzero(~placed[start : start + batch])
-        if not todo.size:
-            continue
-        longest = _longest_prefixes(orders, todo)
-        for c, v in zip(todo.tolist(), longest.tolist()):
-            if v < 2 or placed[c]:
-                continue
-            members = orders[c, :v]
-            placed[members] = True
-            groups.append(tuple(sorted(members.tolist())))
-    # Overlapping groups would place fewer points than they hold.
-    if placed.sum() != sum(map(len, groups)):
-        raise RuntimeError("internal invariant violated: overlapping maximal sets")
-    groups.sort()  # disjoint tuples compare by their first members
-    return groups
+    for seed in range(_KEY_SEEDS):
+        groups = _verified_groups(nbs, _keys(n, seed))
+        if groups is not None:
+            return groups
+    raise RuntimeError("internal invariant violated: no key seed gave groups that pass the check")
 
 
 def _merge(coords: np.ndarray, groups: list[tuple[int, ...]]) -> tuple[np.ndarray, list[int]]:
@@ -311,7 +321,9 @@ def _step(level: Level, nd: NormalizedDataset, depth: int) -> tuple[Level, Depth
     coords, nodes = level
     matrix = matrix_from_coords(coords)
     d_u = float(cutoff_distance(matrix))
-    groups = extremely_close_sets(neighborhood(matrix, d_u))
+    nbs = neighborhood(matrix, d_u)
+    del matrix  # freed before the level's other allocations, which then reuse its space
+    groups = extremely_close_sets(nbs)
     if not groups:
         raise RuntimeError("internal invariant violated: no extremely close set")
     coords, kept = _merge(coords, groups)

@@ -153,8 +153,8 @@ class NormalizedDataset:
             raise ValueError("coordinates must have at least one row and one column")
         if len(self.labels) != n:
             raise ValueError("label/coordinate row count mismatch")
-        if not all(isinstance(lab, str) for lab in self.labels):
-            raise ValueError("labels must be strings")
+        if not all(isinstance(name, str) for name in self.labels + self.column_names):
+            raise ValueError("labels and column names must be strings")
         if len(set(self.labels)) != n:
             raise ValueError("labels must be unique")
         if len(self.column_names) not in (0, p):

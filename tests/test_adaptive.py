@@ -253,8 +253,8 @@ class TestExtremelyCloseSets:
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_batching_does_not_change_groups(self, regime, monkeypatch):
-        # One center per batch and one first row force every batch and row
-        # doubling path; the result must match the oracle's definition.
+        # One member row per batch of the exact check must not change the
+        # groups, which must match the oracle's definition.
         coords = al.normalize(regime_dataset(regime)).coords
         m = al.matrix_from_coords(coords)
         cut = al.cutoff_distance(m)
@@ -262,9 +262,87 @@ class TestExtremelyCloseSets:
         want, _ = oracle_groups(oracle_square(coords), cut)
         want = sorted(tuple(sorted(s)) for s in want)
         assert adaptive.extremely_close_sets(nbs) == want
-        monkeypatch.setattr(al.adaptive, "_CELL_BUDGET", 1)
-        monkeypatch.setattr(al.adaptive, "_FIRST_ROWS", 1)
+        monkeypatch.setattr(_kernels, "_CELL_BUDGET", 1)
         assert adaptive.extremely_close_sets(nbs) == want
+
+
+def colliding_keys(monkeypatch, collide, seeds=(0,)):
+    """Pass the keys of ``seeds`` through ``collide``; returns the seeds asked for, in order."""
+    real, asked = adaptive._keys, []
+
+    def keys(n, seed):
+        asked.append(seed)
+        k = real(n, seed)
+        return collide(k) if seed in seeds else k
+
+    monkeypatch.setattr(adaptive, "_keys", keys)
+    return asked
+
+
+def all_equal(keys):
+    return np.full_like(keys, keys[0]) if keys.size else keys
+
+
+def clashing_sums(keys):
+    # k1 = k2 + k3 - k0 (mod 2**64): a set holding 0 and 1 sums like one holding 2 and 3.
+    if keys.size >= 4:
+        keys[1:2] = keys[2:3] + keys[3:4] - keys[0:1]
+    return keys
+
+
+class TestKeyCollisions:
+    """Colliding keys may cost a retry with the next key seed, never a wrong group."""
+
+    @staticmethod
+    def line():
+        # Only {2, 3} qualifies.
+        m = al.matrix_from_coords(np.array([[0.0], [1.0], [1.8], [2.0]]))
+        nbs = adaptive.neighborhood(m, al.cutoff_distance(m))
+        assert orderings(nbs) == [[0, 1], [1, 2, 0, 3], [2, 3, 1], [3, 2, 1]]
+        return nbs
+
+    @pytest.mark.parametrize("collide", [all_equal, clashing_sums])
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_regime_level_matches_the_oracle(self, regime, collide, monkeypatch):
+        coords = al.normalize(regime_dataset(regime)).coords
+        m = al.matrix_from_coords(coords)
+        cut = al.cutoff_distance(m)
+        nbs = adaptive.neighborhood(m, cut)
+        want, _ = oracle_groups(oracle_square(coords), cut)
+        colliding_keys(monkeypatch, collide)
+        assert adaptive.extremely_close_sets(nbs) == sorted(tuple(sorted(s)) for s in want)
+
+    @pytest.mark.parametrize("collide", [all_equal, clashing_sums])
+    @pytest.mark.parametrize("fixture", ["para", "meta"])
+    def test_every_fixture_level_matches_the_oracle(self, fixture, collide, monkeypatch):
+        colliding_keys(monkeypatch, collide)
+        assert verify_run(al.normalize(io.load_fixture(fixture))).failures == []
+
+    def test_a_clash_that_fakes_a_candidate_is_caught(self, monkeypatch):
+        # {0, 1} now sums like {2, 3}, so the prefix [0, 1] occurs twice.
+        nbs = self.line()
+        asked = colliding_keys(monkeypatch, clashing_sums)
+        assert adaptive.extremely_close_sets(nbs) == [(2, 3)]
+        assert asked == [0, 1]
+
+    def test_a_candidate_longer_than_a_members_ordering_fails(self, monkeypatch):
+        # Under equal keys a candidate outgrows the ordering of the last row,
+        # so the check must not read past that row.
+        coords = np.array([[3.0], [2.0], [8.0], [7.0], [0.0], [1.0], [4.0]])
+        m = al.matrix_from_coords(coords)
+        cut = al.cutoff_distance(m)
+        nbs = adaptive.neighborhood(m, cut)
+        want, _ = oracle_groups(oracle_square(coords), cut)
+        asked = colliding_keys(monkeypatch, all_equal)
+        assert adaptive.extremely_close_sets(nbs) == sorted(tuple(sorted(s)) for s in want)
+        assert asked == [0, 1]
+
+    def test_keys_that_collide_for_every_seed_raise(self, monkeypatch):
+        nbs = self.line()
+        asked = colliding_keys(monkeypatch, all_equal, seeds=range(adaptive._KEY_SEEDS))
+        with pytest.raises(RuntimeError, match="no key seed"):
+            adaptive.extremely_close_sets(nbs)
+        assert asked == list(range(adaptive._KEY_SEEDS))
 
 
 class TestMergeGroup:

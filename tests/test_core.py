@@ -354,8 +354,9 @@ class TestNormalizedDataset:
                 "one column",
             ),
             (dict(labels=(1, 2, 3)), "must be strings"),
+            (dict(column_names=(1, 2)), "must be strings"),
         ],
-        ids=["no-rows", "no-columns", "non-string-labels"],
+        ids=["no-rows", "no-columns", "non-string-labels", "non-string-column-names"],
     )
     def test_unusable_frame_rejected(self, kw, problem):
         with pytest.raises(ValueError, match=problem):

@@ -158,8 +158,8 @@ class TestMemory:
 
     The stepwise baseline's square is its output. The neighbour kernel holds
     O(pairs within the radius): far below a square on a typical level, a few
-    squares' worth on a degenerate one, where group discovery adds its padded
-    ordering matrix.
+    squares' worth on a degenerate one, where group discovery adds its prefix
+    sums and their order.
     """
 
     n = 1000
@@ -224,8 +224,8 @@ class TestMemory:
         assert peak < 3 * square_bytes
 
     def test_orderings_and_groups_peak_on_a_degenerate_level(self):
-        # The orderings, their padded matrix and the rank blocks of group
-        # discovery; every ordering but the far row's spans the set.
+        # The orderings, then group discovery's prefix sums and their argsort
+        # beside them; every ordering but the far row's spans the set.
         x = np.random.default_rng(23).standard_normal((self.n, 3))
         x[0] = 40.0
         m = al.matrix_from_coords(x)
@@ -234,4 +234,4 @@ class TestMemory:
             lambda: adaptive.extremely_close_sets(adaptive.neighborhood(m, cut))
         )
         assert groups == [tuple(range(1, self.n))]
-        assert peak < 4 * self.n * self.n * 8
+        assert peak < 3.5 * self.n * self.n * 8

@@ -34,6 +34,7 @@ and the reference tabulation it reproduces):
 """
 from __future__ import annotations
 
+import hashlib
 from array import array
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, Context, Decimal
@@ -160,20 +161,13 @@ def neighborhood(m: DistanceMatrix, d_u: float) -> Neighborhoods:
     return Neighborhoods(*_kernels.neighbors_within(m.entries, m.n, d_u))
 
 
-# splitmix64's state increment and output multipliers, and its three shifts.
-_SPLITMIX = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB], np.uint64)
-_SHIFTS = np.array([30, 27, 31], np.uint64)
 # Key seeds a level is tried with before its groups count as unverifiable.
 _KEY_SEEDS = 4
 
 
 def _keys(n: int, seed: int) -> np.ndarray:
-    """The uint64 key of each of n points: splitmix64 of seed·2³² + index + 1."""
-    z = np.arange((seed << 32) + 1, (seed << 32) + n + 1, dtype=np.uint64) * _SPLITMIX[0]
-    for shift, mult in zip(_SHIFTS, _SPLITMIX[1:]):
-        z ^= z >> shift
-        z *= mult
-    return z ^ (z >> _SHIFTS[2])
+    """The uint64 key of each of n points: the first 8·n bytes of SHAKE-128 of the seed."""
+    return np.frombuffer(bytearray(hashlib.shake_128(b"%d" % seed).digest(8 * n)), "<u8")
 
 
 def _longest_candidates(nbs: Neighborhoods, keys: np.ndarray) -> np.ndarray:
@@ -280,15 +274,19 @@ def _merge(coords: np.ndarray, groups: list[tuple[int, ...]]) -> tuple[np.ndarra
 
 
 def _standardize_working(coords: np.ndarray, mode: SdMode) -> np.ndarray:
-    """Z-score a working frame; columns that collapsed to a constant become 0."""
-    out = np.empty_like(coords)
-    ddof = 1 if mode is SdMode.SAMPLE else 0
-    for k in range(coords.shape[1]):
-        col = coords[:, k]
-        if (col == col[0]).all():
-            out[:, k] = 0.0
-        else:
-            out[:, k] = (col - col.mean()) / col.std(ddof=ddof)
+    """Z-score a working frame; columns that collapsed to a constant become 0.
+
+    Each column is one contiguous row of a transposed copy, so the axis-1
+    mean and s.d. have the bits of that column's own 1-D reductions.
+    """
+    cols = np.ascontiguousarray(coords.T)
+    varying = (cols != cols[:, :1]).any(axis=1)
+    out = np.zeros_like(coords)
+    if varying.any():  # a one-row frame has none, and asks no s.d. of one row
+        v = cols[varying]
+        ddof = 1 if mode is SdMode.SAMPLE else 0
+        z = (v - v.mean(axis=1, keepdims=True)) / v.std(axis=1, ddof=ddof, keepdims=True)
+        out[:, varying] = z.T
     return out
 
 

@@ -109,14 +109,12 @@ def stepwise_cluster(
     n = nd.n
     # Distances live in the upper triangle (i < j); the lower triangle, the
     # diagonal and the row and column of every merged-away slot hold inf.
-    entries = matrix_from_coords(nd.coords).entries
-    dist = _upper_square(entries, n)
+    dist = _upper_square(matrix_from_coords(nd.coords).entries, n)
     nn_j = dist.argmin(axis=1)
     nn_d = dist[np.arange(n), nn_j]
     nodes: list[TreeNode | None] = [
         TreeNode(leaves=frozenset({lab}), label=lab, depth=0) for lab in nd.labels
     ]
-    sizes = [1] * n
     min_label = list(nd.labels)
     centroids = np.array(nd.coords) if method is LinkageMethod.CENTROID else None
     active = np.ones(n, dtype=bool)
@@ -127,6 +125,7 @@ def stepwise_cluster(
         if stop_threshold is not None and d > stop_threshold:
             break
         b = int(nn_j[a])
+        na, nb = len(nodes[a].leaves), len(nodes[b].leaves)
         if min_label[b] < min_label[a]:
             children = (nodes[b], nodes[a])
         else:
@@ -142,8 +141,6 @@ def stepwise_cluster(
         records.append(
             DepthRecord(depth=step, cutoff=float(d), groups=(frozenset(merged_leaves),))
         )
-        na, nb = sizes[a], sizes[b]
-        sizes[a] = na + nb
         min_label[a] = min(min_label[a], min_label[b])
         active[[a, b]] = False
         others = np.flatnonzero(active)

@@ -1,5 +1,6 @@
 """Tests for the adaptive clustering engine."""
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +344,47 @@ class TestKeyCollisions:
         with pytest.raises(RuntimeError, match="no key seed"):
             adaptive.extremely_close_sets(nbs)
         assert asked == list(range(adaptive._KEY_SEEDS))
+
+
+class TestKeys:
+    def test_deterministic_per_seed_and_distinct_between_seeds(self):
+        assert np.array_equal(adaptive._keys(50, 0), adaptive._keys(50, 0))
+        assert not np.array_equal(adaptive._keys(50, 0), adaptive._keys(50, 1))
+        assert np.array_equal(adaptive._keys(50, 2)[:20], adaptive._keys(20, 2))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 2000])
+    def test_writable_uint64_of_length_n(self, n):
+        keys = adaptive._keys(n, 3)
+        assert keys.dtype == np.uint64 and keys.shape == (n,) and keys.flags.writeable
+
+
+def standardize_by_column(coords, mode):
+    """Each column z-scored on its own; constant columns become 0."""
+    out = np.zeros_like(coords)
+    for k, col in enumerate(coords.T):
+        if (col != col[0]).any():
+            out[:, k] = (col - col.mean()) / col.std(ddof=1 if mode is al.SdMode.SAMPLE else 0)
+    return out
+
+
+class TestStandardizeWorking:
+    @pytest.mark.parametrize("mode", list(al.SdMode))
+    def test_bits_of_each_columns_own_z_score(self, mode):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n, p = int(rng.integers(2, 120)), int(rng.integers(1, 5))
+            coords = np.round(rng.standard_normal((n, p)) * 7.3, int(rng.integers(0, 7)))
+            coords[:, rng.random(p) < 0.3] = rng.standard_normal()
+            got = adaptive._standardize_working(coords, mode)
+            assert got.tobytes() == standardize_by_column(coords, mode).tobytes()
+            assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("mode", list(al.SdMode))
+    def test_one_row_gives_zeros_without_a_warning(self, mode):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = adaptive._standardize_working(np.array([[1.5, -2.0, 0.0]]), mode)
+        assert np.array_equal(got, [[0.0, 0.0, 0.0]])
 
 
 class TestMergeGroup:

@@ -235,3 +235,11 @@ class TestMemory:
         )
         assert groups == [tuple(range(1, self.n))]
         assert peak < 3.5 * self.n * self.n * 8
+
+    def test_stepwise_peak_is_its_square(self):
+        # The condensed vector lives only while the square is filled from it.
+        x = np.random.default_rng(24).standard_normal((self.n, 3))
+        data = al.Dataset(labels=[f"r{i}" for i in range(self.n)], values=x, column_names="abc")
+        nd = al.identity_normalized(data)
+        _, peak = self.peak_bytes(baseline.stepwise_cluster, nd, baseline.LinkageMethod.AVERAGE)
+        assert peak < 1.6 * self.n * self.n * 8

@@ -31,7 +31,6 @@ from .core import (
     SdMode,
     TooFewPoints,
     ZeroVariance,
-    distance_matrix,
     euclidean_distance,
     identity_normalized,
     matrix_from_coords,
@@ -45,7 +44,6 @@ from .io import (
     load_fixture,
     parse_table,
     read_trace,
-    serialize_trace,
     write_dot,
     write_trace,
     write_tree_text,
@@ -77,7 +75,6 @@ __all__ = [
     "build_dendrogram",
     "compare_compactness",
     "cutoff_distance",
-    "distance_matrix",
     "euclidean_distance",
     "format_cutoff",
     "format_table",
@@ -87,7 +84,6 @@ __all__ = [
     "normalize",
     "parse_table",
     "read_trace",
-    "serialize_trace",
     "stepwise_cluster",
     "write_dot",
     "write_trace",

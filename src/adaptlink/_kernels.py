@@ -6,7 +6,8 @@
 * :func:`neighbors_within` gives every point's ordering within a radius,
   center first, in CSR form, from one sort of packed int64 keys (row,
   distance rank, column), which fit for n < 65 536;
-* :func:`sq_distance` is the single-pair distance.
+* :func:`distances_from` gives the distances from one point to each of a
+  set of points.
 
 The O(n²) kernels work on blocks of rows: rows ``r..r1`` against the
 columns ``r..n``, with rows per block chosen so a block holds at most
@@ -20,11 +21,10 @@ an index array of n²/2 entries.
 
 Squared differences accumulate feature by feature in ascending order in
 both distance functions, so a distance has the same bits whichever of them
-computes it.
+computes it (``(a - b)²`` equals ``(b - a)²`` exactly, so the order of a
+pair does not matter either).
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -166,10 +166,10 @@ def neighbors_within(entries: np.ndarray, n: int, radius: float) -> tuple[np.nda
     return starts, key
 
 
-def sq_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Single-pair Euclidean distance, same accumulation order as the kernels."""
-    acc = 0.0
+def distances_from(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Euclidean distances from point ``x`` to each row of ``ys``."""
+    acc = np.zeros(ys.shape[0])
     for k in range(x.shape[0]):
-        d = float(x[k]) - float(y[k])
+        d = x[k] - ys[:, k]
         acc += d * d
-    return math.sqrt(acc)
+    return np.sqrt(acc)

@@ -133,6 +133,19 @@ class TreeNode:
         )
 
 
+def _preorder(roots):
+    """Yield ``(node, depth)`` for every node under ``roots`` in preorder; roots have depth 0.
+
+    The walk keeps its own stack, so trees deeper than the recursion limit work too.
+    """
+    stack = [(root, 0) for root in reversed(roots)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        for child in reversed(node.children):  # a loop: extend() over a generator is slower
+            stack.append((child, depth + 1))
+
+
 @dataclass(frozen=True)
 class Dendrogram:
     """Clustering result: the tree, the per-depth trace, and run metadata."""
@@ -266,10 +279,12 @@ def _merge(coords: np.ndarray, groups: list[tuple[int, ...]]) -> tuple[np.ndarra
     for g in groups:
         by_size.setdefault(len(g), []).append(g)
     # One mean per size over the (groups x size) member slots has the bits of
-    # each group's own mean (np.add.reduceat does not).
-    for members in map(np.array, by_size.values()):
-        out[members[:, 0]] = coords[members].mean(axis=1)
-        keep[members[:, 1:]] = False
+    # each group's own mean (np.add.reduceat does not). A raw-frame mean that
+    # overflows to inf fails the next level's distances; a last merge has none.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for members in map(np.array, by_size.values()):
+            out[members[:, 0]] = coords[members].mean(axis=1)
+            keep[members[:, 1:]] = False
     return out[keep], np.flatnonzero(keep).tolist()
 
 
@@ -327,13 +342,13 @@ def _step(level: Level, nd: NormalizedDataset, depth: int) -> tuple[Level, Depth
     coords, kept = _merge(coords, groups)
     # Groups are disjoint and sorted by smallest member, which is the slot
     # their merged node takes; the trace lists them in that order.
-    heads: dict[int, TreeNode] = {}
+    merged = nodes.copy()
     for g in groups:
         kids = tuple(nodes[k] for k in g)
         leaves = frozenset().union(*(c.leaves for c in kids))
-        heads[g[0]] = TreeNode(leaves, kids, depth=depth, cutoff=d_u)
-    record = DepthRecord(depth, d_u, tuple(h.leaves for h in heads.values()))
-    nodes = [heads.get(k, nodes[k]) for k in kept]
+        merged[g[0]] = TreeNode(leaves, kids, depth=depth, cutoff=d_u)
+    record = DepthRecord(depth, d_u, tuple(merged[g[0]].leaves for g in groups))
+    nodes = [merged[k] for k in kept]
     if nd.normalized:  # a one-row frame becomes zeros, which nothing reads
         coords = np.round(_standardize_working(coords, nd.stats.mode), _WORKING_DECIMALS)
     return (coords, nodes), record

@@ -1,7 +1,12 @@
 """Classical stepwise agglomerative baselines (single/complete/average/centroid).
 
-One closest pair merges per step, n-1 binary merges total — the yardstick the
-adaptive engine's level count is compared against.
+One closest pair merges per step, n-1 binary merges in all (fewer under a
+stop threshold) — the yardstick the adaptive engine's level count is
+compared against. The starting distances are the adaptive engine's
+condensed matrix; single, complete and average linkage update them by the
+Lance-Williams formulas, and centroid linkage recomputes the merged
+centroid's distances with :func:`~adaptlink._kernels.distances_from`, which
+has the matrix kernel's bits.
 """
 from __future__ import annotations
 
@@ -11,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adaptive import DepthRecord, TreeNode
+from . import _kernels
+from .adaptive import DepthRecord, TreeNode, _preorder
 from .core import (
     ClusteringError,
     NormalizedDataset,
@@ -55,15 +61,6 @@ def _lw_update(method: LinkageMethod, d_ai, d_bi, na: int, nb: int):
     return (na * d_ai + nb * d_bi) / (na + nb)
 
 
-def _centroid_distances(centroids: np.ndarray, a: int, idx: np.ndarray) -> np.ndarray:
-    """d(centroid a, centroid i) for i in ``idx``, accumulated like ``sq_distance``."""
-    acc = np.zeros(idx.size)
-    for k in range(centroids.shape[1]):
-        diff = centroids[a, k] - centroids[idx, k]
-        acc += diff * diff
-    return np.sqrt(acc)
-
-
 def _upper_square(entries: np.ndarray, n: int) -> np.ndarray:
     """n×n array with the condensed entries above the diagonal and inf elsewhere.
 
@@ -100,10 +97,12 @@ def stepwise_cluster(
     distance that overflows raises :class:`Overflow`.
     """
     method = LinkageMethod(method)
-    if stop_threshold is not None and not math.isfinite(stop_threshold):
-        raise ClusteringError(
-            f"stop threshold must be finite, not NaN or infinite, got {stop_threshold}"
-        )
+    if stop_threshold is not None:
+        stop_threshold = float(stop_threshold)  # a numpy scalar would not serialize
+        if not math.isfinite(stop_threshold):
+            raise ClusteringError(
+                f"stop threshold must be finite, not NaN or infinite, got {stop_threshold}"
+            )
     if nd.n < 2:
         raise TooFewPoints(f"stepwise clustering needs n >= 2, got {nd.n}")
     n = nd.n
@@ -150,7 +149,7 @@ def stepwise_cluster(
         if method is LinkageMethod.CENTROID:
             with np.errstate(over="ignore", invalid="ignore"):
                 centroids[a] = (na * centroids[a] + nb * centroids[b]) / (na + nb)
-                new = _centroid_distances(centroids, a, others)
+                new = _kernels.distances_from(centroids[a], centroids[others])
             if not np.isfinite(new).all():
                 raise Overflow(
                     "centroid distances overflow double precision; "
@@ -195,13 +194,8 @@ def stepwise_cluster(
     )
 
 
-def _max_arity(root: TreeNode) -> int:
-    arity, stack = 0, [root]
-    while stack:
-        node = stack.pop()
-        arity = max(arity, len(node.children))
-        stack.extend(node.children)
-    return arity
+def _max_arity(roots) -> int:
+    return max(len(node.children) for node, _ in _preorder(roots))
 
 
 @dataclass(frozen=True)
@@ -239,14 +233,11 @@ def compare_compactness(adaptive, stepwise: StepwiseDendrogram) -> ComparisonRep
     """Levels-vs-steps report; both runs must cover the same leaves."""
     if frozenset(adaptive.labels) != frozenset(stepwise.labels):
         raise LeafMismatch("dendrograms cover different leaf sets")
-    stepwise_arity = max(
-        (_max_arity(r) for r in stepwise.roots if not r.is_leaf), default=0
-    )
     return ComparisonReport(
         adaptive_levels=len(adaptive.trace),
         stepwise_steps=len(stepwise.trace),
         stepwise_method=stepwise.method.value,
-        adaptive_max_arity=_max_arity(adaptive.root),
-        stepwise_max_arity=stepwise_arity,
+        adaptive_max_arity=_max_arity((adaptive.root,)),
+        stepwise_max_arity=_max_arity(stepwise.roots),
         groups_per_level=tuple(len(rec.groups) for rec in adaptive.trace),
     )

@@ -231,7 +231,9 @@ def euclidean_distance(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.shape != y.shape:
         raise DimensionMismatch(f"vector lengths differ: {x.shape[0]} vs {y.shape[0]}")
-    return _kernels.sq_distance(x, y)
+    # Values beyond double precision give inf or nan, as float arithmetic does, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_kernels.distances_from(x, y[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -274,20 +276,6 @@ class DistanceMatrix:
         i, j = min(i, j), max(i, j)
         return float(self.entries[i * (2 * self.n - i - 1) // 2 + (j - i - 1)])
 
-    def row(self, i: int) -> np.ndarray:
-        """All distances from point i (read-only, d(i,i)=0 included)."""
-        n = self.n
-        if not 0 <= i < n:
-            raise IndexError(f"index {i} out of range for n={n}")
-        out = np.empty(n)
-        # Column i of the rows above i, then the contiguous rest of row i.
-        above = np.arange(i)
-        out[:i] = self.entries[above * (2 * n - above - 1) // 2 + (i - above - 1)]
-        out[i] = 0.0
-        start = i * (2 * n - i - 1) // 2
-        out[i + 1 :] = self.entries[start : start + n - i - 1]
-        return _frozen(out)
-
 
 def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
     """Condensed Euclidean distance matrix over the rows of ``coords``.
@@ -312,7 +300,3 @@ def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
         )
     return DistanceMatrix._adopt(n, entries)
 
-
-def distance_matrix(nd: NormalizedDataset) -> DistanceMatrix:
-    """Pairwise distances between the rows of a normalized dataset."""
-    return matrix_from_coords(nd.coords)

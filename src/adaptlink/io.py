@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .adaptive import DepthRecord, TreeNode, format_cutoff
+from .adaptive import DepthRecord, TreeNode, _preorder, format_cutoff
 from .core import ClusteringError, Dataset
 
 FIXTURES = ("para", "meta")
@@ -76,9 +76,9 @@ def parse_table(text: str) -> Dataset:
     return Dataset(labels=tuple(labels), values=rows, column_names=tuple(header[1:]))
 
 
-def format_table(data: Dataset, label_column: str = "label") -> str:
+def format_table(data: Dataset) -> str:
     """Canonical serialization; parse_table(format_table(d)) preserves labels/values."""
-    lines = [",".join((label_column, *data.column_names))]
+    lines = [",".join(("label", *data.column_names))]
     # tolist() yields Python floats, so each cell reads repr(float(v)).
     for lab, row in zip(data.labels, data.values.tolist()):
         lines.append(",".join((lab, *map(repr, row))))
@@ -99,37 +99,29 @@ def load_fixture(name: str) -> Dataset:
 
 @dataclass(frozen=True)
 class TraceDocument:
-    """Parsed trace file: run metadata plus the per-depth records."""
+    """Parsed trace file: run metadata plus the per-depth records, named as in a dendrogram."""
 
-    metadata: dict
-    records: tuple[DepthRecord, ...]
-
-
-def _records_payload(records) -> list[dict]:
-    return [
-        {
-            "depth": rec.depth,
-            "cutoff": rec.cutoff,
-            "cutoff_display": rec.display,
-            "groups": [sorted(g) for g in rec.groups],
-        }
-        for rec in records
-    ]
-
-
-def serialize_trace(doc: TraceDocument) -> str:
-    payload = {
-        "format": "adaptlink-trace",
-        "version": 1,
-        "metadata": doc.metadata,
-        "trace": _records_payload(doc.records),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    meta: dict
+    trace: tuple[DepthRecord, ...]
 
 
 def write_trace(d) -> str:
-    """Serialize a dendrogram's trace (adaptive or stepwise) to document text."""
-    return serialize_trace(TraceDocument(metadata=dict(d.meta), records=tuple(d.trace)))
+    """Serialize the ``meta`` and ``trace`` of a dendrogram, stepwise result or trace document."""
+    payload = {
+        "format": "adaptlink-trace",
+        "version": 1,
+        "metadata": d.meta,
+        "trace": [
+            {
+                "depth": rec.depth,
+                "cutoff": rec.cutoff,
+                "cutoff_display": rec.display,
+                "groups": [sorted(g) for g in rec.groups],
+            }
+            for rec in d.trace
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def read_trace(text: str) -> TraceDocument:
@@ -187,7 +179,7 @@ def read_trace(text: str) -> TraceDocument:
         records.append(
             DepthRecord(depth=depth, cutoff=cutoff, groups=_replay(k, depth, groups, cluster_of))
         )
-    return TraceDocument(metadata=meta, records=tuple(records))
+    return TraceDocument(meta=meta, trace=tuple(records))
 
 
 def _replay(
@@ -235,29 +227,30 @@ def write_dot(d) -> str:
     """DOT digraph of the dendrogram (or forest), parent -> child edges.
 
     Nodes are named in depth-first preorder; a node's edges follow those of
-    its whole subtree. The walk keeps its own stack, so deep trees export.
+    its whole subtree.
     """
     lines = ["digraph dendrogram {", "  node [shape=box];"]
     edges: list[str] = []
-    counter = 0
-    # Entries: (node, the child names of its parent) to visit a node, or
-    # (its name, its child names) once its children have all been named.
-    stack: list = [(root, []) for root in reversed(_roots(d))]
-    while stack:
-        node, names = stack.pop()
-        if isinstance(node, str):
-            edges.extend(f"  {node} -> {child};" for child in names)
-            continue
-        name = f"n{counter}"
-        counter += 1
-        names.append(name)
+    # The merges on the path to the current node, one per depth, with the
+    # names of their children so far.
+    path: list[tuple[str, list[str]]] = []
+
+    def close(depth: int) -> None:  # the merges from this depth down have named their subtrees
+        while len(path) > depth:
+            name, children = path.pop()
+            edges.extend(f"  {name} -> {child};" for child in children)
+
+    for k, (node, depth) in enumerate(_preorder(_roots(d))):
+        close(depth)
+        name = f"n{k}"
+        if path:
+            path[-1][1].append(name)
         if node.is_leaf:
             lines.append(f'  {name} [label="{_dot_escape(node.label)}"];')
-            continue
-        lines.append(f'  {name} [label="{node.depth}:{format_cutoff(node.cutoff)}"];')
-        child_names: list[str] = []
-        stack.append((name, child_names))
-        stack.extend((child, child_names) for child in reversed(node.children))
+        else:
+            lines.append(f'  {name} [label="{node.depth}:{format_cutoff(node.cutoff)}"];')
+            path.append((name, []))
+    close(0)
     lines.extend(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -266,15 +259,10 @@ def write_dot(d) -> str:
 def write_tree_text(d) -> str:
     """Indented text outline of the dendrogram (or forest)."""
     lines: list[str] = []
-    stack = [(root, 0) for root in reversed(_roots(d))]
-    while stack:
-        node, indent = stack.pop()
-        pad = "  " * indent
+    for node, depth in _preorder(_roots(d)):
+        pad = "  " * depth
         if node.is_leaf:
             lines.append(f"{pad}{node.label}")
         else:
-            lines.append(
-                f"{pad}[depth {node.depth}, cutoff {format_cutoff(node.cutoff)}]"
-            )
-            stack.extend((child, indent + 1) for child in reversed(node.children))
+            lines.append(f"{pad}[depth {node.depth}, cutoff {format_cutoff(node.cutoff)}]")
     return "\n".join(lines) + "\n"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 import adaptlink as al
-from adaptlink import _kernels, adaptive
+from adaptlink import adaptive
 from adaptlink.adaptive import DepthRecord, TreeNode
 from adaptlink.baseline import LinkageMethod, StepwiseDendrogram
 from adaptlink.core import TooFewPoints, matrix_from_coords
@@ -345,9 +345,7 @@ def oracle_stepwise(
         if method is LinkageMethod.CENTROID:
             centroids[a] = (na * centroids[a] + nb * centroids[b]) / (na + nb)
             for i in others:
-                dist[a, i] = dist[i, a] = _kernels.sq_distance(
-                    centroids[a], centroids[i]
-                )
+                dist[a, i] = dist[i, a] = _dist(centroids[a], centroids[i])
         elif others:
             idx = np.array(others)
             updated = _lw_update(method, dist[a, idx], dist[b, idx], na, nb)

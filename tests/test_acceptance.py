@@ -155,5 +155,5 @@ def test_criterion_8_round_trips(announce, para_dendro, meta_nd):
             nd = al.identity_normalized(data)
         docs.append(io.write_trace(al.build_dendrogram(nd)))
     for text in docs:
-        ok = ok and io.serialize_trace(io.read_trace(text)) == text
+        ok = ok and io.write_trace(io.read_trace(text)) == text
     announce(8, f"round-trips: 2 tables lossless, {len(docs)} trace rewrites byte-identical", ok)

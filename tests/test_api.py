@@ -26,7 +26,6 @@ PUBLIC = [
     "build_dendrogram",
     "compare_compactness",
     "cutoff_distance",
-    "distance_matrix",
     "euclidean_distance",
     "format_cutoff",
     "format_table",
@@ -36,7 +35,6 @@ PUBLIC = [
     "normalize",
     "parse_table",
     "read_trace",
-    "serialize_trace",
     "stepwise_cluster",
     "write_dot",
     "write_trace",

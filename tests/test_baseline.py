@@ -108,6 +108,13 @@ class TestStepwise:
         assert sorted(leaves) == sorted(para_nd.labels)
         assert all(rec.cutoff <= 1.0 for rec in d.trace)
 
+    @pytest.mark.parametrize("threshold", [np.float32(1.0), np.float64(1.0), 1])
+    def test_threshold_is_stored_as_a_float(self, para_nd, threshold):
+        d = al.stepwise_cluster(para_nd, al.LinkageMethod.AVERAGE, stop_threshold=threshold)
+        assert type(d.meta["stop_threshold"]) is float
+        as_float = al.stepwise_cluster(para_nd, al.LinkageMethod.AVERAGE, stop_threshold=1.0)
+        assert io.write_trace(d) == io.write_trace(as_float)
+
     def test_threshold_above_range_gives_single_root(self, para_nd):
         d = al.stepwise_cluster(para_nd, al.LinkageMethod.AVERAGE, stop_threshold=1e9)
         assert len(d.roots) == 1

@@ -189,6 +189,24 @@ class TestErrors:
         assert err.startswith("adaptlink: error: ")
         assert err.count("\n") == 1 and err.endswith("\n")
 
+    # The mean of two rows at 1.7e308 overflows to inf in the raw frame.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_last_merge(self, capsys, tmp_path):
+        big = tmp_path / "big.csv"
+        big.write_text("name,x,y\na,1.7e308,0\nb,1.7e308,1\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "cluster", "--input", str(big), "--no-normalize")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["trace"][0]["groups"] == [["a", "b"]]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_merge_fails_at_the_next_level(self, capsys, tmp_path):
+        big = tmp_path / "big.csv"
+        big.write_text("name,x,y\na,1.7e308,0\nb,1.7e308,1\nc,1.7e308,3\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "cluster", "--input", str(big), "--no-normalize")
+        assert (code, out) == (1, "")
+        assert err.startswith("adaptlink: error: ") and "distances overflow" in err
+        assert err.count("\n") == 1
+
     def test_nan_threshold(self, capsys):
         code, out, err = run_cli(
             capsys, "cluster", "--fixture", "para", "--method", "average",

@@ -100,7 +100,7 @@ class TestNormalize:
         data = small(rng.uniform(-2, 2, size=(12, 1)))
         orders = []
         for mode in al.SdMode:
-            m = al.distance_matrix(al.normalize(data, mode))
+            m = al.matrix_from_coords(al.normalize(data, mode).coords)
             orders.append(np.argsort([m.value(0, j) for j in range(1, 12)]))
         assert np.array_equal(orders[0], orders[1])
 
@@ -135,7 +135,7 @@ class TestDistance:
 
     def test_matrix_accessor_matches_direct(self):
         nd = al.normalize(io.load_fixture("para"))
-        m = al.distance_matrix(nd)
+        m = al.matrix_from_coords(nd.coords)
         for i in range(nd.n):
             for j in range(nd.n):
                 want = al.euclidean_distance(nd.coords[i], nd.coords[j])
@@ -143,7 +143,7 @@ class TestDistance:
 
     def test_matrix_symmetric_zero_diagonal(self):
         nd = al.normalize(io.load_fixture("meta"))
-        m = al.distance_matrix(nd)
+        m = al.matrix_from_coords(nd.coords)
         for i in range(nd.n):
             assert m.value(i, i) == 0.0
             for j in range(i):
@@ -152,24 +152,24 @@ class TestDistance:
     def test_para_cl_br_distance(self):
         nd = al.normalize(io.load_fixture("para"))
         i, j = nd.labels.index("Cl"), nd.labels.index("Br")
-        m = al.distance_matrix(nd)
+        m = al.matrix_from_coords(nd.coords)
         assert m.value(i, j) == pytest.approx(0.07855304526571197, rel=1e-12)
 
     def test_meta_duplicate_rows_distance_zero(self):
         nd = al.normalize(io.load_fixture("meta"))
-        m = al.distance_matrix(nd)
+        m = al.matrix_from_coords(nd.coords)
         for a, b in (("H", "NO2"), ("OMe", "OH")):
             assert m.value(nd.labels.index(a), nd.labels.index(b)) == 0.0
 
     def test_collinear_points_additive(self):
         nd = al.normalize(small([[0.0], [1.0], [2.0]]))
-        m = al.distance_matrix(nd)
+        m = al.matrix_from_coords(nd.coords)
         assert m.value(0, 2) == m.value(0, 1) + m.value(1, 2)
 
     def test_matrix_requires_two_points(self):
         data = small([[1.0, 2.0]])
         with pytest.raises(al.TooFewPoints):
-            al.distance_matrix(al.identity_normalized(data))
+            al.matrix_from_coords(al.identity_normalized(data).coords)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_distances_rejected(self):
@@ -178,17 +178,6 @@ class TestDistance:
         with pytest.raises(al.Overflow):
             al.matrix_from_coords(np.array([[np.inf], [0.0]]))
 
-    def test_row_matches_square(self):
-        nd = al.normalize(io.load_fixture("para"))
-        m = al.distance_matrix(nd)
-        for i in (0, 7, 24):
-            assert np.array_equal(m.row(i), [m.value(i, j) for j in range(nd.n)])
-        pair = al.matrix_from_coords(np.array([[0.0, 1.0], [3.0, 5.0]]))
-        assert np.array_equal([pair.row(0), pair.row(1)], [[0.0, 5.0], [5.0, 0.0]])
-        for i in (-1, nd.n):
-            with pytest.raises(IndexError):
-                m.row(i)
-
     def test_matrix_keeps_a_read_only_copy(self):
         src = np.array([1.0, 3.0, 2.0])
         m = al.DistanceMatrix(n=3, entries=src)
@@ -196,7 +185,7 @@ class TestDistance:
         assert m.value(0, 1) == 1.0
         assert not np.shares_memory(m.entries, src)
         from_coords = al.matrix_from_coords(np.array([[0.0], [1.0], [3.0]]))
-        for entries in (m.entries, from_coords.entries, from_coords.row(0)):
+        for entries in (m.entries, from_coords.entries):
             with pytest.raises(ValueError):
                 entries[0] = 0.5
             with pytest.raises(ValueError):

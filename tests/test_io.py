@@ -1,4 +1,5 @@
 """Tests for table parsing, trace documents, and dendrogram exports."""
+import hashlib
 import json
 import math
 from types import SimpleNamespace
@@ -135,7 +136,7 @@ class TestFixtures:
 
 
 def trace_text(levels):
-    """A trace document, laid out as serialize_trace does, with (depth, groups) levels."""
+    """A trace document, laid out as write_trace does, with (depth, groups) levels."""
     entries = [
         {"depth": d, "cutoff": 1.0, "cutoff_display": "1.00", "groups": groups}
         for d, groups in levels
@@ -148,25 +149,25 @@ class TestTraceDocuments:
     def test_round_trip_lossless(self, para_dendro):
         text = io.write_trace(para_dendro)
         doc = io.read_trace(text)
-        assert doc.metadata == para_dendro.meta
-        assert doc.records == para_dendro.trace
+        assert doc.meta == para_dendro.meta
+        assert doc.trace == para_dendro.trace
 
     def test_rewrite_byte_identical(self, para_dendro, meta_dendro):
         for d in (para_dendro, meta_dendro):
             text = io.write_trace(d)
-            again = io.serialize_trace(io.read_trace(text))
+            again = io.write_trace(io.read_trace(text))
             assert again == text
 
     def test_cutoffs_survive_at_full_precision(self, meta_dendro):
         doc = io.read_trace(io.write_trace(meta_dendro))
-        for rec, orig in zip(doc.records, meta_dendro.trace):
+        for rec, orig in zip(doc.trace, meta_dendro.trace):
             assert rec.cutoff == orig.cutoff  # bit-for-bit through JSON
 
     def test_stepwise_trace_round_trip(self):
         nd = al.normalize(io.load_fixture("meta"))
         d = al.stepwise_cluster(nd, al.LinkageMethod.AVERAGE)
         text = io.write_trace(d)
-        assert io.serialize_trace(io.read_trace(text)) == text
+        assert io.write_trace(io.read_trace(text)) == text
 
     def test_document_shape(self, para_dendro):
         payload = json.loads(io.write_trace(para_dendro))
@@ -239,15 +240,15 @@ class TestTraceDocuments:
         d = al.build_dendrogram(nd)
         assert d.trace[-1].display == "2500000000000000000000000000000.00"
         text = io.write_trace(d)
-        assert io.serialize_trace(io.read_trace(text)) == text
+        assert io.write_trace(io.read_trace(text)) == text
 
     def test_built_record_writes_a_trace_that_reads_back(self):
         # The display is derived from the cut-off, so no record can disagree with it.
         rec = al.DepthRecord(depth=1, cutoff=0.8974, groups=(frozenset({"A", "B"}),))
         assert rec.display == al.format_cutoff(0.8974) == "0.89"
-        doc = io.TraceDocument(metadata={}, records=(rec,))
-        again = io.read_trace(io.serialize_trace(doc))
-        assert again == doc and again.records[0].display == "0.89"
+        doc = io.TraceDocument(meta={}, trace=(rec,))
+        again = io.read_trace(io.write_trace(doc))
+        assert again == doc and again.trace[0].display == "0.89"
 
     def test_first_seen_label_is_a_singleton(self):
         levels = [
@@ -256,7 +257,7 @@ class TestTraceDocuments:
             (3, [["A", "B", "C", "D", "E"]]),
         ]
         text = trace_text(levels)
-        assert io.serialize_trace(io.read_trace(text)) == text
+        assert io.write_trace(io.read_trace(text)) == text
 
     @pytest.mark.parametrize("method", list(al.LinkageMethod))
     def test_stepwise_forest_round_trip(self, method):
@@ -266,7 +267,7 @@ class TestTraceDocuments:
         forest = al.stepwise_cluster(nd, method, stop_threshold=threshold)
         assert len(forest.roots) > 1
         text = io.write_trace(forest)
-        assert io.serialize_trace(io.read_trace(text)) == text
+        assert io.write_trace(io.read_trace(text)) == text
 
 
 def hand_forest():
@@ -286,6 +287,38 @@ def hand_forest():
             leaf("g"),
         )
     )
+
+
+def chain_1200():
+    """Single linkage on x = i² adds one point per step: a chain 1199 merges deep."""
+    n = 1200
+    data = al.Dataset(
+        labels=tuple(f"r{i}" for i in range(n)),
+        values=[[float(i * i)] for i in range(n)],
+        column_names=("c0",),
+    )
+    return al.stepwise_cluster(al.identity_normalized(data), al.LinkageMethod.SINGLE)
+
+
+def para_forest():
+    nd = al.normalize(io.load_fixture("para"))
+    return al.stepwise_cluster(nd, al.LinkageMethod.AVERAGE, stop_threshold=1.0)
+
+
+# sha256 of the exports, recorded before the writers shared one tree walk.
+EXPORT_SHA256 = {
+    ("forest", "dot"): "fdcc71d46803abd9369235e170545ca49dd5d900077ce0d05954152bcb5efb0b",
+    ("forest", "tree-text"): "23c1fb2f182c457bc1919943fd5391079557841add7e3d821b822aa9375db635",
+    ("chain", "dot"): "771cf216b1ae0eb9124f5d962790668ddec4d9af1390f77c1ea48382fe5f0acb",
+    ("chain", "tree-text"): "5906f3641b44f828d3f9a04900900dcc2d1f5c58a2b06614fdc703024eb689d6",
+}
+
+
+@pytest.mark.parametrize("tree, fmt", list(EXPORT_SHA256))
+def test_export_bytes(tree, fmt):
+    d = {"forest": para_forest, "chain": chain_1200}[tree]()
+    text = {"dot": io.write_dot, "tree-text": io.write_tree_text}[fmt](d)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == EXPORT_SHA256[tree, fmt]
 
 
 class TestDot:

@@ -37,19 +37,20 @@ class TestAgainstScipy:
     def test_fixture_matrix_matches_pdist(self):
         pdist = pytest.importorskip("scipy.spatial.distance").pdist
         nd = al.normalize(io.load_fixture("meta"))
-        m = al.distance_matrix(nd)
+        m = al.matrix_from_coords(nd.coords)
         assert np.allclose(m.entries, pdist(nd.coords), rtol=1e-12, atol=1e-12)
 
 
-class TestSqDistance:
+class TestDistancesFrom:
     def test_matches_condensed_entries(self):
         rng = np.random.default_rng(14)
         x = random_coords(rng, 9, 3)
         entries = _kernels.pairwise_condensed(x)
         m = al.matrix_from_coords(x)
         for i in range(9):
-            for j in range(i + 1, 9):
-                assert _kernels.sq_distance(x[i], x[j]) == m.value(i, j)
+            # Row i against every point, those before i (reversed differences) included.
+            want = [m.value(i, j) for j in range(9)]
+            assert np.array_equal(_kernels.distances_from(x[i], x), want)
         assert np.array_equal(m.entries, entries)
 
 
@@ -91,7 +92,7 @@ def assert_exact(x):
     k = 0
     for i in range(n):
         for j in range(i + 1, n):
-            assert entries[k] == _kernels.sq_distance(x[i], x[j]), (i, j)
+            assert entries[k] == al.euclidean_distance(x[i], x[j]), (i, j)
             k += 1
     assert _kernels.cutoff_from_condensed(entries, n) == scan_cutoff(entries, n)
 

@@ -146,8 +146,8 @@ class TestEngineInvariants:
     @given(datasets())
     def test_cutoff_is_max_of_row_minima(self, data):
         nd = wrap(data)
-        m = al.distance_matrix(nd)
-        square = np.stack([m.row(i) for i in range(m.n)])
+        m = al.matrix_from_coords(nd.coords)
+        square = np.array([[m.value(i, j) for j in range(m.n)] for i in range(m.n)])
         np.fill_diagonal(square, np.inf)
         want = float(square.min(axis=1).max())
         assert al.cutoff_distance(m) == pytest.approx(want, rel=0, abs=0)
@@ -156,7 +156,7 @@ class TestEngineInvariants:
     @given(datasets())
     def test_lemma1_every_neighborhood_has_a_neighbor(self, data):
         nd = wrap(data)
-        m = al.distance_matrix(nd)
+        m = al.matrix_from_coords(nd.coords)
         cut = al.cutoff_distance(m)
         assert (np.diff(adaptive.neighborhood(m, cut).starts) >= 2).all()
 
@@ -164,7 +164,7 @@ class TestEngineInvariants:
     @given(datasets())
     def test_lemma2_at_least_one_merge(self, data):
         nd = wrap(data)
-        m = al.distance_matrix(nd)
+        m = al.matrix_from_coords(nd.coords)
         cut = al.cutoff_distance(m)
         groups = adaptive.extremely_close_sets(adaptive.neighborhood(m, cut))
         assert len(groups) >= 1
@@ -211,7 +211,7 @@ class TestNormalizeProperties:
         except al.ZeroVariance:
             return
         assert np.array_equal(nd.coords[0], nd.coords[-1])
-        m = al.distance_matrix(nd)
+        m = al.matrix_from_coords(nd.coords)
         assert m.value(0, data.n - 1) == 0.0
 
 
@@ -229,7 +229,7 @@ class TestRoundTrips:
     def test_trace_rewrite_byte_identical(self, data):
         d = al.build_dendrogram(wrap(data))
         text = io.write_trace(d)
-        assert io.serialize_trace(io.read_trace(text)) == text
+        assert io.write_trace(io.read_trace(text)) == text
 
 
 class TestStepwiseProperties:

@@ -23,7 +23,6 @@ from .baseline import (
 from .core import (
     ClusteringError,
     Dataset,
-    DimensionMismatch,
     DistanceMatrix,
     NormalizationStats,
     NormalizedDataset,
@@ -31,7 +30,6 @@ from .core import (
     SdMode,
     TooFewPoints,
     ZeroVariance,
-    euclidean_distance,
     identity_normalized,
     matrix_from_coords,
     normalize,
@@ -57,7 +55,6 @@ __all__ = [
     "Dataset",
     "Dendrogram",
     "DepthRecord",
-    "DimensionMismatch",
     "DistanceMatrix",
     "LeafMismatch",
     "LinkageMethod",
@@ -75,7 +72,6 @@ __all__ = [
     "build_dendrogram",
     "compare_compactness",
     "cutoff_distance",
-    "euclidean_distance",
     "format_cutoff",
     "format_table",
     "identity_normalized",

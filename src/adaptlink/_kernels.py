@@ -1,7 +1,7 @@
 """Numerical kernels, one numpy path.
 
-* :func:`pairwise_condensed` computes the condensed (row-major upper
-  triangle) Euclidean distances of an n×p matrix;
+* :func:`pairwise_condensed` computes the condensed (row-major upper triangle) Euclidean
+  distances of an n×p matrix and, on request, each point's least squared distance;
 * :func:`cutoff_from_condensed` is the minimax scan over condensed entries;
 * :func:`neighbors_within` gives every point's ordering within a radius,
   center first, in CSR form, from one sort of packed int64 keys (row,
@@ -58,8 +58,14 @@ def _blocks(n: int) -> tuple[list, np.ndarray]:
     return blocks, np.arange(rows)[:, None] < np.arange(n)
 
 
-def pairwise_condensed(coords: np.ndarray) -> np.ndarray:
-    """Condensed (row-major upper-triangle) Euclidean distances for an n×p matrix."""
+def pairwise_condensed(coords: np.ndarray, nearest: np.ndarray | None = None) -> np.ndarray:
+    """Condensed (row-major upper-triangle) Euclidean distances for an n×p matrix.
+
+    Each block's squared sums, diagonal at inf, fold their row and column
+    minima (as in :func:`cutoff_from_condensed`; cells left of the diagonal
+    repeat the block's pairs) into ``nearest``, an inf-filled n-vector if
+    given. ``sqrt`` is monotone, so its roots are the least entries per point.
+    """
     # One contiguous row per feature.
     xt = np.ascontiguousarray(np.asarray(coords, dtype=np.float64).T)
     p, n = xt.shape
@@ -73,6 +79,10 @@ def pairwise_condensed(coords: np.ndarray) -> np.ndarray:
             np.subtract.outer(xt[k, r:r1], xt[k, r:], out=d)
             d *= d
             acc += d
+        if nearest is not None:
+            np.fill_diagonal(acc, np.inf)
+            np.minimum(nearest[r:r1], acc.min(axis=1), out=nearest[r:r1])
+            np.minimum(nearest[r:], acc.min(axis=0), out=nearest[r:])
         np.sqrt(acc[upper[: r1 - r, : n - r]], out=out[lo:hi])
     return out
 
@@ -81,9 +91,8 @@ def cutoff_from_condensed(entries: np.ndarray, n: int) -> float:
     """Minimax scan: max over points of the distance to their nearest other point.
 
     Each block's segment is scattered into an inf-padded block; its row
-    minima cover the pairs to the right of each of its rows, its column
-    minima the pairs above each later point, and both fold into one
-    nearest-neighbour distance per point.
+    minima cover the pairs right of each of its rows, its column minima the
+    pairs above each later point.
     """
     nearest = np.full(n, np.inf)
     blocks, upper = _blocks(n)

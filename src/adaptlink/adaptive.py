@@ -157,10 +157,15 @@ class Dendrogram:
 
 
 def cutoff_distance(m: DistanceMatrix) -> float:
-    """Max over points of the distance to their nearest other point."""
+    """Max over points of the distance to their nearest other point.
+
+    From the minima that :func:`~adaptlink.core.matrix_from_coords` keeps, or a scan of the entries.
+    """
     if m.n < 2:
         raise TooFewPoints(f"cut-off needs n >= 2, got {m.n}")
-    return _kernels.cutoff_from_condensed(m.entries, m.n)
+    if m._nearest is None:
+        return _kernels.cutoff_from_condensed(m.entries, m.n)
+    return float(np.sqrt(m._nearest.max()))
 
 
 def neighborhood(m: DistanceMatrix, d_u: float) -> Neighborhoods:

@@ -30,10 +30,6 @@ class ZeroVariance(ClusteringError):
         super().__init__(f"column {shown} has zero variance")
 
 
-class DimensionMismatch(ClusteringError):
-    """Two coordinate vectors have different lengths."""
-
-
 class Overflow(ClusteringError):
     """Descriptor values too large for z-scores or distances in double precision."""
 
@@ -225,23 +221,13 @@ def identity_normalized(data: Dataset, mode: SdMode = SdMode.SAMPLE) -> Normaliz
     )
 
 
-def euclidean_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """L2 norm of (x - y); bit-identical to the matrix kernels' per-pair value."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"vector lengths differ: {x.shape[0]} vs {y.shape[0]}")
-    # Values beyond double precision give inf or nan, as float arithmetic does, not a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(_kernels.distances_from(x, y[None, :])[0])
-
-
 @dataclass(frozen=True)
 class DistanceMatrix:
     """Symmetric pairwise distances in condensed upper-triangular storage."""
 
     n: int
     entries: np.ndarray = field(repr=False)
+    _nearest = None  # each point's least squared distance, from matrix_from_coords
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _readonly(self.entries).ravel())
@@ -260,11 +246,12 @@ class DistanceMatrix:
             raise ValueError("distances must be finite and non-negative")
 
     @classmethod
-    def _adopt(cls, n: int, entries: np.ndarray) -> "DistanceMatrix":
-        """Matrix over a fresh, checked float64 vector no caller holds: no copy is made."""
+    def _adopt(cls, n: int, entries: np.ndarray, nearest: np.ndarray) -> "DistanceMatrix":
+        """Matrix over fresh, checked float64 vectors no caller holds: no copy is made."""
         m = cls.__new__(cls)
         object.__setattr__(m, "n", n)
         object.__setattr__(m, "entries", _frozen(entries))
+        object.__setattr__(m, "_nearest", _frozen(nearest))
         return m
 
     def value(self, i: int, j: int) -> float:
@@ -280,6 +267,7 @@ class DistanceMatrix:
 def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
     """Condensed Euclidean distance matrix over the rows of ``coords``.
 
+    The same pass keeps each point's least squared distance for the cut-off.
     Raises :class:`Overflow` when a distance is not finite (squared
     differences beyond double precision, or coordinates that already were).
     """
@@ -289,14 +277,15 @@ def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
         raise TooFewPoints(f"distance matrix needs n >= 2, got {n}")
     if coords.shape[1] < 1:
         raise ValueError("coordinates must have at least one column")
+    nearest = np.full(n, np.inf)
     # Overflow surfaces as a non-finite distance below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        entries = _kernels.pairwise_condensed(coords)
+        entries = _kernels.pairwise_condensed(coords, nearest)
     # The kernel yields no negative distance, and a NaN or inf makes the maximum
-    # non-finite: this one reduction checks the whole vector.
+    # non-finite: this one reduction checks the whole vector, ``nearest`` too.
     if not math.isfinite(entries.max()):
         raise Overflow(
             "pairwise distances overflow double precision; rescale the descriptors"
         )
-    return DistanceMatrix._adopt(n, entries)
+    return DistanceMatrix._adopt(n, entries, nearest)
 

@@ -66,6 +66,20 @@ class TestCutoff:
         assert cut == exp.META_CUTOFFS[0]
         assert al.format_cutoff(cut) == "0.89"
 
+    @pytest.mark.parametrize("name", ["para", "meta"])
+    def test_runs_take_no_second_pass(self, monkeypatch, name):
+        # Each level's cut-off comes from the pairwise pass, never from the scan.
+        def scan(*args):
+            raise AssertionError("cutoff_from_condensed called")
+
+        monkeypatch.setattr(_kernels, "cutoff_from_condensed", scan)
+        d = al.build_dendrogram(al.normalize(io.load_fixture(name)))
+        key = name.upper()
+        assert tuple(r.cutoff for r in d.trace) == getattr(exp, f"{key}_CUTOFFS")
+        assert tuple(r.display for r in d.trace) == getattr(exp, f"{key}_DISPLAYS")
+        for rec, want in zip(d.trace, getattr(exp, f"{key}_GROUPS"), strict=True):
+            assert set(rec.groups) == exp.as_group_sets(want)
+
 
 class TestFormatCutoff:
     def test_truncates_toward_zero(self):

@@ -7,7 +7,6 @@ PUBLIC = [
     "Dataset",
     "Dendrogram",
     "DepthRecord",
-    "DimensionMismatch",
     "DistanceMatrix",
     "LeafMismatch",
     "LinkageMethod",
@@ -26,7 +25,6 @@ PUBLIC = [
     "build_dendrogram",
     "compare_compactness",
     "cutoff_distance",
-    "euclidean_distance",
     "format_cutoff",
     "format_table",
     "identity_normalized",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import adaptlink as al
-from adaptlink import io
+from adaptlink import _kernels, io
 
 
 def small(values, columns=None):
@@ -124,22 +124,19 @@ class TestNormalize:
 
 class TestDistance:
     def test_identity(self):
-        assert al.euclidean_distance(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
+        x = np.array([1.0, 2.0])
+        assert _kernels.distances_from(x, x[None, :]).tolist() == [0.0]
 
     def test_three_four_five(self):
-        assert al.euclidean_distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(al.DimensionMismatch):
-            al.euclidean_distance(np.array([1.0]), np.array([1.0, 2.0]))
+        ys = np.array([[3.0, 4.0], [-3.0, -4.0]])
+        assert _kernels.distances_from(np.array([0.0, 0.0]), ys).tolist() == [5.0, 5.0]
 
     def test_matrix_accessor_matches_direct(self):
         nd = al.normalize(io.load_fixture("para"))
         m = al.matrix_from_coords(nd.coords)
         for i in range(nd.n):
-            for j in range(nd.n):
-                want = al.euclidean_distance(nd.coords[i], nd.coords[j])
-                assert m.value(i, j) == want
+            want = _kernels.distances_from(nd.coords[i], nd.coords)
+            assert [m.value(i, j) for j in range(nd.n)] == want.tolist()
 
     def test_matrix_symmetric_zero_diagonal(self):
         nd = al.normalize(io.load_fixture("meta"))

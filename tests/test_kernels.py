@@ -85,16 +85,37 @@ def scan_cutoff(entries, n):
 
 
 def assert_exact(x):
-    """Every condensed entry and the cut-off equal the per-pair references bit for bit."""
+    """Every condensed entry and the cut-off equal the per-point references bit for bit."""
     n = x.shape[0]
     entries = _kernels.pairwise_condensed(x)
     assert entries.shape == (n * (n - 1) // 2,)
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            assert entries[k] == al.euclidean_distance(x[i], x[j]), (i, j)
-            k += 1
+    x = np.asarray(x, dtype=np.float64)
+    lo = 0
+    for i in range(n - 1):
+        hi = lo + n - i - 1
+        assert np.array_equal(entries[lo:hi], _kernels.distances_from(x[i], x[i + 1 :])), i
+        lo = hi
     assert _kernels.cutoff_from_condensed(entries, n) == scan_cutoff(entries, n)
+
+
+def assert_fused_cutoff(x):
+    """The pairwise pass's nearest distances give the scans' cut-off bit for bit.
+
+    A hand-built matrix over the same entries, which has no nearest
+    distances and is scanned, gives the same cut-off too.
+    """
+    m = al.matrix_from_coords(x)
+    n, entries = m.n, m.entries
+    assert np.array_equal(entries, _kernels.pairwise_condensed(x))
+    square = condensed_square(entries, n)
+    assert np.sqrt(m._nearest).tobytes() == square.min(axis=1).tobytes()
+    cuts = (
+        al.cutoff_distance(m),
+        _kernels.cutoff_from_condensed(entries, n),
+        scan_cutoff(entries, n),
+        al.cutoff_distance(al.DistanceMatrix(n, entries)),
+    )
+    assert len({c.hex() for c in cuts}) == 1, cuts
 
 
 def block_inputs():
@@ -154,6 +175,32 @@ class TestRowBlocks:
         assert_exact(x)
 
 
+class TestFusedCutoff:
+    """The cut-off from the minima folded into the pairwise pass."""
+
+    @pytest.mark.parametrize("budget", [1, 16, 150])
+    @pytest.mark.parametrize("name", list(block_inputs()))
+    def test_same_bits_as_the_scans(self, monkeypatch, budget, name):
+        monkeypatch.setattr(_kernels, "_CELL_BUDGET", budget)
+        assert_fused_cutoff(block_inputs()[name])
+
+    def test_same_bits_at_the_real_budget(self):
+        x = np.random.default_rng(18).integers(0, 10, size=(400, 3))
+        assert len(list(_kernels._row_blocks(400))) > 3
+        assert_fused_cutoff(x)
+
+    @pytest.mark.parametrize("budget", [1, 16, 150])
+    def test_overflow_raised_though_every_nearest_distance_is_finite(self, monkeypatch, budget):
+        # Every row has a duplicate, so each nearest squared distance is 0,
+        # while the pairs across the two values overflow.
+        monkeypatch.setattr(_kernels, "_CELL_BUDGET", budget)
+        x = np.array([[1e200, 0.0], [-1e200, 1.0]] * 3)
+        with pytest.raises(al.Overflow):
+            al.matrix_from_coords(x)
+        with pytest.raises(al.Overflow):
+            al.matrix_from_coords(x[:2])
+
+
 class TestMemory:
     """tracemalloc sees numpy's allocations: no kernel allocates an n×n array.
 
@@ -185,6 +232,13 @@ class TestMemory:
         entries = _kernels.pairwise_condensed(x)
         square, peak = self.peak_bytes(baseline._upper_square, entries, self.n)
         assert peak <= 1.05 * square.nbytes
+
+    def test_matrix_and_cutoff_peak_near_the_condensed_vector(self):
+        # The cut-off reads the nearest distances kept by the pairwise pass.
+        x = np.random.default_rng(26).standard_normal((self.n, 3))
+        cut, peak = self.peak_bytes(lambda: al.cutoff_distance(al.matrix_from_coords(x)))
+        assert cut > 0
+        assert peak < 1.5 * self.n * (self.n - 1) // 2 * 8
 
     def test_cutoff_peak_far_below_a_square(self):
         x = np.random.default_rng(20).standard_normal((self.n, 3))

@@ -9,7 +9,6 @@ from .adaptive import (
     DepthRecord,
     TreeNode,
     build_dendrogram,
-    cutoff_distance,
     format_cutoff,
 )
 from .baseline import (
@@ -23,7 +22,6 @@ from .baseline import (
 from .core import (
     ClusteringError,
     Dataset,
-    DistanceMatrix,
     NormalizationStats,
     NormalizedDataset,
     Overflow,
@@ -31,7 +29,6 @@ from .core import (
     TooFewPoints,
     ZeroVariance,
     identity_normalized,
-    matrix_from_coords,
     normalize,
 )
 from .io import (
@@ -55,7 +52,6 @@ __all__ = [
     "Dataset",
     "Dendrogram",
     "DepthRecord",
-    "DistanceMatrix",
     "LeafMismatch",
     "LinkageMethod",
     "NormalizationStats",
@@ -71,12 +67,10 @@ __all__ = [
     "ZeroVariance",
     "build_dendrogram",
     "compare_compactness",
-    "cutoff_distance",
     "format_cutoff",
     "format_table",
     "identity_normalized",
     "load_fixture",
-    "matrix_from_coords",
     "normalize",
     "parse_table",
     "read_trace",

@@ -1,8 +1,9 @@
 """Numerical kernels, one numpy path.
 
 * :func:`pairwise_condensed` computes the condensed (row-major upper triangle) Euclidean
-  distances of an n×p matrix and, on request, each point's least squared distance;
-* :func:`cutoff_from_condensed` is the minimax scan over condensed entries;
+  distances of an n×p matrix and each point's least squared distance;
+* :func:`cutoff_from_condensed` is the minimax scan over condensed entries,
+  kept as the reference the fused minima are tested against;
 * :func:`neighbors_within` gives every point's ordering within a radius,
   center first, in CSR form, from one sort of packed int64 keys (row,
   distance rank, column), which fit for n < 65 536;
@@ -58,13 +59,13 @@ def _blocks(n: int) -> tuple[list, np.ndarray]:
     return blocks, np.arange(rows)[:, None] < np.arange(n)
 
 
-def pairwise_condensed(coords: np.ndarray, nearest: np.ndarray | None = None) -> np.ndarray:
+def pairwise_condensed(coords: np.ndarray, nearest: np.ndarray) -> np.ndarray:
     """Condensed (row-major upper-triangle) Euclidean distances for an n×p matrix.
 
     Each block's squared sums, diagonal at inf, fold their row and column
     minima (as in :func:`cutoff_from_condensed`; cells left of the diagonal
-    repeat the block's pairs) into ``nearest``, an inf-filled n-vector if
-    given. ``sqrt`` is monotone, so its roots are the least entries per point.
+    repeat the block's pairs) into ``nearest``, an inf-filled n-vector.
+    ``sqrt`` is monotone, so its roots are the least entries per point.
     """
     # One contiguous row per feature.
     xt = np.ascontiguousarray(np.asarray(coords, dtype=np.float64).T)
@@ -79,10 +80,9 @@ def pairwise_condensed(coords: np.ndarray, nearest: np.ndarray | None = None) ->
             np.subtract.outer(xt[k, r:r1], xt[k, r:], out=d)
             d *= d
             acc += d
-        if nearest is not None:
-            np.fill_diagonal(acc, np.inf)
-            np.minimum(nearest[r:r1], acc.min(axis=1), out=nearest[r:r1])
-            np.minimum(nearest[r:], acc.min(axis=0), out=nearest[r:])
+        np.fill_diagonal(acc, np.inf)
+        np.minimum(nearest[r:r1], acc.min(axis=1), out=nearest[r:r1])
+        np.minimum(nearest[r:], acc.min(axis=0), out=nearest[r:])
         np.sqrt(acc[upper[: r1 - r, : n - r]], out=out[lo:hi])
     return out
 

@@ -13,6 +13,8 @@ agglomeration.
 A level is the active coordinates (an m x p float64 array) and the tree
 node of each row. A step builds its own distance matrix, so one is alive at
 a time, builds each merged node once and records its leaves in the trace.
+That matrix is an internal record of the level, not public API: its
+cut-off is read from the least distances the pairwise pass keeps.
 
 :func:`_step` calls :func:`~adaptlink.core.matrix_from_coords`,
 :func:`cutoff_distance`, :func:`neighborhood` (every point's ordering, in CSR
@@ -43,7 +45,7 @@ import numpy as np
 
 from . import _kernels
 from .core import (
-    ClusteringError, DistanceMatrix, NormalizedDataset, SdMode, TooFewPoints, matrix_from_coords
+    ClusteringError, DistanceMatrix, NormalizedDataset, SdMode, matrix_from_coords
 )
 
 # Decimals of the grid a z-scored working frame is rounded to.
@@ -159,13 +161,11 @@ class Dendrogram:
 def cutoff_distance(m: DistanceMatrix) -> float:
     """Max over points of the distance to their nearest other point.
 
-    From the minima that :func:`~adaptlink.core.matrix_from_coords` keeps, or a scan of the entries.
+    From the squared minima that :func:`~adaptlink.core.matrix_from_coords`
+    keeps; ``sqrt`` is monotone and correctly rounded, so the result has the
+    bits of the least condensed entries.
     """
-    if m.n < 2:
-        raise TooFewPoints(f"cut-off needs n >= 2, got {m.n}")
-    if m._nearest is None:
-        return _kernels.cutoff_from_condensed(m.entries, m.n)
-    return float(np.sqrt(m._nearest.max()))
+    return float(np.sqrt(m.nearest.max()))
 
 
 def neighborhood(m: DistanceMatrix, d_u: float) -> Neighborhoods:
@@ -334,7 +334,8 @@ def initial_state(nd: NormalizedDataset) -> Level:
 def _step(level: Level, nd: NormalizedDataset, depth: int) -> tuple[Level, DepthRecord]:
     """One iteration: distances, cut-off, neighborhoods, maximal groups, simultaneous merge.
 
-    The matrix lives only inside the step; a one-row level raises :class:`TooFewPoints`.
+    The matrix lives only inside the step; a one-row level raises
+    :class:`~adaptlink.core.TooFewPoints`.
     """
     coords, nodes = level
     matrix = matrix_from_coords(coords)

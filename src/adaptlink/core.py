@@ -1,4 +1,9 @@
-"""Data containers, z-score normalization, and the condensed distance matrix."""
+"""Data containers, z-score normalization, and each level's distance matrix.
+
+The public surface is the containers, :func:`normalize` and the errors.
+:class:`DistanceMatrix` and :func:`matrix_from_coords` are internal to the
+adaptive engine and the stepwise baselines.
+"""
 from __future__ import annotations
 
 import enum
@@ -223,45 +228,15 @@ def identity_normalized(data: Dataset, mode: SdMode = SdMode.SAMPLE) -> Normaliz
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric pairwise distances in condensed upper-triangular storage."""
+    """One level's pairwise distances, made only by :func:`matrix_from_coords`.
+
+    ``entries`` holds the condensed upper triangle, row-major; ``nearest``
+    each point's least squared distance to another point. Both are read-only.
+    """
 
     n: int
     entries: np.ndarray = field(repr=False)
-    _nearest = None  # each point's least squared distance, from matrix_from_coords
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _readonly(self.entries).ravel())
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 0:
-            raise ValueError(f"n must be a non-negative integer, got {self.n!r}")
-        expected = self.n * (self.n - 1) // 2
-        if self.entries.shape[0] != expected:
-            raise ValueError(
-                f"condensed storage for n={self.n} needs {expected} entries, "
-                f"got {self.entries.shape[0]}"
-            )
-        # One reduction each and no temporary; a NaN fails the comparison.
-        if expected and not (
-            self.entries.min() >= 0 and math.isfinite(self.entries.max())
-        ):
-            raise ValueError("distances must be finite and non-negative")
-
-    @classmethod
-    def _adopt(cls, n: int, entries: np.ndarray, nearest: np.ndarray) -> "DistanceMatrix":
-        """Matrix over fresh, checked float64 vectors no caller holds: no copy is made."""
-        m = cls.__new__(cls)
-        object.__setattr__(m, "n", n)
-        object.__setattr__(m, "entries", _frozen(entries))
-        object.__setattr__(m, "_nearest", _frozen(nearest))
-        return m
-
-    def value(self, i: int, j: int) -> float:
-        """d(i, j); symmetric, zero on the diagonal (never stored)."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"index out of range for n={self.n}")
-        if i == j:
-            return 0.0
-        i, j = min(i, j), max(i, j)
-        return float(self.entries[i * (2 * self.n - i - 1) // 2 + (j - i - 1)])
+    nearest: np.ndarray = field(repr=False)
 
 
 def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
@@ -287,5 +262,5 @@ def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
         raise Overflow(
             "pairwise distances overflow double precision; rescale the descriptors"
         )
-    return DistanceMatrix._adopt(n, entries, nearest)
+    return DistanceMatrix(n, _frozen(entries), _frozen(nearest))
 

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import adaptlink as al
-from adaptlink import _kernels, adaptive, io
+from adaptlink import _kernels, adaptive, core, io
 
 import _expected as exp
 from _oracle import (
-    REGIMES, oracle_groups, oracle_neighbor_order, oracle_square, raw_frame,
-    regime_dataset, verify_run
+    REGIMES, condensed_square, oracle_groups, oracle_neighbor_order, oracle_square,
+    raw_frame, regime_dataset, verify_run
 )
 
 
@@ -27,7 +27,7 @@ def merge(coords, *groups):
 
 def first_matrix(nd):
     """The distance matrix the first step of ``nd`` builds."""
-    return al.matrix_from_coords(adaptive.initial_state(nd)[0])
+    return core.matrix_from_coords(adaptive.initial_state(nd)[0])
 
 
 @pytest.fixture(scope="module")
@@ -42,27 +42,24 @@ def meta_nd():
 
 class TestCutoff:
     def test_two_points(self):
-        m = al.matrix_from_coords(np.array([[0.0], [3.0]]))
-        assert al.cutoff_distance(m) == 3.0
+        m = core.matrix_from_coords(np.array([[0.0], [3.0]]))
+        assert adaptive.cutoff_distance(m) == 3.0
 
     def test_max_of_row_minima(self):
         # distances: d01=1, d02=3, d12=2 -> row minima 1, 1, 2 -> cut-off 2
-        m = al.DistanceMatrix(n=3, entries=np.array([1.0, 3.0, 2.0]))
-        assert al.cutoff_distance(m) == 2.0
-
-    def test_needs_two_points(self):
-        with pytest.raises(al.TooFewPoints):
-            al.cutoff_distance(al.DistanceMatrix(n=1, entries=np.array([])))
+        m = core.matrix_from_coords(np.array([[0.0], [1.0], [3.0]]))
+        assert m.entries.tolist() == [1.0, 3.0, 2.0]
+        assert adaptive.cutoff_distance(m) == 2.0
 
     def test_para_depth1_value(self, para_nd):
         matrix = first_matrix(para_nd)
-        cut = al.cutoff_distance(matrix)
+        cut = adaptive.cutoff_distance(matrix)
         assert cut == exp.PARA_CUTOFFS[0]
         assert al.format_cutoff(cut) == "1.05"
 
     def test_meta_depth1_value(self, meta_nd):
         matrix = first_matrix(meta_nd)
-        cut = al.cutoff_distance(matrix)
+        cut = adaptive.cutoff_distance(matrix)
         assert cut == exp.META_CUTOFFS[0]
         assert al.format_cutoff(cut) == "0.89"
 
@@ -99,10 +96,11 @@ class TestFormatCutoff:
 
 class TestNeighborhood:
     def test_center_first_and_sorted(self, para_nd):
-        matrix = first_matrix(para_nd)
-        cut = al.cutoff_distance(matrix)
+        coords = adaptive.initial_state(para_nd)[0]
+        matrix = core.matrix_from_coords(coords)
+        cut = adaptive.cutoff_distance(matrix)
         for i, members in enumerate(orderings(adaptive.neighborhood(matrix, cut))):
-            dists = [matrix.value(i, j) for j in members]
+            dists = _kernels.distances_from(coords[i], coords[members]).tolist()
             assert members[0] == i
             assert dists[0] == 0.0
             assert len(members) >= 2  # Lemma 1: the cut-off admits a neighbor
@@ -111,7 +109,7 @@ class TestNeighborhood:
 
     def test_para_cl_contains_br(self, para_nd):
         matrix = first_matrix(para_nd)
-        cut = al.cutoff_distance(matrix)
+        cut = adaptive.cutoff_distance(matrix)
         cl = para_nd.labels.index("Cl")
         br = para_nd.labels.index("Br")
         assert br in orderings(adaptive.neighborhood(matrix, cut))[cl]
@@ -124,6 +122,10 @@ class TestNeighborOrdering:
     def orders(m, d_u):
         return orderings(adaptive.neighborhood(m, d_u))
 
+    @staticmethod
+    def kernel_orders(entries, n, radius):
+        return orderings(adaptive.Neighborhoods(*_kernels.neighbors_within(entries, n, radius)))
+
     @pytest.mark.parametrize("regime", REGIMES)
     def test_every_level_matches_the_oracle(self, regime):
         nd = al.normalize(regime_dataset(regime))
@@ -131,8 +133,8 @@ class TestNeighborOrdering:
         depth = 0
         while len(level[1]) > 1:
             coords, _ = level
-            matrix = al.matrix_from_coords(coords)
-            d_u = al.cutoff_distance(matrix)
+            matrix = core.matrix_from_coords(coords)
+            d_u = adaptive.cutoff_distance(matrix)
             square = oracle_square(coords)
             want = [oracle_neighbor_order(square, i, d_u) for i in range(matrix.n)]
             assert self.orders(matrix, d_u) == want, f"level {depth + 1}"
@@ -141,39 +143,40 @@ class TestNeighborOrdering:
         assert depth >= 2
 
     def test_radius_below_every_distance(self):
-        m = al.matrix_from_coords(np.array([[0.0], [1.0], [3.0], [7.0]]))
+        m = core.matrix_from_coords(np.array([[0.0], [1.0], [3.0], [7.0]]))
         assert self.orders(m, 0.5) == [[0], [1], [2], [3]]
         nbs = adaptive.neighborhood(m, 0.5)
         assert nbs.starts.tolist() == list(range(5)) and nbs.members.tolist() == [0, 1, 2, 3]
 
     def test_second_radius_is_not_the_stored_one(self):
-        m = al.matrix_from_coords(np.array([[0.0], [1.0], [3.0], [7.0]]))
+        m = core.matrix_from_coords(np.array([[0.0], [1.0], [3.0], [7.0]]))
         assert self.orders(m, 2.0) == [[0, 1], [1, 0, 2], [2, 1], [3]]
         assert self.orders(m, 4.0) == [[0, 1, 2], [1, 0, 2], [2, 1, 0, 3], [3, 2]]
         assert self.orders(m, 2.0) == [[0, 1], [1, 0, 2], [2, 1], [3]]
 
     def test_negative_zero_ties_zero_by_index(self):
         # d03 = 0.0, d13 = -0.0, d23 = 0.0; every other pair 1.0.
-        m = al.DistanceMatrix(n=4, entries=[1.0, 1.0, 0.0, 1.0, -0.0, 0.0])
-        assert self.orders(m, 0.0) == [[0, 3], [1, 3], [2, 3], [3, 0, 1, 2]]
-        assert self.orders(m, -0.0) == self.orders(m, 0.0)
+        entries = np.array([1.0, 1.0, 0.0, 1.0, -0.0, 0.0])
+        zero = self.kernel_orders(entries, 4, 0.0)
+        assert zero == [[0, 3], [1, 3], [2, 3], [3, 0, 1, 2]]
+        assert self.kernel_orders(entries, 4, -0.0) == zero
         # Enough mixed values that the sort moves the signed zeros around.
         n = 40
         values = np.random.default_rng(5).choice([-0.0, 0.0, 1.0], n * (n - 1) // 2)
-        m = al.DistanceMatrix(n=n, entries=values)
+        square = condensed_square(values, n)
         want = [
-            [i, *sorted((j for j in range(n) if j != i), key=lambda j: (m.value(i, j), j))]
+            [i, *sorted((j for j in range(n) if j != i), key=lambda j: (square[i, j], j))]
             for i in range(n)
         ]
-        assert self.orders(m, 1.0) == want
+        assert self.kernel_orders(values, n, 1.0) == want
 
     def test_two_points(self):
-        m = al.matrix_from_coords(np.array([[0.0, 1.0], [3.0, 5.0]]))
-        assert self.orders(m, al.cutoff_distance(m)) == [[0, 1], [1, 0]]
+        m = core.matrix_from_coords(np.array([[0.0, 1.0], [3.0, 5.0]]))
+        assert self.orders(m, adaptive.cutoff_distance(m)) == [[0, 1], [1, 0]]
         assert self.orders(m, 4.9) == [[0], [1]]
 
     def test_csr_arrays_are_read_only(self):
-        m = al.matrix_from_coords(np.array([[0.0], [1.0], [3.0]]))
+        m = core.matrix_from_coords(np.array([[0.0], [1.0], [3.0]]))
         nbs = adaptive.neighborhood(m, 2.0)
         for a in (nbs.starts, nbs.members):
             with pytest.raises(ValueError):
@@ -196,7 +199,7 @@ class TestNeighborOrdering:
 class TestSubNeighborhood:
     def test_mutual_pair_on_fixture(self, para_nd):
         matrix = first_matrix(para_nd)
-        cut = al.cutoff_distance(matrix)
+        cut = adaptive.cutoff_distance(matrix)
         cl = para_nd.labels.index("Cl")
         br = para_nd.labels.index("Br")
         orders = orderings(adaptive.neighborhood(matrix, cut))
@@ -205,8 +208,8 @@ class TestSubNeighborhood:
 
 class TestExtremelyCloseSets:
     def nbhds(self, coords):
-        m = al.matrix_from_coords(coords)
-        cut = al.cutoff_distance(m)
+        m = core.matrix_from_coords(coords)
+        cut = adaptive.cutoff_distance(m)
         return adaptive.neighborhood(m, cut)
 
     def test_two_points_merge(self):
@@ -220,7 +223,7 @@ class TestExtremelyCloseSets:
 
     def test_para_depth1_groups(self, para_nd):
         matrix = first_matrix(para_nd)
-        cut = al.cutoff_distance(matrix)
+        cut = adaptive.cutoff_distance(matrix)
         nbs = adaptive.neighborhood(matrix, cut)
         groups = set(adaptive.extremely_close_sets(nbs))
         assert groups == {
@@ -229,7 +232,7 @@ class TestExtremelyCloseSets:
 
     def test_meta_depth1_groups(self, meta_nd):
         matrix = first_matrix(meta_nd)
-        cut = al.cutoff_distance(matrix)
+        cut = adaptive.cutoff_distance(matrix)
         nbs = adaptive.neighborhood(matrix, cut)
         groups = set(adaptive.extremely_close_sets(nbs))
         assert groups == {
@@ -239,7 +242,7 @@ class TestExtremelyCloseSets:
 
     def test_groups_disjoint_and_sorted(self, meta_nd):
         matrix = first_matrix(meta_nd)
-        cut = al.cutoff_distance(matrix)
+        cut = adaptive.cutoff_distance(matrix)
         nbs = adaptive.neighborhood(matrix, cut)
         groups = adaptive.extremely_close_sets(nbs)
         seen = set()
@@ -249,10 +252,11 @@ class TestExtremelyCloseSets:
         assert [min(g) for g in groups] == sorted(min(g) for g in groups)
 
     def test_center_first_before_lower_index_duplicate(self):
-        m = al.matrix_from_coords(np.array([[0.0], [0.0], [5.0]]))
-        members = orderings(adaptive.neighborhood(m, al.cutoff_distance(m)))[1]
+        coords = np.array([[0.0], [0.0], [5.0]])
+        m = core.matrix_from_coords(coords)
+        members = orderings(adaptive.neighborhood(m, adaptive.cutoff_distance(m)))[1]
         assert members == [1, 0, 2]
-        assert [m.value(1, j) for j in members] == [0.0, 0.0, 5.0]
+        assert _kernels.distances_from(coords[1], coords[members]).tolist() == [0.0, 0.0, 5.0]
 
     def test_unequal_neighborhood_lengths(self):
         # Lengths 3, 3, 4, 2: the padded rows must not admit the fourth point.
@@ -271,8 +275,8 @@ class TestExtremelyCloseSets:
         # One member row per batch of the exact check must not change the
         # groups, which must match the oracle's definition.
         coords = al.normalize(regime_dataset(regime)).coords
-        m = al.matrix_from_coords(coords)
-        cut = al.cutoff_distance(m)
+        m = core.matrix_from_coords(coords)
+        cut = adaptive.cutoff_distance(m)
         nbs = adaptive.neighborhood(m, cut)
         want, _ = oracle_groups(oracle_square(coords), cut)
         want = sorted(tuple(sorted(s)) for s in want)
@@ -311,8 +315,8 @@ class TestKeyCollisions:
     @staticmethod
     def line():
         # Only {2, 3} qualifies.
-        m = al.matrix_from_coords(np.array([[0.0], [1.0], [1.8], [2.0]]))
-        nbs = adaptive.neighborhood(m, al.cutoff_distance(m))
+        m = core.matrix_from_coords(np.array([[0.0], [1.0], [1.8], [2.0]]))
+        nbs = adaptive.neighborhood(m, adaptive.cutoff_distance(m))
         assert orderings(nbs) == [[0, 1], [1, 2, 0, 3], [2, 3, 1], [3, 2, 1]]
         return nbs
 
@@ -320,8 +324,8 @@ class TestKeyCollisions:
     @pytest.mark.parametrize("regime", REGIMES)
     def test_regime_level_matches_the_oracle(self, regime, collide, monkeypatch):
         coords = al.normalize(regime_dataset(regime)).coords
-        m = al.matrix_from_coords(coords)
-        cut = al.cutoff_distance(m)
+        m = core.matrix_from_coords(coords)
+        cut = adaptive.cutoff_distance(m)
         nbs = adaptive.neighborhood(m, cut)
         want, _ = oracle_groups(oracle_square(coords), cut)
         colliding_keys(monkeypatch, collide)
@@ -344,8 +348,8 @@ class TestKeyCollisions:
         # Under equal keys a candidate outgrows the ordering of the last row,
         # so the check must not read past that row.
         coords = np.array([[3.0], [2.0], [8.0], [7.0], [0.0], [1.0], [4.0]])
-        m = al.matrix_from_coords(coords)
-        cut = al.cutoff_distance(m)
+        m = core.matrix_from_coords(coords)
+        cut = adaptive.cutoff_distance(m)
         nbs = adaptive.neighborhood(m, cut)
         want, _ = oracle_groups(oracle_square(coords), cut)
         asked = colliding_keys(monkeypatch, all_equal)
@@ -433,7 +437,7 @@ class TestClusterStep:
         assert record.depth == 1
         assert len(record.groups) == 8
         coords, nodes = level
-        assert len(nodes) == coords.shape[0] == al.matrix_from_coords(coords).n == 25 - 8
+        assert len(nodes) == coords.shape[0] == core.matrix_from_coords(coords).n == 25 - 8
 
     def test_meta_first_step_counts(self, meta_nd):
         level, record = adaptive._step(adaptive.initial_state(meta_nd), meta_nd, 1)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import adaptlink as al
-from adaptlink import _kernels, io
+from adaptlink import _kernels, core, io
+
+from _oracle import condensed_square
 
 
 def small(values, columns=None):
@@ -100,8 +102,8 @@ class TestNormalize:
         data = small(rng.uniform(-2, 2, size=(12, 1)))
         orders = []
         for mode in al.SdMode:
-            m = al.matrix_from_coords(al.normalize(data, mode).coords)
-            orders.append(np.argsort([m.value(0, j) for j in range(1, 12)]))
+            m = core.matrix_from_coords(al.normalize(data, mode).coords)
+            orders.append(np.argsort(condensed_square(m.entries, m.n)[0, 1:]))
         assert np.array_equal(orders[0], orders[1])
 
     def test_overflowing_column_rejected(self):
@@ -133,94 +135,61 @@ class TestDistance:
 
     def test_matrix_accessor_matches_direct(self):
         nd = al.normalize(io.load_fixture("para"))
-        m = al.matrix_from_coords(nd.coords)
+        m = core.matrix_from_coords(nd.coords)
+        square = condensed_square(m.entries, m.n)
+        np.fill_diagonal(square, 0.0)
         for i in range(nd.n):
             want = _kernels.distances_from(nd.coords[i], nd.coords)
-            assert [m.value(i, j) for j in range(nd.n)] == want.tolist()
-
-    def test_matrix_symmetric_zero_diagonal(self):
-        nd = al.normalize(io.load_fixture("meta"))
-        m = al.matrix_from_coords(nd.coords)
-        for i in range(nd.n):
-            assert m.value(i, i) == 0.0
-            for j in range(i):
-                assert m.value(i, j) == m.value(j, i)
+            assert square[i].tolist() == want.tolist()
 
     def test_para_cl_br_distance(self):
         nd = al.normalize(io.load_fixture("para"))
         i, j = nd.labels.index("Cl"), nd.labels.index("Br")
-        m = al.matrix_from_coords(nd.coords)
-        assert m.value(i, j) == pytest.approx(0.07855304526571197, rel=1e-12)
+        m = core.matrix_from_coords(nd.coords)
+        d = condensed_square(m.entries, m.n)[i, j]
+        assert d == pytest.approx(0.07855304526571197, rel=1e-12)
 
     def test_meta_duplicate_rows_distance_zero(self):
         nd = al.normalize(io.load_fixture("meta"))
-        m = al.matrix_from_coords(nd.coords)
+        m = core.matrix_from_coords(nd.coords)
+        square = condensed_square(m.entries, m.n)
         for a, b in (("H", "NO2"), ("OMe", "OH")):
-            assert m.value(nd.labels.index(a), nd.labels.index(b)) == 0.0
+            assert square[nd.labels.index(a), nd.labels.index(b)] == 0.0
 
     def test_collinear_points_additive(self):
         nd = al.normalize(small([[0.0], [1.0], [2.0]]))
-        m = al.matrix_from_coords(nd.coords)
-        assert m.value(0, 2) == m.value(0, 1) + m.value(1, 2)
+        m = core.matrix_from_coords(nd.coords)
+        d01, d02, d12 = m.entries.tolist()
+        assert d02 == d01 + d12
 
     def test_matrix_requires_two_points(self):
         data = small([[1.0, 2.0]])
         with pytest.raises(al.TooFewPoints):
-            al.matrix_from_coords(al.identity_normalized(data).coords)
+            core.matrix_from_coords(al.identity_normalized(data).coords)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_distances_rejected(self):
         with pytest.raises(al.Overflow):
-            al.matrix_from_coords(np.array([[1e200, 0.0], [-1e200, 1.0]]))
+            core.matrix_from_coords(np.array([[1e200, 0.0], [-1e200, 1.0]]))
         with pytest.raises(al.Overflow):
-            al.matrix_from_coords(np.array([[np.inf], [0.0]]))
+            core.matrix_from_coords(np.array([[np.inf], [0.0]]))
 
     def test_matrix_keeps_a_read_only_copy(self):
-        src = np.array([1.0, 3.0, 2.0])
-        m = al.DistanceMatrix(n=3, entries=src)
-        src[0] = 9.0
-        assert m.value(0, 1) == 1.0
-        assert not np.shares_memory(m.entries, src)
-        from_coords = al.matrix_from_coords(np.array([[0.0], [1.0], [3.0]]))
-        for entries in (m.entries, from_coords.entries):
+        m = core.matrix_from_coords(np.array([[0.0], [1.0], [3.0]]))
+        for a in (m.entries, m.nearest):
             with pytest.raises(ValueError):
-                entries[0] = 0.5
+                a[0] = 0.5
             with pytest.raises(ValueError):
-                entries.setflags(write=True)
-
-    @pytest.mark.parametrize(
-        "n, entries, problem",
-        [
-            (2, [np.nan], "finite and non-negative"),
-            (2, [np.inf], "finite and non-negative"),
-            (2, [-np.inf], "finite and non-negative"),
-            (2, [-1.0], "finite and non-negative"),
-            (3, [1.0, np.nan, 2.0], "finite and non-negative"),
-            (3, [3.0, 2.0, -1e-300], "finite and non-negative"),
-            (-1, [0.0], "non-negative integer"),
-            (2.5, [1.0], "non-negative integer"),
-            (True, [], "non-negative integer"),
-        ],
-        # The distance cases keep their positional ids.
-        ids=[f"entries{k}" for k in range(6)] + ["n-negative", "n-fractional", "n-bool"],
-    )
-    def test_matrix_rejects_bad_distances(self, n, entries, problem):
-        with pytest.raises(ValueError, match=problem):
-            al.DistanceMatrix(n=n, entries=entries)
-
-    def test_matrix_accepts_empty_and_negative_zero(self):
-        for n in (0, 1):
-            assert al.DistanceMatrix(n=n, entries=[]).entries.shape == (0,)
-        assert al.DistanceMatrix(n=2, entries=[-0.0]).value(0, 1) == 0.0
+                a.setflags(write=True)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_coordinates_overflow(self):
         with pytest.raises(al.Overflow):
-            al.matrix_from_coords(np.array([[np.nan], [0.0], [1.0]]))
+            core.matrix_from_coords(np.array([[np.nan], [0.0], [1.0]]))
 
     def test_matrix_needs_a_column(self):
         with pytest.raises(ValueError, match="at least one column"):
-            al.matrix_from_coords(np.zeros((3, 0)))
+            core.matrix_from_coords(np.zeros((3, 0)))
 
 
 # Each public container builds its arrays through one float64 conversion,
@@ -232,9 +201,8 @@ class TestDistance:
         lambda: al.NormalizationStats(means=[1j], sds=[1.0], mode="sample"),
         lambda: al.NormalizationStats(means=[0.0], sds=[1 + 1j], mode="sample"),
         lambda: TestNormalizedDataset.frame(coords=((0.0, 1j), (1.0, 0.0), (2.0, 2.0))),
-        lambda: al.DistanceMatrix(n=2, entries=[1j]),
     ],
-    ids=["dataset", "stats-means", "stats-sds", "normalized-dataset", "distance-matrix"],
+    ids=["dataset", "stats-means", "stats-sds", "normalized-dataset"],
 )
 def test_complex_values_rejected(build):
     with pytest.raises(ValueError, match="complex"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import adaptlink as al
-from adaptlink import _kernels, adaptive, baseline, io
+from adaptlink import _kernels, adaptive, baseline, core, io
 
 from _oracle import condensed_square
 
@@ -15,6 +15,11 @@ def upper_squareform(entries, n):
     square = pytest.importorskip("scipy.spatial.distance").squareform(entries)
     square[np.tril_indices(n)] = np.inf
     return square
+
+
+def pairwise(x):
+    """The condensed entries of ``x``, with an inf-filled vector for the minima."""
+    return _kernels.pairwise_condensed(x, np.full(len(x), np.inf))
 
 
 def random_coords(rng, n, p):
@@ -30,14 +35,14 @@ class TestAgainstScipy:
         rng = np.random.default_rng(13)
         for n, p in ((6, 2), (20, 3), (35, 5)):
             x = random_coords(rng, n, p)
-            ours = _kernels.pairwise_condensed(x)
+            ours = pairwise(x)
             theirs = pdist(x, metric="euclidean")
             assert np.allclose(ours, theirs, rtol=1e-12, atol=1e-12)
 
     def test_fixture_matrix_matches_pdist(self):
         pdist = pytest.importorskip("scipy.spatial.distance").pdist
         nd = al.normalize(io.load_fixture("meta"))
-        m = al.matrix_from_coords(nd.coords)
+        m = core.matrix_from_coords(nd.coords)
         assert np.allclose(m.entries, pdist(nd.coords), rtol=1e-12, atol=1e-12)
 
 
@@ -45,13 +50,13 @@ class TestDistancesFrom:
     def test_matches_condensed_entries(self):
         rng = np.random.default_rng(14)
         x = random_coords(rng, 9, 3)
-        entries = _kernels.pairwise_condensed(x)
-        m = al.matrix_from_coords(x)
+        entries = pairwise(x)
+        square = condensed_square(entries, 9)
+        np.fill_diagonal(square, 0.0)
         for i in range(9):
             # Row i against every point, those before i (reversed differences) included.
-            want = [m.value(i, j) for j in range(9)]
-            assert np.array_equal(_kernels.distances_from(x[i], x), want)
-        assert np.array_equal(m.entries, entries)
+            assert np.array_equal(_kernels.distances_from(x[i], x), square[i])
+        assert np.array_equal(core.matrix_from_coords(x).entries, entries)
 
 
 class TestSquareFromCondensed:
@@ -60,7 +65,7 @@ class TestSquareFromCondensed:
     def test_matches_squareform(self):
         rng = np.random.default_rng(15)
         for n, p in ((2, 1), (7, 2), (40, 3)):
-            entries = _kernels.pairwise_condensed(random_coords(rng, n, p))
+            entries = pairwise(random_coords(rng, n, p))
             square = baseline._upper_square(entries, n)
             assert np.array_equal(square, upper_squareform(entries, n))
 
@@ -73,7 +78,7 @@ class TestSquareFromCondensed:
         rng = np.random.default_rng(16)
         x = rng.uniform(-4, 4, size=(6, 3))
         x = np.concatenate([x, x[::-1]])
-        entries = _kernels.pairwise_condensed(x)
+        entries = pairwise(x)
         assert entries.min() == 0.0 < entries.max()
         assert _kernels.cutoff_from_condensed(entries, 12) == 0.0
 
@@ -87,7 +92,7 @@ def scan_cutoff(entries, n):
 def assert_exact(x):
     """Every condensed entry and the cut-off equal the per-point references bit for bit."""
     n = x.shape[0]
-    entries = _kernels.pairwise_condensed(x)
+    entries = pairwise(x)
     assert entries.shape == (n * (n - 1) // 2,)
     x = np.asarray(x, dtype=np.float64)
     lo = 0
@@ -99,21 +104,16 @@ def assert_exact(x):
 
 
 def assert_fused_cutoff(x):
-    """The pairwise pass's nearest distances give the scans' cut-off bit for bit.
-
-    A hand-built matrix over the same entries, which has no nearest
-    distances and is scanned, gives the same cut-off too.
-    """
-    m = al.matrix_from_coords(x)
+    """The pairwise pass's nearest distances give the scans' cut-off bit for bit."""
+    m = core.matrix_from_coords(x)
     n, entries = m.n, m.entries
-    assert np.array_equal(entries, _kernels.pairwise_condensed(x))
+    assert np.array_equal(entries, pairwise(x))
     square = condensed_square(entries, n)
-    assert np.sqrt(m._nearest).tobytes() == square.min(axis=1).tobytes()
+    assert np.sqrt(m.nearest).tobytes() == square.min(axis=1).tobytes()
     cuts = (
-        al.cutoff_distance(m),
+        adaptive.cutoff_distance(m),
         _kernels.cutoff_from_condensed(entries, n),
         scan_cutoff(entries, n),
-        al.cutoff_distance(al.DistanceMatrix(n, entries)),
     )
     assert len({c.hex() for c in cuts}) == 1, cuts
 
@@ -164,7 +164,7 @@ class TestRowBlocks:
         monkeypatch.setattr(_kernels, "_CELL_BUDGET", budget)
         x = block_inputs()[name]
         n = x.shape[0]
-        entries = _kernels.pairwise_condensed(x)
+        entries = pairwise(x)
         want = upper_squareform(entries, n)
         assert np.array_equal(baseline._upper_square(entries, n), want)
 
@@ -196,9 +196,9 @@ class TestFusedCutoff:
         monkeypatch.setattr(_kernels, "_CELL_BUDGET", budget)
         x = np.array([[1e200, 0.0], [-1e200, 1.0]] * 3)
         with pytest.raises(al.Overflow):
-            al.matrix_from_coords(x)
+            core.matrix_from_coords(x)
         with pytest.raises(al.Overflow):
-            al.matrix_from_coords(x[:2])
+            core.matrix_from_coords(x[:2])
 
 
 class TestMemory:
@@ -224,25 +224,26 @@ class TestMemory:
 
     def test_pairwise_peak_near_its_output(self):
         x = np.random.default_rng(19).standard_normal((self.n, 3))
-        entries, peak = self.peak_bytes(_kernels.pairwise_condensed, x)
+        nearest = np.full(self.n, np.inf)
+        entries, peak = self.peak_bytes(_kernels.pairwise_condensed, x, nearest)
         assert peak < 1.5 * entries.nbytes
 
     def test_square_peak_near_its_output(self):
         x = np.random.default_rng(21).standard_normal((self.n, 3))
-        entries = _kernels.pairwise_condensed(x)
+        entries = pairwise(x)
         square, peak = self.peak_bytes(baseline._upper_square, entries, self.n)
         assert peak <= 1.05 * square.nbytes
 
     def test_matrix_and_cutoff_peak_near_the_condensed_vector(self):
         # The cut-off reads the nearest distances kept by the pairwise pass.
         x = np.random.default_rng(26).standard_normal((self.n, 3))
-        cut, peak = self.peak_bytes(lambda: al.cutoff_distance(al.matrix_from_coords(x)))
+        cut, peak = self.peak_bytes(lambda: adaptive.cutoff_distance(core.matrix_from_coords(x)))
         assert cut > 0
         assert peak < 1.5 * self.n * (self.n - 1) // 2 * 8
 
     def test_cutoff_peak_far_below_a_square(self):
         x = np.random.default_rng(20).standard_normal((self.n, 3))
-        entries = _kernels.pairwise_condensed(x)
+        entries = pairwise(x)
         _, peak = self.peak_bytes(_kernels.cutoff_from_condensed, entries, self.n)
         square_bytes = self.n * self.n * 8
         assert peak < square_bytes / 8
@@ -260,8 +261,8 @@ class TestMemory:
         assert peak < self.n * self.n * 8 / 8
 
     def test_neighbors_peak_far_below_a_square_on_a_grid_level(self):
-        m = al.matrix_from_coords(al.adaptive.initial_state(self.grid())[0])
-        cut = al.cutoff_distance(m)
+        m = core.matrix_from_coords(al.adaptive.initial_state(self.grid())[0])
+        cut = adaptive.cutoff_distance(m)
         (_, members), peak = self.peak_bytes(_kernels.neighbors_within, m.entries, m.n, cut)
         square_bytes = self.n * self.n * 8
         assert 0 < members.size < self.n * self.n / 50
@@ -271,7 +272,7 @@ class TestMemory:
         # One far row sets the cut-off, so every other pair is within it.
         x = np.random.default_rng(23).standard_normal((self.n, 3))
         x[0] = 40.0
-        entries = _kernels.pairwise_condensed(x)
+        entries = pairwise(x)
         cut = _kernels.cutoff_from_condensed(entries, self.n)
         (_, members), peak = self.peak_bytes(_kernels.neighbors_within, entries, self.n, cut)
         square_bytes = self.n * self.n * 8
@@ -283,8 +284,8 @@ class TestMemory:
         # beside them; every ordering but the far row's spans the set.
         x = np.random.default_rng(23).standard_normal((self.n, 3))
         x[0] = 40.0
-        m = al.matrix_from_coords(x)
-        cut = al.cutoff_distance(m)
+        m = core.matrix_from_coords(x)
+        cut = adaptive.cutoff_distance(m)
         groups, peak = self.peak_bytes(
             lambda: adaptive.extremely_close_sets(adaptive.neighborhood(m, cut))
         )

@@ -2,13 +2,15 @@
 from decimal import Decimal
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import adaptlink as al
-from adaptlink import adaptive, io
+from adaptlink import adaptive, core, io
 
-from _oracle import oracle_stepwise, random_dataset, raw_frame, verify_run
+from _oracle import (
+    condensed_square, oracle_cutoff, oracle_square, oracle_stepwise, random_dataset, raw_frame,
+    verify_run
+)
 
 
 def finite_floats(lo=-5.0, hi=5.0):
@@ -145,27 +147,25 @@ class TestEngineInvariants:
     @settings(max_examples=60, deadline=None)
     @given(datasets())
     def test_cutoff_is_max_of_row_minima(self, data):
+        # The pure-Python oracle adds squares in the kernel's order: the same bits.
         nd = wrap(data)
-        m = al.matrix_from_coords(nd.coords)
-        square = np.array([[m.value(i, j) for j in range(m.n)] for i in range(m.n)])
-        np.fill_diagonal(square, np.inf)
-        want = float(square.min(axis=1).max())
-        assert al.cutoff_distance(m) == pytest.approx(want, rel=0, abs=0)
+        cut = adaptive.cutoff_distance(core.matrix_from_coords(nd.coords))
+        assert cut.hex() == oracle_cutoff(oracle_square(nd.coords)).hex()
 
     @settings(max_examples=60, deadline=None)
     @given(datasets())
     def test_lemma1_every_neighborhood_has_a_neighbor(self, data):
         nd = wrap(data)
-        m = al.matrix_from_coords(nd.coords)
-        cut = al.cutoff_distance(m)
+        m = core.matrix_from_coords(nd.coords)
+        cut = adaptive.cutoff_distance(m)
         assert (np.diff(adaptive.neighborhood(m, cut).starts) >= 2).all()
 
     @settings(max_examples=60, deadline=None)
     @given(datasets())
     def test_lemma2_at_least_one_merge(self, data):
         nd = wrap(data)
-        m = al.matrix_from_coords(nd.coords)
-        cut = al.cutoff_distance(m)
+        m = core.matrix_from_coords(nd.coords)
+        cut = adaptive.cutoff_distance(m)
         groups = adaptive.extremely_close_sets(adaptive.neighborhood(m, cut))
         assert len(groups) >= 1
         seen = set()
@@ -211,8 +211,8 @@ class TestNormalizeProperties:
         except al.ZeroVariance:
             return
         assert np.array_equal(nd.coords[0], nd.coords[-1])
-        m = al.matrix_from_coords(nd.coords)
-        assert m.value(0, data.n - 1) == 0.0
+        m = core.matrix_from_coords(nd.coords)
+        assert condensed_square(m.entries, m.n)[0, -1] == 0.0
 
 
 class TestRoundTrips:

@@ -4,7 +4,10 @@
   distances of an n×p matrix and each point's least squared distance;
 * :func:`cutoff_from_condensed` is the minimax scan over condensed entries,
   kept as the reference the fused minima are tested against;
-* :func:`neighbors_within` gives every point's ordering within a radius,
+* :func:`pairs_within` lists the ``(i, j, d)`` pairs of a condensed vector
+  within a radius, and :func:`expand_copies` turns pairs of distinct values
+  into pairs of the rows that hold them;
+* :func:`neighbors_within` gives every point's ordering from such pairs,
   center first, in CSR form, from one sort of packed int64 keys (row,
   distance rank, column), which fit for n < 65 536;
 * :func:`distances_from` gives the distances from one point to each of a
@@ -104,58 +107,100 @@ def cutoff_from_condensed(entries: np.ndarray, n: int) -> float:
     return float(nearest.max())
 
 
+def pairs_within(entries: np.ndarray, n: int, radius: float):
+    """The pairs ``(i, j, d)`` of a condensed vector with ``d <= radius``, ``i < j``.
+
+    Row r's entries start at r(2n - r - 1)/2 and the in-radius positions
+    are found in order, so each row's pairs are one run.
+    """
+    idx = np.flatnonzero(entries <= radius)
+    d = entries[idx]
+    r = np.arange(n, dtype=np.int64)
+    row_starts = r * (2 * n - r - 1) // 2
+    i = np.repeat(r, np.diff(np.searchsorted(idx, row_starts), append=idx.size))
+    j = idx  # the position becomes the column in place
+    j -= row_starts[i]
+    j += i
+    j += 1
+    return i, j, d
+
+
+def _ragged_arange(lengths: np.ndarray) -> np.ndarray:
+    """``0..l-1`` for each ``l`` of ``lengths``, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - lengths, lengths)
+
+
+def expand_copies(i, j, d, rows: np.ndarray, starts: np.ndarray):
+    """Pairs of distinct values ``(i, j, d)`` as pairs of the rows that hold them.
+
+    Value k is held by ``rows[starts[k]:starts[k + 1]]``. Each pair becomes
+    every pair of a row of i's value and a row of j's value, at the same d,
+    and every two rows of one value are added as a pair at +0.0.
+    """
+    size = np.diff(starts)
+    across = size[i] * size[j]
+    t = _ragged_arange(across)
+    cols = np.repeat(size[j], across)
+    a = rows[np.repeat(starts[i], across) + t // cols]
+    b = rows[np.repeat(starts[j], across) + t % cols]
+    # Each row against the later rows of its value.
+    later = np.repeat(size, size) - 1 - _ragged_arange(size)
+    a0 = np.repeat(rows, later)
+    b0 = rows[np.repeat(np.arange(rows.size), later) + 1 + _ragged_arange(later)]
+    return (
+        np.concatenate((a, a0)),
+        np.concatenate((b, b0)),
+        np.concatenate((np.repeat(d, across), np.zeros(a0.size))),
+    )
+
+
 # Keys (row·(D + 1) + rank)·n + column stay below n²·(D + 1) <= n⁴/2 < 2⁶³ for smaller n.
 _MAX_NEIGHBOR_POINTS = 1 << 16
 
 
-def neighbors_within(entries: np.ndarray, n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every point's ordering within ``radius``, center first, in CSR form.
+def neighbors_within(
+    i: np.ndarray, j: np.ndarray, d: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every point's ordering from its pairs, center first, in CSR form.
 
-    Point i's ordering is ``members[starts[i]:starts[i + 1]]``: i itself,
-    then every j != i with d(i, j) <= radius, nearest first, ties (``-0.0``
-    and ``0.0`` included) broken by index. The center leads even where a
-    lower-index duplicate lies at distance 0. Only the condensed entries are
-    read.
+    ``(i, j, d)`` lists each pair within the radius once, in either
+    orientation and in any order, with its distance; i and j are int64,
+    and d is overwritten with the distances' ranks. Point i's ordering is
+    ``members[starts[i]:starts[i + 1]]``: i itself, then every j it is
+    paired with, nearest first, ties (``-0.0`` and ``0.0`` included) broken
+    by index. The center leads even where a lower-index duplicate lies at
+    distance 0.
 
-    The D distinct in-radius distances get the dense ranks 1..D and each
-    center the rank 0, so the int64 key ``(row·(D + 1) + rank)·n + column``
-    sorts like (row, distance, column); each in-radius pair is written as
-    (i, j) and (j, i), each center as (i, i), and one sort of these unique
-    keys orders every neighbourhood. The keys stay below n⁴/2, so n must be
-    below 65 536, where the condensed vector alone already takes 17 GB; a
-    larger n raises ``ValueError`` before anything is allocated. The ranks
-    and the key are built in place and the index arrays are freed before
-    the sort; where every pair is in radius the peak stays near 2.5 n×n
+    The D distinct distances get the dense ranks 1..D and each center the
+    rank 0, so the int64 key ``(row·(D + 1) + rank)·n + column`` sorts like
+    (row, distance, column); each pair is written as (i, j) and (j, i),
+    each center as (i, i), and one sort of these unique keys orders every
+    neighbourhood. The keys stay below n⁴/2, so n must be below 65 536,
+    where the condensed vector alone already takes 17 GB; a larger n raises
+    ``ValueError`` before anything is allocated. The ranks take d's buffer
+    and the key 2m + n values, so with m pairs the peak is about 5m
+    values, inputs included: where every pair is in radius, about 2.5 n×n
     float64 squares.
     """
     if n >= _MAX_NEIGHBOR_POINTS:
         raise ValueError(f"neighbour keys overflow int64 for n={n} >= {_MAX_NEIGHBOR_POINTS}")
-    idx = np.flatnonzero(entries <= radius)
-    m = idx.size
+    m = d.size
     # Dense ranks without np.unique's five temporaries: rank the sorted copy
-    # in its own buffer, then scatter the ranks back to pair order.
-    dist = entries[idx]
-    order = dist.argsort()
-    dist = dist[order]
+    # in its own buffer, then scatter the ranks back to pair order in d's.
+    # The cumsum runs in place on int64, as a cast one would copy its input.
+    order = d.argsort()
+    dist = d[order]
     new_value = dist[1:] != dist[:-1]
     sorted_rank = dist.view(np.int64)
     sorted_rank[:1] = 1
-    np.cumsum(new_value, out=sorted_rank[1:])
-    sorted_rank[1:] += 1
+    sorted_rank[1:] = new_value
+    np.cumsum(sorted_rank, out=sorted_rank)
     # w = D + 1 rank values per row, the centers' 0 included.
     w = int(sorted_rank[-1]) + 1 if m else 1
-    rank = np.empty_like(idx)
+    rank = d.view(np.int64)
     rank[order] = sorted_rank
     del dist, order, new_value, sorted_rank
-    # Row r's entries start at r(2n - r - 1)/2, and idx is sorted, so the
-    # rows are runs; idx becomes the column j.
-    r = np.arange(n, dtype=np.int64)
-    row_starts = r * (2 * n - r - 1) // 2
-    i = np.repeat(r, np.diff(np.searchsorted(idx, row_starts), append=m))
-    j = idx
-    j -= row_starts[i]
-    j += i
-    j += 1
     key = np.empty(2 * m + n, dtype=np.int64)
     ij, ji, ii = key[:m], key[m : 2 * m], key[2 * m :]
     np.multiply(i, w, out=ij)
@@ -166,8 +211,8 @@ def neighbors_within(entries: np.ndarray, n: int, radius: float) -> tuple[np.nda
     ji += rank
     ji *= n
     ji += i
-    np.multiply(r, w * n + 1, out=ii)
-    del idx, i, j, rank, ij, ji, ii
+    np.multiply(np.arange(n, dtype=np.int64), w * n + 1, out=ii)
+    del rank, ij, ji, ii
     key.sort()
     # Row r's keys are those from r·(D + 1)·n up to (r + 1)·(D + 1)·n.
     starts = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * (w * n))

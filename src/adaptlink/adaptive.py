@@ -11,16 +11,23 @@ the full tree typically needs far fewer levels than one-merge-at-a-time
 agglomeration.
 
 A level is the active coordinates (an m x p float64 array) and the tree
-node of each row. A step builds its own distance matrix, so one is alive at
+node of each row. A step builds its own distances, so one set is alive at
 a time, builds each merged node once and records its leaves in the trace.
-That matrix is an internal record of the level, not public API: its
-cut-off is read from the least distances the pairwise pass keeps.
+The distances are computed once per distinct row: rows that compare equal
+in every column are copies, which lie at +0.0 from each other and at their
+representative's distance from every other row, so the step's distance
+matrix covers the representatives (each value's lowest row) only, and a
+level without copies takes every row as it is. That matrix is an internal
+record of the level, not public API: its cut-off is read from the least
+distances the pairwise pass keeps, and its pairs within the cut-off are
+expanded to the copies' pairs before the orderings are built.
 
-:func:`_step` calls :func:`~adaptlink.core.matrix_from_coords`,
-:func:`cutoff_distance`, :func:`neighborhood` (every point's ordering, in CSR
-form, once per level) and :func:`extremely_close_sets` (prefix hashes, then an
-exact check) through this module's globals, so a tracer that rebinds them
-here (the benchmark's per-layer timers do) sees every call of a level.
+:func:`_step` calls :func:`~adaptlink.core.matrix_from_coords` (through
+:func:`level_distances`), :func:`cutoff_distance`, :func:`neighborhood`
+(every point's ordering, in CSR form, once per level) and
+:func:`extremely_close_sets` (prefix hashes, then an exact check) through
+this module's globals, so a tracer that rebinds them here (the benchmark's
+per-layer timers do) sees every call of a level.
 
 The working coordinate frame follows the input (see README for the rationale
 and the reference tabulation it reproduces):
@@ -158,25 +165,103 @@ class Dendrogram:
     meta: dict = field(default_factory=dict)
 
 
-def cutoff_distance(m: DistanceMatrix) -> float:
-    """Max over points of the distance to their nearest other point.
+def _distinct_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """A level's rows grouped by value, or None where no two rows are equal.
 
-    From the squared minima that :func:`~adaptlink.core.matrix_from_coords`
-    keeps; ``sqrt`` is monotone and correctly rounded, so the result has the
-    bits of the least condensed entries.
+    Rows are equal when every column compares equal, so ``-0.0`` matches
+    ``0.0``. Returns ``(rows, starts)``: value k is held by
+    ``rows[starts[k]:starts[k + 1]]``, in ascending order, and the values
+    follow the order of their lowest row, their representative. A level
+    with a non-finite coordinate counts as one without copies, so that
+    :func:`~adaptlink.core.matrix_from_coords` reports its overflow.
     """
-    return float(np.sqrt(m.nearest.max()))
+    first = np.sort(coords[:, 0])  # equal rows have equal first columns
+    if not (first[1:] == first[:-1]).any():
+        return None
+    order = np.lexsort(coords.T)  # stable: equal rows in one run, lowest row first
+    ranked = coords[order]
+    same = (ranked[1:] == ranked[:-1]).all(axis=1)
+    if not same.any() or not np.isfinite(coords).all():
+        return None
+    run_start = np.concatenate(([True], ~same))
+    reps = order[run_start]
+    number = np.empty(reps.size, dtype=np.intp)
+    number[reps.argsort()] = np.arange(reps.size)
+    value = np.empty_like(order)
+    value[order] = number[np.cumsum(run_start) - 1]
+    starts = np.zeros(reps.size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(value), out=starts[1:])
+    return value.argsort(kind="stable"), starts
 
 
-def neighborhood(m: DistanceMatrix, d_u: float) -> Neighborhoods:
-    """Every point's ordered neighborhood under cut-off d_u, center first.
+@dataclass(frozen=True)
+class LevelDistances:
+    """One level's distances, computed once per distinct row.
 
-    Point i's members are i, then every j with d(i, j) <= d_u, sorted by
+    ``n`` is the level's row count. Where rows repeat, ``rows`` and
+    ``starts`` group them by value (see :func:`_distinct_rows`), and
+    ``matrix`` holds the distances between the values' representatives,
+    None when the level holds one value; otherwise ``rows`` and ``starts``
+    are None and ``matrix`` covers every row.
+    """
+
+    n: int
+    matrix: DistanceMatrix | None
+    rows: np.ndarray | None = None
+    starts: np.ndarray | None = None
+
+
+def level_distances(coords: np.ndarray) -> LevelDistances:
+    """A level's distances, from :func:`~adaptlink.core.matrix_from_coords` over its distinct rows.
+
+    Copies have the same distances to every other row, and +0.0 to each
+    other, so only the representatives' pairs are computed, and none where
+    every row holds one value.
+    """
+    copies = _distinct_rows(coords)
+    if copies is None:
+        return LevelDistances(len(coords), matrix_from_coords(coords))
+    rows, starts = copies
+    reps = rows[starts[:-1]]
+    matrix = matrix_from_coords(coords[reps]) if reps.size > 1 else None
+    return LevelDistances(len(coords), matrix, rows, starts)
+
+
+def cutoff_distance(level: LevelDistances) -> float:
+    """Max over the level's rows of the distance to their nearest other row.
+
+    A row with a copy is at +0.0 from it. Any other row is as near to the
+    others as to their representatives, so its nearest distance is the root
+    of the squared minimum :func:`~adaptlink.core.matrix_from_coords` keeps;
+    ``sqrt`` is monotone and correctly rounded, so the result has the bits
+    of the least condensed entries.
+    """
+    if level.matrix is None:  # one value
+        return 0.0
+    nearest = level.matrix.nearest
+    if level.rows is not None:
+        nearest = nearest[np.diff(level.starts) == 1]
+    return float(np.sqrt(nearest.max(initial=0.0)))
+
+
+def neighborhood(level: LevelDistances, d_u: float) -> Neighborhoods:
+    """Every row's ordered neighborhood under the cut-off d_u >= 0, center first.
+
+    Row i's members are i, then every j with d(i, j) <= d_u, sorted by
     (distance, index) ascending; the index component makes tied distances
     (e.g. duplicate rows) resolve deterministically. The center leads even
-    when a duplicate of it (distance 0) has a lower index.
+    when a duplicate of it (distance 0) has a lower index. The pairs of
+    representatives within d_u are expanded to the pairs of their copies,
+    with every two copies of one value at +0.0.
     """
-    return Neighborhoods(*_kernels.neighbors_within(m.entries, m.n, d_u))
+    if level.matrix is None:
+        i = j = np.empty(0, dtype=np.intp)
+        d = np.empty(0)
+    else:
+        i, j, d = _kernels.pairs_within(level.matrix.entries, level.matrix.n, d_u)
+    if level.rows is not None:
+        i, j, d = _kernels.expand_copies(i, j, d, level.rows, level.starts)
+    return Neighborhoods(*_kernels.neighbors_within(i, j, d, level.n))
 
 
 # Key seeds a level is tried with before its groups count as unverifiable.
@@ -338,10 +423,10 @@ def _step(level: Level, nd: NormalizedDataset, depth: int) -> tuple[Level, Depth
     :class:`~adaptlink.core.TooFewPoints`.
     """
     coords, nodes = level
-    matrix = matrix_from_coords(coords)
-    d_u = float(cutoff_distance(matrix))
-    nbs = neighborhood(matrix, d_u)
-    del matrix  # freed before the level's other allocations, which then reuse its space
+    distances = level_distances(coords)
+    d_u = float(cutoff_distance(distances))
+    nbs = neighborhood(distances, d_u)
+    del distances  # freed before the level's other allocations, which then reuse its space
     groups = extremely_close_sets(nbs)
     if not groups:
         raise RuntimeError("internal invariant violated: no extremely close set")

@@ -2,7 +2,8 @@
 
 The public surface is the containers, :func:`normalize` and the errors.
 :class:`DistanceMatrix` and :func:`matrix_from_coords` are internal to the
-adaptive engine and the stepwise baselines.
+adaptive engine and the stepwise baselines: the baselines take the matrix
+over every row, the adaptive engine over each level's distinct rows only.
 """
 from __future__ import annotations
 

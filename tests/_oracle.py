@@ -235,6 +235,8 @@ def random_dataset(rng: np.random.Generator) -> al.Dataset:
 
 
 REGIMES = ("grid", "duplicates", "outlier", "cloud")
+# Regimes whose point lies in the raw values, so they run in the raw frame.
+RAW_REGIMES = ("signed_zeros", "underflow")
 
 
 def regime_dataset(regime: str, seed: int = 0) -> al.Dataset:
@@ -243,10 +245,20 @@ def regime_dataset(regime: str, seed: int = 0) -> al.Dataset:
     * ``grid``: n=150 integer rows with values 0-4 in 3 columns (exact ties);
     * ``duplicates``: 50 distinct rows, each 3 times, shuffled (n=150);
     * ``outlier``: n=150 Gaussian rows, one moved far away (a degenerate level);
-    * ``cloud``: n=200 Gaussian rows (large neighborhoods).
+    * ``cloud``: n=200 Gaussian rows (large neighborhoods);
+    * ``signed_zeros``: n=60 integer rows 0-2 in 3 columns, each zero given
+      a random sign, so rows are equal except for the sign of a zero;
+    * ``underflow``: n=60 integer rows 0-2 in 2 columns and a third column
+      of 1e-200, 2e-200 or 3e-200, so distinct rows lie at distance 0.0.
     """
     rng = np.random.default_rng(seed)
-    if regime == "grid":
+    if regime == "signed_zeros":
+        values = rng.integers(0, 3, size=(60, 3)).astype(np.float64)
+        values[(values == 0) & (rng.random(values.shape) < 0.5)] = -0.0
+    elif regime == "underflow":
+        values = rng.integers(0, 3, size=(60, 3)).astype(np.float64)
+        values[:, 2] = (values[:, 2] + 1) * 1e-200
+    elif regime == "grid":
         values = rng.integers(0, 5, size=(150, 3)).astype(np.float64)
     elif regime == "duplicates":
         values = rng.permutation(np.repeat(rng.normal(size=(50, 3)), 3, axis=0))
@@ -259,6 +271,12 @@ def regime_dataset(regime: str, seed: int = 0) -> al.Dataset:
         raise ValueError(f"unknown regime {regime!r}")
     labels = tuple(f"{regime[0]}{i:03d}" for i in range(len(values)))
     return al.Dataset(labels=labels, values=values, column_names=("a", "b", "c"))
+
+
+def regime_frame(regime: str, seed: int = 0) -> al.NormalizedDataset:
+    """The regime's input: raw regimes keep their values, the others are z-scored."""
+    data = regime_dataset(regime, seed)
+    return al.identity_normalized(data) if regime in RAW_REGIMES else al.normalize(data)
 
 
 def run_random_suite(count: int = 200, seed: int = 20240817):

@@ -10,8 +10,8 @@ from adaptlink import _kernels, adaptive, core, io
 
 import _expected as exp
 from _oracle import (
-    REGIMES, condensed_square, oracle_groups, oracle_neighbor_order, oracle_square,
-    raw_frame, regime_dataset, verify_run
+    RAW_REGIMES, REGIMES, condensed_square, oracle_groups, oracle_neighbor_order,
+    oracle_square, raw_frame, regime_dataset, regime_frame, verify_run
 )
 
 
@@ -26,8 +26,8 @@ def merge(coords, *groups):
 
 
 def first_matrix(nd):
-    """The distance matrix the first step of ``nd`` builds."""
-    return core.matrix_from_coords(adaptive.initial_state(nd)[0])
+    """The distances the first step of ``nd`` builds."""
+    return adaptive.level_distances(adaptive.initial_state(nd)[0])
 
 
 @pytest.fixture(scope="module")
@@ -42,13 +42,13 @@ def meta_nd():
 
 class TestCutoff:
     def test_two_points(self):
-        m = core.matrix_from_coords(np.array([[0.0], [3.0]]))
+        m = adaptive.level_distances(np.array([[0.0], [3.0]]))
         assert adaptive.cutoff_distance(m) == 3.0
 
     def test_max_of_row_minima(self):
         # distances: d01=1, d02=3, d12=2 -> row minima 1, 1, 2 -> cut-off 2
-        m = core.matrix_from_coords(np.array([[0.0], [1.0], [3.0]]))
-        assert m.entries.tolist() == [1.0, 3.0, 2.0]
+        m = adaptive.level_distances(np.array([[0.0], [1.0], [3.0]]))
+        assert m.matrix.entries.tolist() == [1.0, 3.0, 2.0]
         assert adaptive.cutoff_distance(m) == 2.0
 
     def test_para_depth1_value(self, para_nd):
@@ -97,7 +97,7 @@ class TestFormatCutoff:
 class TestNeighborhood:
     def test_center_first_and_sorted(self, para_nd):
         coords = adaptive.initial_state(para_nd)[0]
-        matrix = core.matrix_from_coords(coords)
+        matrix = adaptive.level_distances(coords)
         cut = adaptive.cutoff_distance(matrix)
         for i, members in enumerate(orderings(adaptive.neighborhood(matrix, cut))):
             dists = _kernels.distances_from(coords[i], coords[members]).tolist()
@@ -124,16 +124,17 @@ class TestNeighborOrdering:
 
     @staticmethod
     def kernel_orders(entries, n, radius):
-        return orderings(adaptive.Neighborhoods(*_kernels.neighbors_within(entries, n, radius)))
+        pairs = _kernels.pairs_within(entries, n, radius)
+        return orderings(adaptive.Neighborhoods(*_kernels.neighbors_within(*pairs, n)))
 
-    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("regime", REGIMES + RAW_REGIMES)
     def test_every_level_matches_the_oracle(self, regime):
-        nd = al.normalize(regime_dataset(regime))
+        nd = regime_frame(regime)
         level = adaptive.initial_state(nd)
         depth = 0
         while len(level[1]) > 1:
             coords, _ = level
-            matrix = core.matrix_from_coords(coords)
+            matrix = adaptive.level_distances(coords)
             d_u = adaptive.cutoff_distance(matrix)
             square = oracle_square(coords)
             want = [oracle_neighbor_order(square, i, d_u) for i in range(matrix.n)]
@@ -143,13 +144,13 @@ class TestNeighborOrdering:
         assert depth >= 2
 
     def test_radius_below_every_distance(self):
-        m = core.matrix_from_coords(np.array([[0.0], [1.0], [3.0], [7.0]]))
+        m = adaptive.level_distances(np.array([[0.0], [1.0], [3.0], [7.0]]))
         assert self.orders(m, 0.5) == [[0], [1], [2], [3]]
         nbs = adaptive.neighborhood(m, 0.5)
         assert nbs.starts.tolist() == list(range(5)) and nbs.members.tolist() == [0, 1, 2, 3]
 
     def test_second_radius_is_not_the_stored_one(self):
-        m = core.matrix_from_coords(np.array([[0.0], [1.0], [3.0], [7.0]]))
+        m = adaptive.level_distances(np.array([[0.0], [1.0], [3.0], [7.0]]))
         assert self.orders(m, 2.0) == [[0, 1], [1, 0, 2], [2, 1], [3]]
         assert self.orders(m, 4.0) == [[0, 1, 2], [1, 0, 2], [2, 1, 0, 3], [3, 2]]
         assert self.orders(m, 2.0) == [[0, 1], [1, 0, 2], [2, 1], [3]]
@@ -169,30 +170,40 @@ class TestNeighborOrdering:
             for i in range(n)
         ]
         assert self.kernel_orders(values, n, 1.0) == want
+        # The pairs may come in any order and orientation.
+        i, j, d = _kernels.pairs_within(values, n, 1.0)
+        flip = np.random.default_rng(6).permutation(d.size)
+        i, j, d = i[flip], j[flip], d[flip]
+        i[::2], j[::2] = j[::2].copy(), i[::2].copy()
+        assert orderings(adaptive.Neighborhoods(*_kernels.neighbors_within(i, j, d, n))) == want
 
     def test_two_points(self):
-        m = core.matrix_from_coords(np.array([[0.0, 1.0], [3.0, 5.0]]))
+        m = adaptive.level_distances(np.array([[0.0, 1.0], [3.0, 5.0]]))
         assert self.orders(m, adaptive.cutoff_distance(m)) == [[0, 1], [1, 0]]
         assert self.orders(m, 4.9) == [[0], [1]]
 
     def test_csr_arrays_are_read_only(self):
-        m = core.matrix_from_coords(np.array([[0.0], [1.0], [3.0]]))
+        m = adaptive.level_distances(np.array([[0.0], [1.0], [3.0]]))
         nbs = adaptive.neighborhood(m, 2.0)
         for a in (nbs.starts, nbs.members):
             with pytest.raises(ValueError):
                 a[0] = 1
+
+    @staticmethod
+    def no_pairs():
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
 
     def test_too_many_points_rejected_before_allocating(self):
         n = 1 << 16
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="overflow int64"):
-                _kernels.neighbors_within(np.empty(0), n, 1.0)
+                _kernels.neighbors_within(*self.no_pairs(), n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
-        starts, _ = _kernels.neighbors_within(np.empty(0), 1, 1.0)
+        starts, _ = _kernels.neighbors_within(*self.no_pairs(), 1)
         assert starts.tolist() == [0, 1]
 
 
@@ -208,7 +219,7 @@ class TestSubNeighborhood:
 
 class TestExtremelyCloseSets:
     def nbhds(self, coords):
-        m = core.matrix_from_coords(coords)
+        m = adaptive.level_distances(coords)
         cut = adaptive.cutoff_distance(m)
         return adaptive.neighborhood(m, cut)
 
@@ -253,7 +264,7 @@ class TestExtremelyCloseSets:
 
     def test_center_first_before_lower_index_duplicate(self):
         coords = np.array([[0.0], [0.0], [5.0]])
-        m = core.matrix_from_coords(coords)
+        m = adaptive.level_distances(coords)
         members = orderings(adaptive.neighborhood(m, adaptive.cutoff_distance(m)))[1]
         assert members == [1, 0, 2]
         assert _kernels.distances_from(coords[1], coords[members]).tolist() == [0.0, 0.0, 5.0]
@@ -275,7 +286,7 @@ class TestExtremelyCloseSets:
         # One member row per batch of the exact check must not change the
         # groups, which must match the oracle's definition.
         coords = al.normalize(regime_dataset(regime)).coords
-        m = core.matrix_from_coords(coords)
+        m = adaptive.level_distances(coords)
         cut = adaptive.cutoff_distance(m)
         nbs = adaptive.neighborhood(m, cut)
         want, _ = oracle_groups(oracle_square(coords), cut)
@@ -315,7 +326,7 @@ class TestKeyCollisions:
     @staticmethod
     def line():
         # Only {2, 3} qualifies.
-        m = core.matrix_from_coords(np.array([[0.0], [1.0], [1.8], [2.0]]))
+        m = adaptive.level_distances(np.array([[0.0], [1.0], [1.8], [2.0]]))
         nbs = adaptive.neighborhood(m, adaptive.cutoff_distance(m))
         assert orderings(nbs) == [[0, 1], [1, 2, 0, 3], [2, 3, 1], [3, 2, 1]]
         return nbs
@@ -324,7 +335,7 @@ class TestKeyCollisions:
     @pytest.mark.parametrize("regime", REGIMES)
     def test_regime_level_matches_the_oracle(self, regime, collide, monkeypatch):
         coords = al.normalize(regime_dataset(regime)).coords
-        m = core.matrix_from_coords(coords)
+        m = adaptive.level_distances(coords)
         cut = adaptive.cutoff_distance(m)
         nbs = adaptive.neighborhood(m, cut)
         want, _ = oracle_groups(oracle_square(coords), cut)
@@ -348,7 +359,7 @@ class TestKeyCollisions:
         # Under equal keys a candidate outgrows the ordering of the last row,
         # so the check must not read past that row.
         coords = np.array([[3.0], [2.0], [8.0], [7.0], [0.0], [1.0], [4.0]])
-        m = core.matrix_from_coords(coords)
+        m = adaptive.level_distances(coords)
         cut = adaptive.cutoff_distance(m)
         nbs = adaptive.neighborhood(m, cut)
         want, _ = oracle_groups(oracle_square(coords), cut)
@@ -475,6 +486,88 @@ class TestClusterStep:
             firsts = [min(leaves) for leaves in leaf_sets]
             assert firsts == sorted(set(firsts))
             assert sorted(i for leaves in leaf_sets for i in leaves) == list(range(25))
+
+
+def raw(values):
+    labels = tuple("abcdefgh"[: len(values)])
+    columns = tuple(f"c{k}" for k in range(len(values[0])))
+    return al.identity_normalized(al.Dataset(labels=labels, values=values, column_names=columns))
+
+
+OVERFLOW = "^pairwise distances overflow double precision; rescale the descriptors$"
+
+
+class TestDistinctRows:
+    """A level's distances are computed once per distinct row."""
+
+    def test_rows_equal_but_for_a_zero_sign_are_copies(self):
+        rows, starts = adaptive._distinct_rows(np.array([[0.0, 1.0], [5.0, 5.0], [-0.0, 1.0]]))
+        assert rows.tolist() == [0, 2, 1] and starts.tolist() == [0, 2, 3]
+        # The raw regime holds such rows, so its oracle run covers them.
+        coords = regime_frame("signed_zeros").coords
+        equal = (coords[:, None] == coords[None, :]).all(axis=2)
+        same_bits = np.array([[a.tobytes() == b.tobytes() for b in coords] for a in coords])
+        assert (equal & ~same_bits).any()
+
+    def test_rows_at_an_underflowing_distance_stay_distinct(self):
+        coords = np.array([[1e-200], [2e-200], [1e-200]])
+        assert _kernels.distances_from(coords[0], coords).tolist() == [0.0, 0.0, 0.0]
+        rows, starts = adaptive._distinct_rows(coords)
+        assert rows.tolist() == [0, 2, 1] and starts.tolist() == [0, 2, 3]
+        level = adaptive.level_distances(coords)
+        assert level.matrix.n == 2 and adaptive.cutoff_distance(level) == 0.0
+        # The raw regime holds distinct rows at distance 0.0.
+        coords = regime_frame("underflow").coords
+        square = np.array(oracle_square(coords))
+        equal = (coords[:, None] == coords[None, :]).all(axis=2)
+        assert ((square == 0.0) & ~equal).any()
+
+    def test_no_copies_leaves_every_row(self):
+        coords = np.array([[0.0, 1.0], [0.0, 2.0], [3.0, 1.0]])
+        assert adaptive._distinct_rows(coords) is None
+        level = adaptive.level_distances(coords)
+        assert level.rows is None and level.matrix.n == 3
+
+    def test_one_value_needs_no_matrix(self, monkeypatch):
+        # Every row equal: cut-off 0.0 and one group of every row, as a full
+        # matrix gives, without a matrix over the one representative.
+        def refuse(coords):
+            raise AssertionError(f"matrix over {len(coords)} rows")
+
+        monkeypatch.setattr(adaptive, "matrix_from_coords", refuse)
+        d = al.build_dendrogram(raw([[1.0, 2.0]] * 3))
+        assert [(r.cutoff, r.groups) for r in d.trace] == [(0.0, (frozenset("abc"),))]
+        assert [c.label for c in d.root.children] == ["a", "b", "c"]
+        level = adaptive.level_distances(np.zeros((2, 1)))
+        assert level.matrix is None and adaptive.cutoff_distance(level) == 0.0
+        assert orderings(adaptive.neighborhood(level, 0.0)) == [[0, 1], [1, 0]]
+
+    @pytest.mark.parametrize("coords", [
+        [[np.inf], [np.inf]],
+        [[np.inf, 0.0], [np.inf, 0.0], [-np.inf, 1.0], [-np.inf, 1.0]],
+        [[np.nan], [np.nan], [0.0]],
+    ])
+    def test_non_finite_copies_overflow(self, coords):
+        # Equal rows whose coordinates overflowed are not merged at 0.0.
+        nd = raw([[0.0]] * len(coords))
+        nodes = adaptive.initial_state(nd)[1]
+        with pytest.raises(al.Overflow, match=OVERFLOW):
+            adaptive._step((np.array(coords), nodes), nd, 2)
+
+    @pytest.mark.parametrize("values, depth", [
+        ([[1.7e308], [1.7e308], [1.6e308], [1.6e308]], 1),
+        # Each pair of copies merges to an overflowing mean at level 1.
+        ([[1.7e308, 0.0], [1.7e308, 0.0], [1.7e308, 1.0], [1.7e308, 1.0]], 2),
+    ])
+    def test_raw_copies_that_overflow(self, values, depth):
+        nd = raw(values)
+        level = adaptive.initial_state(nd)
+        for k in range(1, depth):
+            level, _ = adaptive._step(level, nd, k)
+        with pytest.raises(al.Overflow, match=OVERFLOW):
+            adaptive._step(level, nd, depth)
+        with pytest.raises(al.Overflow, match=OVERFLOW):
+            al.build_dendrogram(nd)
 
 
 class TestBuildDendrogram:
@@ -616,9 +709,9 @@ class TestAgainstOracle:
         report = verify_run(raw_frame(meta_nd))
         assert report.failures == []
 
-    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("regime", REGIMES + RAW_REGIMES)
     def test_regime(self, regime):
-        report = verify_run(al.normalize(regime_dataset(regime)))
+        report = verify_run(regime_frame(regime))
         assert report.failures == []
         assert report.depths >= 1
 

@@ -207,6 +207,22 @@ class TestErrors:
         assert err.startswith("adaptlink: error: ") and "distances overflow" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("table", [
+        "name,x\na,1.7e308\nb,1.7e308\nc,1.6e308\nd,1.6e308\n",
+        # Copies merge at level 1 to overflowing means; level 2 fails.
+        "name,x,y\na,1.7e308,0\nb,1.7e308,0\nc,1.7e308,1\nd,1.7e308,1\n",
+    ])
+    def test_overflowing_copies(self, capsys, tmp_path, table):
+        big = tmp_path / "big.csv"
+        big.write_text(table, encoding="utf-8")
+        code, out, err = run_cli(capsys, "cluster", "--input", str(big), "--no-normalize")
+        assert (code, out) == (1, "")
+        assert err == (
+            "adaptlink: error: pairwise distances overflow double precision; "
+            "rescale the descriptors\n"
+        )
+
     def test_nan_threshold(self, capsys):
         code, out, err = run_cli(
             capsys, "cluster", "--fixture", "para", "--method", "average",

@@ -104,14 +104,17 @@ def assert_exact(x):
 
 
 def assert_fused_cutoff(x):
-    """The pairwise pass's nearest distances give the scans' cut-off bit for bit."""
+    """The pairwise pass's nearest distances give the scans' cut-off bit for bit.
+
+    The level's cut-off, from the distinct rows' pass, has those bits too.
+    """
     m = core.matrix_from_coords(x)
     n, entries = m.n, m.entries
     assert np.array_equal(entries, pairwise(x))
     square = condensed_square(entries, n)
     assert np.sqrt(m.nearest).tobytes() == square.min(axis=1).tobytes()
     cuts = (
-        adaptive.cutoff_distance(m),
+        adaptive.cutoff_distance(adaptive.level_distances(x)),
         _kernels.cutoff_from_condensed(entries, n),
         scan_cutoff(entries, n),
     )
@@ -237,7 +240,7 @@ class TestMemory:
     def test_matrix_and_cutoff_peak_near_the_condensed_vector(self):
         # The cut-off reads the nearest distances kept by the pairwise pass.
         x = np.random.default_rng(26).standard_normal((self.n, 3))
-        cut, peak = self.peak_bytes(lambda: adaptive.cutoff_distance(core.matrix_from_coords(x)))
+        cut, peak = self.peak_bytes(lambda: adaptive.cutoff_distance(adaptive.level_distances(x)))
         assert cut > 0
         assert peak < 1.5 * self.n * (self.n - 1) // 2 * 8
 
@@ -248,8 +251,8 @@ class TestMemory:
         square_bytes = self.n * self.n * 8
         assert peak < square_bytes / 8
 
-    def grid(self):
-        values = np.random.default_rng(22).integers(0, 10, size=(self.n, 3))
+    def grid(self, top=10):
+        values = np.random.default_rng(22).integers(0, top, size=(self.n, 3))
         data = al.Dataset(
             labels=[f"r{i}" for i in range(self.n)], values=values, column_names="abc"
         )
@@ -261,12 +264,34 @@ class TestMemory:
         assert peak < self.n * self.n * 8 / 8
 
     def test_neighbors_peak_far_below_a_square_on_a_grid_level(self):
-        m = core.matrix_from_coords(al.adaptive.initial_state(self.grid())[0])
-        cut = adaptive.cutoff_distance(m)
-        (_, members), peak = self.peak_bytes(_kernels.neighbors_within, m.entries, m.n, cut)
+        # Every pair of rows, copies included, in the condensed vector's order.
+        coords = al.adaptive.initial_state(self.grid())[0]
+        m = core.matrix_from_coords(coords)
+        cut = adaptive.cutoff_distance(adaptive.level_distances(coords))
+        pairs = _kernels.pairs_within(m.entries, m.n, cut)
+        (_, members), peak = self.peak_bytes(_kernels.neighbors_within, *pairs, m.n)
         square_bytes = self.n * self.n * 8
         assert 0 < members.size < self.n * self.n / 50
         assert peak < square_bytes / 8
+
+    def test_duplicate_heavy_level_peaks_at_its_distinct_rows(self):
+        # 125 distinct rows among 1000: the level's distances, cut-off and
+        # orderings come to the distinct rows' condensed vector, the pairwise
+        # kernel's u×u block and the orderings, far below the n-row vector.
+        coords = al.adaptive.initial_state(self.grid(top=5))[0]
+        u = len(np.unique(coords, axis=0))
+        assert u == 125
+
+        def level():
+            distances = adaptive.level_distances(coords)
+            return adaptive.neighborhood(distances, adaptive.cutoff_distance(distances))
+
+        nbs, peak = self.peak_bytes(level)
+        vector = u * (u - 1) // 2 * 8
+        orderings = nbs.starts.nbytes + nbs.members.nbytes
+        block = 2 * u * u * 8  # the squared sums and one feature's terms
+        assert peak < block + 2 * (vector + orderings)
+        assert peak < self.n * (self.n - 1) // 2 * 8 / 4
 
     def test_neighbors_peak_on_a_degenerate_level(self):
         # One far row sets the cut-off, so every other pair is within it.
@@ -274,7 +299,9 @@ class TestMemory:
         x[0] = 40.0
         entries = pairwise(x)
         cut = _kernels.cutoff_from_condensed(entries, self.n)
-        (_, members), peak = self.peak_bytes(_kernels.neighbors_within, entries, self.n, cut)
+        pairs = _kernels.pairs_within(entries, self.n, cut)
+        del entries
+        (_, members), peak = self.peak_bytes(_kernels.neighbors_within, *pairs, self.n)
         square_bytes = self.n * self.n * 8
         assert members.size >= (self.n - 1) * (self.n - 2)
         assert peak < 3 * square_bytes
@@ -284,7 +311,7 @@ class TestMemory:
         # beside them; every ordering but the far row's spans the set.
         x = np.random.default_rng(23).standard_normal((self.n, 3))
         x[0] = 40.0
-        m = core.matrix_from_coords(x)
+        m = adaptive.level_distances(x)
         cut = adaptive.cutoff_distance(m)
         groups, peak = self.peak_bytes(
             lambda: adaptive.extremely_close_sets(adaptive.neighborhood(m, cut))

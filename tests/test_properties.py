@@ -149,14 +149,14 @@ class TestEngineInvariants:
     def test_cutoff_is_max_of_row_minima(self, data):
         # The pure-Python oracle adds squares in the kernel's order: the same bits.
         nd = wrap(data)
-        cut = adaptive.cutoff_distance(core.matrix_from_coords(nd.coords))
+        cut = adaptive.cutoff_distance(adaptive.level_distances(nd.coords))
         assert cut.hex() == oracle_cutoff(oracle_square(nd.coords)).hex()
 
     @settings(max_examples=60, deadline=None)
     @given(datasets())
     def test_lemma1_every_neighborhood_has_a_neighbor(self, data):
         nd = wrap(data)
-        m = core.matrix_from_coords(nd.coords)
+        m = adaptive.level_distances(nd.coords)
         cut = adaptive.cutoff_distance(m)
         assert (np.diff(adaptive.neighborhood(m, cut).starts) >= 2).all()
 
@@ -164,7 +164,7 @@ class TestEngineInvariants:
     @given(datasets())
     def test_lemma2_at_least_one_merge(self, data):
         nd = wrap(data)
-        m = core.matrix_from_coords(nd.coords)
+        m = adaptive.level_distances(nd.coords)
         cut = adaptive.cutoff_distance(m)
         groups = adaptive.extremely_close_sets(adaptive.neighborhood(m, cut))
         assert len(groups) >= 1

@@ -15,7 +15,6 @@ from .baseline import (
     ComparisonReport,
     LeafMismatch,
     LinkageMethod,
-    StepwiseDendrogram,
     compare_compactness,
     stepwise_cluster,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "ParseError",
     "SchemaError",
     "SdMode",
-    "StepwiseDendrogram",
     "TooFewPoints",
     "TraceDocument",
     "TreeNode",

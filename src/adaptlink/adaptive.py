@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_DOWN, Context, Decimal
 
 import numpy as np
@@ -155,14 +155,41 @@ def _preorder(roots):
             stack.append((child, depth + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dendrogram:
-    """Clustering result: the tree, the per-depth trace, and run metadata."""
+    """Either engine's result: the tree's roots, the per-depth trace, and run metadata.
+
+    ``roots`` holds one root, or a stepwise forest; ``meta["method"]`` names
+    the engine or linkage. ``root=r`` stands for ``roots=(r,)``, the form
+    the benchmark's self-tests build.
+    """
 
     labels: tuple[str, ...]
-    root: TreeNode
+    roots: tuple[TreeNode, ...]
     trace: tuple[DepthRecord, ...]
-    meta: dict = field(default_factory=dict)
+    meta: dict
+
+    def __init__(self, labels, roots=(), trace=(), meta=None, *, root=None):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "roots", roots if root is None else (root,))
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "meta", {} if meta is None else meta)
+
+    @property
+    def root(self) -> TreeNode | None:
+        """The single root, or None for a forest."""
+        return self.roots[0] if len(self.roots) == 1 else None
+
+
+def _run_meta(nd: NormalizedDataset, method: str) -> dict:
+    """The metadata both engines record: method, s.d. mode, normalization, columns, input hash."""
+    return {
+        "method": method,
+        "sd_mode": nd.stats.mode.value,
+        "normalized": nd.normalized,
+        "columns": list(nd.column_names),
+        "dataset_sha256": nd.source_hash,
+    }
 
 
 def _distinct_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -170,9 +197,9 @@ def _distinct_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
     Rows are equal when every column compares equal, so ``-0.0`` matches
     ``0.0``. Returns ``(rows, starts)``: value k is held by
-    ``rows[starts[k]:starts[k + 1]]``, in ascending order, and the values
-    follow the order of their lowest row, their representative. A level
-    with a non-finite coordinate counts as one without copies, so that
+    ``rows[starts[k]:starts[k + 1]]`` in ascending order, led by its
+    representative, and the values come in ``lexsort`` order. A level with
+    a non-finite coordinate counts as one without copies, so that
     :func:`~adaptlink.core.matrix_from_coords` reports its overflow.
     """
     first = np.sort(coords[:, 0])  # equal rows have equal first columns
@@ -183,15 +210,7 @@ def _distinct_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     same = (ranked[1:] == ranked[:-1]).all(axis=1)
     if not same.any() or not np.isfinite(coords).all():
         return None
-    run_start = np.concatenate(([True], ~same))
-    reps = order[run_start]
-    number = np.empty(reps.size, dtype=np.intp)
-    number[reps.argsort()] = np.arange(reps.size)
-    value = np.empty_like(order)
-    value[order] = number[np.cumsum(run_start) - 1]
-    starts = np.zeros(reps.size + 1, dtype=np.intp)
-    np.cumsum(np.bincount(value), out=starts[1:])
-    return value.argsort(kind="stable"), starts
+    return order, np.flatnonzero(np.concatenate(([True], ~same, [True])))
 
 
 @dataclass(frozen=True)
@@ -200,9 +219,9 @@ class LevelDistances:
 
     ``n`` is the level's row count. Where rows repeat, ``rows`` and
     ``starts`` group them by value (see :func:`_distinct_rows`), and
-    ``matrix`` holds the distances between the values' representatives,
-    None when the level holds one value; otherwise ``rows`` and ``starts``
-    are None and ``matrix`` covers every row.
+    ``matrix`` holds the distances between the values' representatives, in
+    the values' order, None when the level holds one value; otherwise
+    ``rows`` and ``starts`` are None and ``matrix`` covers every row.
     """
 
     n: int
@@ -458,12 +477,8 @@ def build_dendrogram(nd: NormalizedDataset) -> Dendrogram:
         level, record = _step(level, nd, len(records) + 1)
         records.append(record)
     meta = {
-        "method": "adaptive",
-        "sd_mode": nd.stats.mode.value,
-        "normalized": nd.normalized,
+        **_run_meta(nd, "adaptive"),
         "restandardize": nd.normalized,
         "working_decimals": _WORKING_DECIMALS if nd.normalized else None,
-        "columns": list(nd.column_names),
-        "dataset_sha256": nd.source_hash,
     }
-    return Dendrogram(labels=nd.labels, root=level[1][0], trace=tuple(records), meta=meta)
+    return Dendrogram(nd.labels, (level[1][0],), tuple(records), meta)

@@ -1,7 +1,8 @@
 """Classical stepwise agglomerative baselines (single/complete/average/centroid).
 
 One closest pair merges per step, n-1 binary merges in all (fewer under a
-stop threshold) — the yardstick the adaptive engine's level count is
+stop threshold, leaving a forest), returned as the adaptive engine's
+:class:`~adaptlink.adaptive.Dendrogram` — the yardstick its level count is
 compared against. The starting distances are the adaptive engine's
 condensed matrix; single, complete and average linkage update them by the
 Lance-Williams formulas, and centroid linkage recomputes the merged
@@ -12,12 +13,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .adaptive import DepthRecord, TreeNode, _preorder
+from .adaptive import Dendrogram, DepthRecord, TreeNode, _preorder, _run_meta
 from .core import (
     ClusteringError,
     NormalizedDataset,
@@ -36,21 +37,6 @@ class LinkageMethod(str, enum.Enum):
     COMPLETE = "complete"
     AVERAGE = "average"
     CENTROID = "centroid"
-
-
-@dataclass(frozen=True)
-class StepwiseDendrogram:
-    """Stepwise result: binary tree (or forest under a stop threshold) + step trace."""
-
-    labels: tuple[str, ...]
-    roots: tuple[TreeNode, ...]
-    trace: tuple[DepthRecord, ...]
-    method: LinkageMethod
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def root(self) -> TreeNode | None:
-        return self.roots[0] if len(self.roots) == 1 else None
 
 
 def _lw_update(method: LinkageMethod, d_ai, d_bi, na: int, nb: int):
@@ -80,7 +66,7 @@ def stepwise_cluster(
     nd: NormalizedDataset,
     method: LinkageMethod,
     stop_threshold: float | None = None,
-) -> StepwiseDendrogram:
+) -> Dendrogram:
     """Merge the closest pair repeatedly; ties break on the clusters' smallest leaves.
 
     A merge keeps the lower slot, so slot ``s`` always holds the cluster whose
@@ -181,17 +167,8 @@ def stepwise_cluster(
         nn_j[rows] = dist[rows].argmin(axis=1)
         nn_d[rows] = dist[rows, nn_j[rows]]
     roots = tuple(nodes[i] for i in np.flatnonzero(active))
-    meta = {
-        "method": method.value,
-        "sd_mode": nd.stats.mode.value,
-        "normalized": nd.normalized,
-        "stop_threshold": stop_threshold,
-        "columns": list(nd.column_names),
-        "dataset_sha256": nd.source_hash,
-    }
-    return StepwiseDendrogram(
-        labels=nd.labels, roots=roots, trace=tuple(records), method=method, meta=meta
-    )
+    meta = {**_run_meta(nd, method.value), "stop_threshold": stop_threshold}
+    return Dendrogram(nd.labels, roots, tuple(records), meta)
 
 
 def _max_arity(roots) -> int:
@@ -229,15 +206,18 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def compare_compactness(adaptive, stepwise: StepwiseDendrogram) -> ComparisonReport:
-    """Levels-vs-steps report; both runs must cover the same leaves."""
+def compare_compactness(adaptive: Dendrogram, stepwise: Dendrogram) -> ComparisonReport:
+    """Levels-vs-steps report; both runs must cover the same leaves.
+
+    The second run's ``meta["method"]`` must be a :class:`LinkageMethod`, else ``ValueError``.
+    """
     if frozenset(adaptive.labels) != frozenset(stepwise.labels):
         raise LeafMismatch("dendrograms cover different leaf sets")
     return ComparisonReport(
         adaptive_levels=len(adaptive.trace),
         stepwise_steps=len(stepwise.trace),
-        stepwise_method=stepwise.method.value,
-        adaptive_max_arity=_max_arity((adaptive.root,)),
+        stepwise_method=LinkageMethod(stepwise.meta["method"]).value,
+        adaptive_max_arity=_max_arity(adaptive.roots),
         stepwise_max_arity=_max_arity(stepwise.roots),
         groups_per_level=tuple(len(rec.groups) for rec in adaptive.trace),
     )

@@ -27,7 +27,8 @@ class TooFewPoints(ClusteringError):
 
 
 class ZeroVariance(ClusteringError):
-    """A descriptor column is constant and cannot be standardized."""
+    """A descriptor column's s.d. is 0.0 and cannot be standardized: the column is
+    constant, or its squared deviations underflow (values within about 1e-154)."""
 
     def __init__(self, column: int, name: str | None = None):
         self.column = column
@@ -179,23 +180,24 @@ def normalize(data: Dataset, mode: SdMode = SdMode.SAMPLE) -> NormalizedDataset:
     """Z-score each column: (value - column mean) / column s.d.
 
     ``mode`` picks the s.d. convention (sample n-1 by default; see README for
-    why sample is the documented default). Constant columns raise
-    :class:`ZeroVariance`; fewer than two rows raise :class:`TooFewPoints`;
-    a column whose mean or s.d. overflows double precision raises
-    :class:`Overflow`.
+    why sample is the documented default). Constant columns, and columns
+    whose s.d. underflows to 0.0, raise :class:`ZeroVariance`; fewer than
+    two rows raise :class:`TooFewPoints`; a column whose mean or s.d.
+    overflows double precision raises :class:`Overflow`.
     """
     mode = SdMode(mode)
     if data.n < 2:
         raise TooFewPoints(f"normalize needs n >= 2, got {data.n}")
     values = data.values
-    for k in range(data.p):
-        col = values[:, k]
-        if (col == col[0]).all():
-            raise ZeroVariance(k, data.column_names[k] if data.column_names else None)
     ddof = 1 if mode is SdMode.SAMPLE else 0
     with np.errstate(over="ignore", invalid="ignore"):
         means = values.mean(axis=0)
         sds = values.std(axis=0, ddof=ddof)
+    # A constant column's mean may round off its value, so its s.d. is not always 0.0.
+    zero = np.flatnonzero((values == values[0]).all(axis=0) | (sds == 0.0))
+    if zero.size:
+        k = int(zero[0])
+        raise ZeroVariance(k, data.column_names[k] if data.column_names else None)
     # A mean that overflowed leaves its s.d. non-finite too.
     if not np.isfinite(sds).all():
         k = int(np.flatnonzero(~np.isfinite(sds))[0])

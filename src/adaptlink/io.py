@@ -10,6 +10,9 @@ File formats (all UTF-8, byte-deterministic for a given input):
 * DOT: one node per leaf (its label), one node per merge ("depth:cutoff"),
   edges parent -> child, deterministic ordering;
 * tree-text: indented outline of the same tree.
+
+The writers take either engine's :class:`~adaptlink.adaptive.Dendrogram`
+and draw every tree of its ``roots`` (several for a stepwise forest).
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .adaptive import DepthRecord, TreeNode, _preorder, format_cutoff
+from .adaptive import DepthRecord, _preorder, format_cutoff
 from .core import ClusteringError, Dataset
 
 FIXTURES = ("para", "meta")
@@ -106,7 +109,7 @@ class TraceDocument:
 
 
 def write_trace(d) -> str:
-    """Serialize the ``meta`` and ``trace`` of a dendrogram, stepwise result or trace document."""
+    """Serialize the ``meta`` and ``trace`` of a dendrogram or trace document."""
     payload = {
         "format": "adaptlink-trace",
         "version": 1,
@@ -214,11 +217,6 @@ def _replay(
     return merged_groups
 
 
-def _roots(d) -> tuple[TreeNode, ...]:
-    roots = getattr(d, "roots", None)
-    return roots if roots is not None else (d.root,)
-
-
 def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
@@ -240,7 +238,7 @@ def write_dot(d) -> str:
             name, children = path.pop()
             edges.extend(f"  {name} -> {child};" for child in children)
 
-    for k, (node, depth) in enumerate(_preorder(_roots(d))):
+    for k, (node, depth) in enumerate(_preorder(d.roots)):
         close(depth)
         name = f"n{k}"
         if path:
@@ -259,7 +257,7 @@ def write_dot(d) -> str:
 def write_tree_text(d) -> str:
     """Indented text outline of the dendrogram (or forest)."""
     lines: list[str] = []
-    for node, depth in _preorder(_roots(d)):
+    for node, depth in _preorder(d.roots):
         pad = "  " * depth
         if node.is_leaf:
             lines.append(f"{pad}{node.label}")

@@ -21,8 +21,8 @@ import numpy as np
 
 import adaptlink as al
 from adaptlink import adaptive
-from adaptlink.adaptive import DepthRecord, TreeNode
-from adaptlink.baseline import LinkageMethod, StepwiseDendrogram
+from adaptlink.adaptive import Dendrogram, DepthRecord, TreeNode
+from adaptlink.baseline import LinkageMethod
 from adaptlink.core import TooFewPoints, matrix_from_coords
 
 
@@ -307,7 +307,7 @@ def oracle_stepwise(
     nd,
     method: LinkageMethod,
     stop_threshold: float | None = None,
-) -> StepwiseDendrogram:
+) -> Dendrogram:
     """Merge the closest pair repeatedly, scanning every active pair per step.
 
     Ties break on the key (distance, smaller leaf index, larger leaf index),
@@ -380,6 +380,4 @@ def oracle_stepwise(
         "columns": list(nd.column_names),
         "dataset_sha256": nd.source_hash,
     }
-    return StepwiseDendrogram(
-        labels=nd.labels, roots=roots, trace=tuple(records), method=method, meta=meta
-    )
+    return Dendrogram(labels=nd.labels, roots=roots, trace=tuple(records), meta=meta)

@@ -599,6 +599,14 @@ class TestBuildDendrogram:
         d = al.build_dendrogram(para_nd)
         assert d.root.leaves == frozenset(para_nd.labels)
 
+    def test_one_root(self, para_nd):
+        d = al.build_dendrogram(para_nd)
+        assert type(d) is al.Dendrogram
+        assert len(d.roots) == 1 and d.root is d.roots[0]
+        # The keyword form stands for a one-root tuple.
+        same = al.Dendrogram(labels=d.labels, root=d.root, trace=d.trace, meta=d.meta)
+        assert same == d and same.roots == d.roots
+
     def test_each_leaf_exactly_once(self, meta_nd):
         d = al.build_dendrogram(meta_nd)
         seen = []

@@ -15,7 +15,6 @@ PUBLIC = [
     "ParseError",
     "SchemaError",
     "SdMode",
-    "StepwiseDendrogram",
     "TooFewPoints",
     "TraceDocument",
     "TreeNode",

@@ -115,6 +115,13 @@ class TestStepwise:
         as_float = al.stepwise_cluster(para_nd, al.LinkageMethod.AVERAGE, stop_threshold=1.0)
         assert io.write_trace(d) == io.write_trace(as_float)
 
+    @pytest.mark.parametrize("threshold", [None, 1.0])
+    def test_result_is_a_dendrogram(self, para_nd, threshold):
+        d = al.stepwise_cluster(para_nd, al.LinkageMethod.AVERAGE, stop_threshold=threshold)
+        assert type(d) is al.Dendrogram
+        assert d.meta["method"] == "average"
+        assert (len(d.roots) == 1) is (threshold is None)
+
     def test_threshold_above_range_gives_single_root(self, para_nd):
         d = al.stepwise_cluster(para_nd, al.LinkageMethod.AVERAGE, stop_threshold=1e9)
         assert len(d.roots) == 1
@@ -227,6 +234,11 @@ class TestCompare:
         assert {c.leaves for c in adaptive.root.children} == {
             c.leaves for c in stepwise.root.children
         }
+
+    def test_adaptive_run_as_the_stepwise_run_raises(self, para_nd):
+        adaptive = al.build_dendrogram(para_nd)
+        with pytest.raises(ValueError, match="adaptive"):
+            al.compare_compactness(adaptive, adaptive)
 
     def test_leaf_mismatch(self, para_nd):
         adaptive = al.build_dendrogram(para_nd)

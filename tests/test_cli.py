@@ -174,6 +174,17 @@ class TestErrors:
 
     # A warning raised as an error would end the run with exit code 2.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("exp", ["e-200", "e-170"])
+    def test_underflowing_sd(self, capsys, tmp_path, exp):
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text(f"name,x,y\na,1,1{exp}\nb,2,2{exp}\nc,4,3{exp}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "cluster", "--input", str(tiny))
+        assert code == 1
+        assert out == ""
+        assert err == "adaptlink: error: column 'y' (index 1) has zero variance\n"
+
+    # A warning raised as an error would end the run with exit code 2.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "flags, message",
         [((), "overflows double precision when standardized"),

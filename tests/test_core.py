@@ -54,6 +54,14 @@ class TestNormalize:
         assert err.value.column == 1
         assert "b" in str(err.value)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-170])
+    def test_underflowing_sd_rejected(self, scale):
+        # The column varies, but its squared deviations underflow: its s.d. is 0.0.
+        with pytest.raises(al.ZeroVariance) as err:
+            al.normalize(small([[1.0, scale], [2.0, 2 * scale], [4.0, 3 * scale]], ("a", "b")))
+        assert err.value.column == 1
+        assert "b" in str(err.value)
+
     def test_single_point_rejected(self):
         with pytest.raises(al.TooFewPoints):
             al.normalize(small([[1.0, 2.0]]))

@@ -15,12 +15,13 @@ node of each row. A step builds its own distances, so one set is alive at
 a time, builds each merged node once and records its leaves in the trace.
 The distances are computed once per distinct row: rows that compare equal
 in every column are copies, which lie at +0.0 from each other and at their
-representative's distance from every other row, so the step's distance
-matrix covers the representatives (each value's lowest row) only, and a
-level without copies takes every row as it is. That matrix is an internal
-record of the level, not public API: its cut-off is read from the least
-distances the pairwise pass keeps, and its pairs within the cut-off are
-expanded to the copies' pairs before the orderings are built.
+representative's distance from every other row, so the step's
+:class:`~adaptlink.core.DistanceMatrix` covers the representatives (each
+value's lowest row) only, with a least distance of 0.0 for each value that
+has copies, and a level without copies takes every row as it is. That one
+record of the level is internal, not public API: its cut-off is the root of
+the largest least distance, and its pairs within the cut-off are expanded
+to the copies' pairs before the orderings are built.
 
 :func:`_step` calls :func:`~adaptlink.core.matrix_from_coords` (through
 :func:`level_distances`), :func:`cutoff_distance`, :func:`neighborhood`
@@ -213,71 +214,49 @@ def _distinct_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return order, np.flatnonzero(np.concatenate(([True], ~same, [True])))
 
 
-@dataclass(frozen=True)
-class LevelDistances:
-    """One level's distances, computed once per distinct row.
-
-    ``n`` is the level's row count. Where rows repeat, ``rows`` and
-    ``starts`` group them by value (see :func:`_distinct_rows`), and
-    ``matrix`` holds the distances between the values' representatives, in
-    the values' order, None when the level holds one value; otherwise
-    ``rows`` and ``starts`` are None and ``matrix`` covers every row.
-    """
-
-    n: int
-    matrix: DistanceMatrix | None
-    rows: np.ndarray | None = None
-    starts: np.ndarray | None = None
-
-
-def level_distances(coords: np.ndarray) -> LevelDistances:
+def level_distances(coords: np.ndarray) -> DistanceMatrix:
     """A level's distances, from :func:`~adaptlink.core.matrix_from_coords` over its distinct rows.
 
     Copies have the same distances to every other row, and +0.0 to each
     other, so only the representatives' pairs are computed, and none where
-    every row holds one value.
+    every row holds one value; a level without copies takes the matrix over
+    every row as it is.
     """
     copies = _distinct_rows(coords)
     if copies is None:
-        return LevelDistances(len(coords), matrix_from_coords(coords))
+        return matrix_from_coords(coords)
     rows, starts = copies
-    reps = rows[starts[:-1]]
-    matrix = matrix_from_coords(coords[reps]) if reps.size > 1 else None
-    return LevelDistances(len(coords), matrix, rows, starts)
+    if starts.size == 2:  # one value
+        return DistanceMatrix(len(coords), np.empty(0), np.zeros(1), rows, starts)
+    reps = matrix_from_coords(coords[rows[starts[:-1]]])
+    nearest = np.where(np.diff(starts) > 1, 0.0, reps.nearest)
+    return DistanceMatrix(len(coords), reps.entries, nearest, rows, starts)
 
 
-def cutoff_distance(level: LevelDistances) -> float:
+def cutoff_distance(level: DistanceMatrix) -> float:
     """Max over the level's rows of the distance to their nearest other row.
 
-    A row with a copy is at +0.0 from it. Any other row is as near to the
-    others as to their representatives, so its nearest distance is the root
-    of the squared minimum :func:`~adaptlink.core.matrix_from_coords` keeps;
+    A row with a copy is at +0.0 from it, the least distance ``nearest``
+    holds for its value. Any other row is as near to the others as to
+    their representatives, so its nearest distance is the root of the
+    squared minimum :func:`~adaptlink.core.matrix_from_coords` keeps;
     ``sqrt`` is monotone and correctly rounded, so the result has the bits
     of the least condensed entries.
     """
-    if level.matrix is None:  # one value
-        return 0.0
-    nearest = level.matrix.nearest
-    if level.rows is not None:
-        nearest = nearest[np.diff(level.starts) == 1]
-    return float(np.sqrt(nearest.max(initial=0.0)))
+    return float(np.sqrt(level.nearest.max()))
 
 
-def neighborhood(level: LevelDistances, d_u: float) -> Neighborhoods:
+def neighborhood(level: DistanceMatrix, d_u: float) -> Neighborhoods:
     """Every row's ordered neighborhood under the cut-off d_u >= 0, center first.
 
     Row i's members are i, then every j with d(i, j) <= d_u, sorted by
     (distance, index) ascending; the index component makes tied distances
     (e.g. duplicate rows) resolve deterministically. The center leads even
-    when a duplicate of it (distance 0) has a lower index. The pairs of
-    representatives within d_u are expanded to the pairs of their copies,
-    with every two copies of one value at +0.0.
+    when a duplicate of it (distance 0) has a lower index. Where rows
+    repeat, the pairs of representatives within d_u are expanded to the
+    pairs of their copies, with every two copies of one value at +0.0.
     """
-    if level.matrix is None:
-        i = j = np.empty(0, dtype=np.intp)
-        d = np.empty(0)
-    else:
-        i, j, d = _kernels.pairs_within(level.matrix.entries, level.matrix.n, d_u)
+    i, j, d = _kernels.pairs_within(level.entries, level.nearest.size, d_u)
     if level.rows is not None:
         i, j, d = _kernels.expand_copies(i, j, d, level.rows, level.starts)
     return Neighborhoods(*_kernels.neighbors_within(i, j, d, level.n))

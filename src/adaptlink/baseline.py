@@ -209,8 +209,12 @@ class ComparisonReport:
 def compare_compactness(adaptive: Dendrogram, stepwise: Dendrogram) -> ComparisonReport:
     """Levels-vs-steps report; both runs must cover the same leaves.
 
-    The second run's ``meta["method"]`` must be a :class:`LinkageMethod`, else ``ValueError``.
+    The first run's ``meta["method"]`` must be ``"adaptive"`` and the second's a
+    :class:`LinkageMethod`, else ``ValueError``.
     """
+    method = adaptive.meta.get("method")
+    if method != "adaptive":
+        raise ValueError(f"the first run's method is {method!r}, not 'adaptive'")
     if frozenset(adaptive.labels) != frozenset(stepwise.labels):
         raise LeafMismatch("dendrograms cover different leaf sets")
     return ComparisonReport(

@@ -1,7 +1,8 @@
 """Command-line front end: cluster, compare.
 
-Exit codes: 0 success; 1 input/config errors (bad flags, unreadable files,
-malformed tables, too many rows for memory); 2 internal invariant violations.
+Exit codes: 0 success; 1 input/config errors (bad flags, unreadable or
+non-UTF-8 files, malformed tables, too many rows for memory); 2 internal
+invariant violations.
 """
 from __future__ import annotations
 
@@ -77,8 +78,11 @@ def _load_normalized(args):
     if args.fixture:
         data = load_fixture(args.fixture)
     else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            data = parse_table(fh.read())
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                data = parse_table(fh.read())
+        except UnicodeDecodeError as e:
+            raise ClusteringError(f"{args.input}: not UTF-8 text ({e.reason})") from None
     mode = SdMode(args.sd)
     if args.no_normalize:
         return identity_normalized(data, mode)

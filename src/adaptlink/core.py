@@ -1,9 +1,9 @@
 """Data containers, z-score normalization, and each level's distance matrix.
 
 The public surface is the containers, :func:`normalize` and the errors.
-:class:`DistanceMatrix` and :func:`matrix_from_coords` are internal to the
-adaptive engine and the stepwise baselines: the baselines take the matrix
-over every row, the adaptive engine over each level's distinct rows only.
+:class:`DistanceMatrix`, the one record of a level's distances, is internal:
+:func:`matrix_from_coords` builds it over every row, and the adaptive engine's
+``level_distances`` over the distinct rows of a level with copies.
 """
 from __future__ import annotations
 
@@ -49,6 +49,8 @@ class SdMode(str, enum.Enum):
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    if isinstance(a.base, np.ndarray) and a.base.flags.writeable:  # writable through its base
+        a = a.copy()
     a.setflags(write=False)
     # A view of a read-only base cannot be made writable again.
     return a.view()
@@ -231,19 +233,29 @@ def identity_normalized(data: Dataset, mode: SdMode = SdMode.SAMPLE) -> Normaliz
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """One level's pairwise distances, made only by :func:`matrix_from_coords`.
+    """One level's distances over its ``n`` rows; every array is read-only.
 
     ``entries`` holds the condensed upper triangle, row-major; ``nearest``
-    each point's least squared distance to another point. Both are read-only.
+    each point's least squared distance to another. Both cover every row,
+    unless rows repeat: then ``rows`` and ``starts`` group them by value
+    (value k is held by ``rows[starts[k]:starts[k + 1]]``), both cover one
+    representative per value, and ``nearest`` is 0.0 for a value with copies.
     """
 
     n: int
     entries: np.ndarray = field(repr=False)
     nearest: np.ndarray = field(repr=False)
+    rows: np.ndarray | None = field(default=None, repr=False)
+    starts: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for name in ("entries", "nearest", "rows", "starts"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
 def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
-    """Condensed Euclidean distance matrix over the rows of ``coords``.
+    """Condensed Euclidean distance matrix over every row of ``coords``.
 
     The same pass keeps each point's least squared distance for the cut-off.
     Raises :class:`Overflow` when a distance is not finite (squared
@@ -265,5 +277,5 @@ def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
         raise Overflow(
             "pairwise distances overflow double precision; rescale the descriptors"
         )
-    return DistanceMatrix(n, _frozen(entries), _frozen(nearest))
+    return DistanceMatrix(n, entries, nearest)
 

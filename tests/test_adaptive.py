@@ -48,8 +48,12 @@ class TestCutoff:
     def test_max_of_row_minima(self):
         # distances: d01=1, d02=3, d12=2 -> row minima 1, 1, 2 -> cut-off 2
         m = adaptive.level_distances(np.array([[0.0], [1.0], [3.0]]))
-        assert m.matrix.entries.tolist() == [1.0, 3.0, 2.0]
+        assert m.entries.tolist() == [1.0, 3.0, 2.0]
         assert adaptive.cutoff_distance(m) == 2.0
+
+    def test_every_value_with_copies_is_at_zero(self):
+        m = adaptive.level_distances(np.array([[0.0], [5.0], [0.0], [5.0]]))
+        assert m.entries.tolist() == [5.0] and adaptive.cutoff_distance(m) == 0.0
 
     def test_para_depth1_value(self, para_nd):
         matrix = first_matrix(para_nd)
@@ -515,7 +519,7 @@ class TestDistinctRows:
         rows, starts = adaptive._distinct_rows(coords)
         assert rows.tolist() == [0, 2, 1] and starts.tolist() == [0, 2, 3]
         level = adaptive.level_distances(coords)
-        assert level.matrix.n == 2 and adaptive.cutoff_distance(level) == 0.0
+        assert level.nearest.size == 2 and adaptive.cutoff_distance(level) == 0.0
         # The raw regime holds distinct rows at distance 0.0.
         coords = regime_frame("underflow").coords
         square = np.array(oracle_square(coords))
@@ -526,7 +530,28 @@ class TestDistinctRows:
         coords = np.array([[0.0, 1.0], [0.0, 2.0], [3.0, 1.0]])
         assert adaptive._distinct_rows(coords) is None
         level = adaptive.level_distances(coords)
-        assert level.rows is None and level.matrix.n == 3
+        assert level.rows is None and level.starts is None and level.n == 3
+        full = core.matrix_from_coords(coords)
+        assert level.entries.tolist() == full.entries.tolist()
+        assert level.nearest.tolist() == full.nearest.tolist()
+
+    def test_copies_keep_the_representatives_distances(self):
+        # Values 0.0 (rows 1, 3), 1.0 (row 0), 3.0 (row 2) and 7.0 (rows 4, 5).
+        coords = np.array([[1.0], [0.0], [3.0], [0.0], [7.0], [7.0]])
+        level = adaptive.level_distances(coords)
+        assert isinstance(level, core.DistanceMatrix) and level.n == 6
+        assert level.rows.tolist() == [1, 3, 0, 2, 4, 5]
+        assert level.starts.tolist() == [0, 2, 3, 4, 6]
+        reps = core.matrix_from_coords(np.array([[0.0], [1.0], [3.0], [7.0]]))
+        assert level.entries.tolist() == reps.entries.tolist()
+        # Each multi-row value at 0.0; each single row at its own minimum.
+        assert level.nearest.tolist() == [0.0, 1.0, 4.0, 0.0]
+        assert adaptive.cutoff_distance(level) == 2.0
+        for a in (level.entries, level.nearest, level.rows, level.starts):
+            with pytest.raises(ValueError):
+                a[0] = 1
+            with pytest.raises(ValueError):
+                a.setflags(write=True)
 
     def test_one_value_needs_no_matrix(self, monkeypatch):
         # Every row equal: cut-off 0.0 and one group of every row, as a full
@@ -539,7 +564,8 @@ class TestDistinctRows:
         assert [(r.cutoff, r.groups) for r in d.trace] == [(0.0, (frozenset("abc"),))]
         assert [c.label for c in d.root.children] == ["a", "b", "c"]
         level = adaptive.level_distances(np.zeros((2, 1)))
-        assert level.matrix is None and adaptive.cutoff_distance(level) == 0.0
+        assert level.entries.size == 0 and level.nearest.tolist() == [0.0]
+        assert level.n == 2 and adaptive.cutoff_distance(level) == 0.0
         assert orderings(adaptive.neighborhood(level, 0.0)) == [[0, 1], [1, 0]]
 
     @pytest.mark.parametrize("coords", [

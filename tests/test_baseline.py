@@ -240,6 +240,11 @@ class TestCompare:
         with pytest.raises(ValueError, match="adaptive"):
             al.compare_compactness(adaptive, adaptive)
 
+    def test_stepwise_run_as_the_adaptive_run_raises(self, para_nd):
+        stepwise = al.stepwise_cluster(para_nd, al.LinkageMethod.AVERAGE)
+        with pytest.raises(ValueError, match="^the first run's method is 'average', not 'adaptive'$"):
+            al.compare_compactness(stepwise, stepwise)
+
     def test_leaf_mismatch(self, para_nd):
         adaptive = al.build_dendrogram(para_nd)
         other = tiny([[0.0], [1.0], [2.0]], labels=("x", "y", "z"))

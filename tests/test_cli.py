@@ -158,6 +158,13 @@ class TestErrors:
         assert out == ""
         assert "/nonexistent/table.csv" in err
 
+    def test_non_utf8_input(self, capsys, tmp_path):
+        latin = tmp_path / "latin.csv"
+        latin.write_bytes("name,x\ncaf\u00e9,1\nb,2\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, "cluster", "--input", str(latin))
+        assert (code, out) == (1, "")
+        assert err == f"adaptlink: error: {latin}: not UTF-8 text (invalid continuation byte)\n"
+
     def test_malformed_table(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("name,x\na,oops\n", encoding="utf-8")

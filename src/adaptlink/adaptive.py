@@ -12,7 +12,9 @@ agglomeration.
 
 A level is the active coordinates (an m x p float64 array) and the tree
 node of each row. A step builds its own distances, so one set is alive at
-a time, builds each merged node once and records its leaves in the trace.
+a time, builds each merged node once and records the merged nodes in the
+trace. A node holds its children and its leaf count, not its leaves' labels,
+so a merge costs O(children) and a tree with its trace takes O(nodes) memory.
 The distances are computed once per distinct row: rows that compare equal
 in every column are copies, which lie at +0.0 from each other and at their
 representative's distance from every other row, so the step's
@@ -46,8 +48,9 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, Context, Decimal
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,40 +89,33 @@ class Neighborhoods:
             a.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class DepthRecord:
-    """One level of the trace: the cut-off used and the groups it merged."""
+class TreeNode(NamedTuple):
+    """Dendrogram node; a leaf carries its label, a merge its children, depth and cut-off.
 
-    depth: int
-    cutoff: float
-    groups: tuple[frozenset[str], ...]
-
-    @property
-    def display(self) -> str:
-        """The cut-off as :func:`format_cutoff` shows it."""
-        return format_cutoff(self.cutoff)
-
-
-@dataclass(frozen=True, eq=False)
-class TreeNode:
-    """Dendrogram node; leaves carry a label, merges carry depth and cut-off.
-
-    Equality walks both subtrees with a stack, and hash and repr read only
-    the node's own fields, so trees deeper than the recursion limit work too.
+    ``size`` counts the leaves under the node: 1 for a leaf, the sum of the
+    children's for a merge. The leaves' labels are not stored, and
+    :attr:`leaves` collects them on demand. Equality walks both
+    subtrees with a stack, and hash and repr read only the node's own fields,
+    so trees deeper than the recursion limit work too.
     """
 
-    leaves: frozenset[str]
-    children: tuple["TreeNode", ...] = ()
+    children: tuple[TreeNode, ...] = ()
     label: str | None = None
     depth: int = 0
     cutoff: float | None = None
+    size: int = 1
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
 
+    @property
+    def leaves(self) -> frozenset[str]:
+        """The labels of the leaves under the node, from one walk of its subtree."""
+        return frozenset(node.label for node, _ in _preorder((self,)) if not node.children)
+
     def _own(self) -> tuple:
-        return self.leaves, self.label, self.depth, self.cutoff
+        return self.label, self.depth, self.cutoff, self.size
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -139,8 +135,41 @@ class TreeNode:
     def __repr__(self) -> str:
         return (
             f"TreeNode(label={self.label!r}, depth={self.depth}, cutoff={self.cutoff!r}, "
-            f"{len(self.leaves)} leaves, {len(self.children)} children)"
+            f"{self.size} leaves, {len(self.children)} children)"
         )
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class DepthRecord:
+    """One level of the trace: the cut-off used and the nodes of the groups it merged.
+
+    Records compare and hash by depth, cut-off and :attr:`groups`.
+    """
+
+    depth: int
+    cutoff: float
+    nodes: tuple[TreeNode, ...]
+
+    @property
+    def groups(self) -> tuple[frozenset[str], ...]:
+        """Each merged node's leaf labels, in the order of ``nodes``."""
+        return tuple(node.leaves for node in self.nodes)
+
+    @property
+    def display(self) -> str:
+        """The cut-off as :func:`format_cutoff` shows it."""
+        return format_cutoff(self.cutoff)
+
+    def _key(self) -> tuple:
+        return self.depth, self.cutoff, self.groups
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _preorder(roots):
@@ -168,7 +197,7 @@ class Dendrogram:
     labels: tuple[str, ...]
     roots: tuple[TreeNode, ...]
     trace: tuple[DepthRecord, ...]
-    meta: dict
+    meta: dict = field(hash=False)  # a dict cannot hash; equal runs still hash equal
 
     def __init__(self, labels, roots=(), trace=(), meta=None, *, root=None):
         object.__setattr__(self, "labels", labels)
@@ -411,7 +440,7 @@ def initial_state(nd: NormalizedDataset) -> Level:
     coords = np.asarray(nd.coords, dtype=np.float64)
     if nd.normalized:
         coords = np.round(coords, _WORKING_DECIMALS)
-    return coords, [TreeNode(leaves=frozenset({lab}), label=lab) for lab in nd.labels]
+    return coords, [TreeNode((), lab) for lab in nd.labels]
 
 
 def _step(level: Level, nd: NormalizedDataset, depth: int) -> tuple[Level, DepthRecord]:
@@ -433,10 +462,9 @@ def _step(level: Level, nd: NormalizedDataset, depth: int) -> tuple[Level, Depth
     # their merged node takes; the trace lists them in that order.
     merged = nodes.copy()
     for g in groups:
-        kids = tuple(nodes[k] for k in g)
-        leaves = frozenset().union(*(c.leaves for c in kids))
-        merged[g[0]] = TreeNode(leaves, kids, depth=depth, cutoff=d_u)
-    record = DepthRecord(depth, d_u, tuple(merged[g[0]].leaves for g in groups))
+        kids = tuple([nodes[k] for k in g])
+        merged[g[0]] = TreeNode(kids, None, depth, d_u, sum([c.size for c in kids]))
+    record = DepthRecord(depth, d_u, tuple([merged[g[0]] for g in groups]))
     nodes = [merged[k] for k in kept]
     if nd.normalized:  # a one-row frame becomes zeros, which nothing reads
         coords = np.round(_standardize_working(coords, nd.stats.mode), _WORKING_DECIMALS)

@@ -97,35 +97,25 @@ def stepwise_cluster(
     dist = _upper_square(matrix_from_coords(nd.coords).entries, n)
     nn_j = dist.argmin(axis=1)
     nn_d = dist[np.arange(n), nn_j]
-    nodes: list[TreeNode | None] = [
-        TreeNode(leaves=frozenset({lab}), label=lab, depth=0) for lab in nd.labels
-    ]
+    nodes: list[TreeNode | None] = [TreeNode((), lab) for lab in nd.labels]
     min_label = list(nd.labels)
     centroids = np.array(nd.coords) if method is LinkageMethod.CENTROID else None
     active = np.ones(n, dtype=bool)
     records: list[DepthRecord] = []
     for step in range(1, n):
         a = int(nn_d.argmin())
-        d = nn_d[a]
+        d = float(nn_d[a])
         if stop_threshold is not None and d > stop_threshold:
             break
         b = int(nn_j[a])
-        na, nb = len(nodes[a].leaves), len(nodes[b].leaves)
+        na, nb = nodes[a].size, nodes[b].size
         if min_label[b] < min_label[a]:
             children = (nodes[b], nodes[a])
         else:
             children = (nodes[a], nodes[b])
-        merged_leaves = nodes[a].leaves | nodes[b].leaves
-        nodes[a] = TreeNode(
-            leaves=merged_leaves,
-            children=children,
-            depth=step,
-            cutoff=float(d),
-        )
+        nodes[a] = TreeNode(children, None, step, d, na + nb)
         nodes[b] = None
-        records.append(
-            DepthRecord(depth=step, cutoff=float(d), groups=(frozenset(merged_leaves),))
-        )
+        records.append(DepthRecord(step, d, (nodes[a],)))
         min_label[a] = min(min_label[a], min_label[b])
         active[[a, b]] = False
         others = np.flatnonzero(active)
@@ -223,5 +213,5 @@ def compare_compactness(adaptive: Dendrogram, stepwise: Dendrogram) -> Compariso
         stepwise_method=LinkageMethod(stepwise.meta["method"]).value,
         adaptive_max_arity=_max_arity(adaptive.roots),
         stepwise_max_arity=_max_arity(stepwise.roots),
-        groups_per_level=tuple(len(rec.groups) for rec in adaptive.trace),
+        groups_per_level=tuple(len(rec.nodes) for rec in adaptive.trace),
     )

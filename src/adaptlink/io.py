@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .adaptive import DepthRecord, _preorder, format_cutoff
+from .adaptive import DepthRecord, TreeNode, _preorder, format_cutoff
 from .core import ClusteringError, Dataset
 
 FIXTURES = ("para", "meta")
@@ -108,6 +108,28 @@ class TraceDocument:
     trace: tuple[DepthRecord, ...]
 
 
+def _sorted_groups(trace):
+    """Each record's groups as sorted label lists.
+
+    A merged node's list is its children's lists joined and sorted; a child
+    merged at an earlier record reuses that record's list, so each label is
+    copied once per level it is merged at, not collected from the subtree.
+    """
+    known: dict[int, list[str]] = {}  # id of a node merged at an earlier record -> its list
+    out = []
+    for rec in trace:
+        lists = []
+        for node in rec.nodes:
+            labels = []
+            for c in node.children:
+                labels += known.pop(id(c), None) or ([c.label] if c.is_leaf else sorted(c.leaves))
+            labels.sort()  # the children's lists are sorted runs, which the sort merges
+            known[id(node)] = labels
+            lists.append(labels)
+        out.append(lists)
+    return out
+
+
 def write_trace(d) -> str:
     """Serialize the ``meta`` and ``trace`` of a dendrogram or trace document."""
     payload = {
@@ -119,9 +141,9 @@ def write_trace(d) -> str:
                 "depth": rec.depth,
                 "cutoff": rec.cutoff,
                 "cutoff_display": rec.display,
-                "groups": [sorted(g) for g in rec.groups],
+                "groups": groups,
             }
-            for rec in d.trace
+            for rec, groups in zip(d.trace, _sorted_groups(d.trace))
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
@@ -150,7 +172,7 @@ def read_trace(text: str) -> TraceDocument:
     if not isinstance(meta, dict) or not isinstance(entries, list):
         raise SchemaError("metadata/trace sections missing or mistyped")
     records = []
-    cluster_of: dict[str, frozenset[str]] = {}
+    cluster_of: dict[str, TreeNode] = {}
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise SchemaError(f"trace entry {k} is not an object")
@@ -179,42 +201,48 @@ def read_trace(text: str) -> TraceDocument:
                 f"trace entry {k} displays cut-off {cutoff!r} as {display!r}, "
                 f"expected {format_cutoff(cutoff)!r}"
             )
-        records.append(
-            DepthRecord(depth=depth, cutoff=cutoff, groups=_replay(k, depth, groups, cluster_of))
-        )
+        records.append(DepthRecord(depth, cutoff, _replay(k, depth, cutoff, groups, cluster_of)))
     return TraceDocument(meta=meta, trace=tuple(records))
 
 
 def _replay(
-    k: int, depth: int, groups: list[list[str]], cluster_of: dict
-) -> tuple[frozenset[str], ...]:
+    k: int, depth: int, cutoff: float, groups: list[list[str]], cluster_of: dict
+) -> tuple[TreeNode, ...]:
     """Check one level's groups against the clusters before it, then merge them.
 
-    ``cluster_of`` maps every label seen so far to its active cluster; the
-    level's groups are returned as frozensets.
+    ``cluster_of`` maps every label seen so far to the node of its active
+    cluster; each group becomes one node over the clusters it joins, and the
+    level's nodes are returned.
     """
     if depth != k + 1:
         raise SchemaError(f"trace entry {k} has depth {depth}, expected {k + 1}")
     labels = [lab for g in groups for lab in g]
     if len(set(labels)) != len(labels):
         raise SchemaError(f"depth {depth}: a label appears more than once")
-    merged_groups = tuple(frozenset(g) for g in groups)
-    for g in merged_groups:
-        parts = {cluster_of.get(lab) or frozenset((lab,)) for lab in g}
+    nodes = []
+    for g in groups:
+        parts = {}  # id -> node of each cluster the group joins, in order of first label
+        for lab in g:
+            part = cluster_of.get(lab) or TreeNode((), lab)
+            parts.setdefault(id(part), part)
         if len(parts) < 2:
             raise SchemaError(
                 f"depth {depth}: the group of {min(g)!r} joins fewer than two "
                 "active clusters"
             )
-        outside = frozenset().union(*parts) - g
-        if outside:
+        children = tuple(parts.values())
+        size = sum(c.size for c in children)
+        if size != len(g):  # the clusters are disjoint and cover g, so more leaves lie outside
+            outside = frozenset().union(*(c.leaves for c in children)) - frozenset(g)
             raise SchemaError(
                 f"depth {depth}: a group is not a union of active clusters: it "
                 f"splits the cluster of {min(outside)!r}"
             )
+        node = TreeNode(children, None, depth, cutoff, size)
         for lab in g:
-            cluster_of[lab] = g
-    return merged_groups
+            cluster_of[lab] = node
+        nodes.append(node)
+    return tuple(nodes)
 
 
 def _dot_escape(s: str) -> str:

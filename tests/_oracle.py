@@ -234,7 +234,7 @@ def random_dataset(rng: np.random.Generator) -> al.Dataset:
     return al.Dataset(labels=labels, values=values, column_names=columns)
 
 
-REGIMES = ("grid", "duplicates", "outlier", "cloud")
+REGIMES = ("grid", "duplicates", "outlier", "cloud", "nested")
 # Regimes whose point lies in the raw values, so they run in the raw frame.
 RAW_REGIMES = ("signed_zeros", "underflow")
 
@@ -246,6 +246,12 @@ def regime_dataset(regime: str, seed: int = 0) -> al.Dataset:
     * ``duplicates``: 50 distinct rows, each 3 times, shuffled (n=150);
     * ``outlier``: n=150 Gaussian rows, one moved far away (a degenerate level);
     * ``cloud``: n=200 Gaussian rows (large neighborhoods);
+    * ``nested``: a tight cluster of 50 rows around one mutual nearest pair
+      (rows 0 and 1), 4 units above a box of 100 uniform rows, and one row
+      9 units below the box that sets the level-1 cut-off (n=151). Each
+      cluster row's ordering runs past the cluster into the box, yet the
+      level-1 group of the pair is the whole cluster: its maximal set is
+      longer than the leading pair and shorter than its orderings;
     * ``signed_zeros``: n=60 integer rows 0-2 in 3 columns, each zero given
       a random sign, so rows are equal except for the sign of a zero;
     * ``underflow``: n=60 integer rows 0-2 in 2 columns and a third column
@@ -267,6 +273,11 @@ def regime_dataset(regime: str, seed: int = 0) -> al.Dataset:
         values[int(rng.integers(150))] = 25.0
     elif regime == "cloud":
         values = rng.normal(size=(200, 3))
+    elif regime == "nested":
+        cluster = np.array([0.0, 0.0, 9.0]) + rng.normal(scale=0.05, size=(50, 3))
+        cluster[1] = cluster[0] + 0.001
+        box = rng.uniform(-5.0, 5.0, size=(100, 3))
+        values = np.vstack([cluster, box, [[0.0, 0.0, -14.0]]])
     else:
         raise ValueError(f"unknown regime {regime!r}")
     labels = tuple(f"{regime[0]}{i:03d}" for i in range(len(values)))
@@ -319,11 +330,10 @@ def oracle_stepwise(
     n = nd.n
     entries = matrix_from_coords(nd.coords).entries
     dist = condensed_square(entries, n)
-    nodes: list[TreeNode | None] = [
-        TreeNode(leaves=frozenset({lab}), label=lab, depth=0) for lab in nd.labels
-    ]
+    nodes: list[TreeNode | None] = [TreeNode((), lab) for lab in nd.labels]
     sizes = [1] * n
     min_leaf = list(range(n))
+    min_label = list(nd.labels)
     centroids = np.array(nd.coords) if method is LinkageMethod.CENTROID else None
     active = set(range(n))
     records: list[DepthRecord] = []
@@ -343,18 +353,16 @@ def oracle_stepwise(
         step += 1
         if min_leaf[b] < min_leaf[a]:
             a, b = b, a
-        children = sorted((nodes[a], nodes[b]), key=lambda t: min(t.leaves))
-        merged_leaves = nodes[a].leaves | nodes[b].leaves
+        first, second = sorted((a, b), key=lambda s: min_label[s])
         nodes[a] = TreeNode(
-            leaves=merged_leaves,
-            children=tuple(children),
+            children=(nodes[first], nodes[second]),
             depth=step,
             cutoff=float(d),
+            size=sizes[a] + sizes[b],
         )
         nodes[b] = None
-        records.append(
-            DepthRecord(depth=step, cutoff=float(d), groups=(frozenset(merged_leaves),))
-        )
+        records.append(DepthRecord(depth=step, cutoff=float(d), nodes=(nodes[a],)))
+        min_label[a] = min(min_label[a], min_label[b])
         na, nb = sizes[a], sizes[b]
         sizes[a] = na + nb
         min_leaf[a] = min(min_leaf[a], min_leaf[b])

@@ -285,6 +285,22 @@ class TestExtremelyCloseSets:
         groups = adaptive.extremely_close_sets(self.nbhds(coords))
         assert groups == [tuple(range(1, 60))]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nested_cluster_is_one_group(self, seed):
+        # Level 1 of the nested regime: the far row sets the cut-off, the
+        # pair leads its own orderings, and every cluster row's ordering runs
+        # past the cluster, yet the pair's maximal group is the cluster.
+        coords = al.normalize(regime_dataset("nested", seed)).coords
+        m = adaptive.level_distances(coords)
+        assert int(np.argmax(m.nearest)) == 150
+        nbs = adaptive.neighborhood(m, adaptive.cutoff_distance(m))
+        starts, members = nbs.starts, nbs.members
+        assert members[starts[0] : starts[0] + 2].tolist() == [0, 1]
+        assert members[starts[1] : starts[1] + 2].tolist() == [1, 0]
+        assert (np.diff(starts)[:50] > 50).all()
+        groups = adaptive.extremely_close_sets(nbs)
+        assert tuple(range(50)) in groups
+
     @pytest.mark.parametrize("regime", REGIMES)
     def test_batching_does_not_change_groups(self, regime, monkeypatch):
         # One member row per batch of the exact check must not change the

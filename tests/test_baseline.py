@@ -1,12 +1,14 @@
 """Tests for the classical stepwise baselines and the compactness comparison."""
-import dataclasses
 import functools
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import adaptlink as al
 from adaptlink import io
+from adaptlink.adaptive import _preorder
 
 from _oracle import REGIMES, oracle_stepwise, regime_dataset
 
@@ -270,10 +272,10 @@ class TestDeepTree:
         path = [root]
         while not all(c.is_leaf for c in path[-1].children):
             path.append(next(c for c in path[-1].children if not c.is_leaf))
-        node = dataclasses.replace(path[-1], cutoff=cutoff)
+        node = path[-1]._replace(cutoff=cutoff)
         for parent in reversed(path[:-1]):
             children = tuple(c if c.is_leaf else node for c in parent.children)
-            node = dataclasses.replace(parent, children=children)
+            node = parent._replace(children=children)
         return node, len(path)
 
     def test_equal_trees_compare_equal(self):
@@ -293,7 +295,52 @@ class TestDeepTree:
         assert a == self.with_deepest_cutoff(a, 1.0)[0]  # x = 0, 1: the first merge is at 1
 
     def test_leaf_and_other_types(self):
-        leaf = al.TreeNode(leaves=frozenset({"a"}), label="a")
-        assert leaf == al.TreeNode(leaves=frozenset({"a"}), label="a")
-        assert leaf != al.TreeNode(leaves=frozenset({"a"}), label="a", depth=1)
-        assert leaf != "a" and len({leaf, al.TreeNode(frozenset({"a"}), label="a")}) == 1
+        leaf = al.TreeNode(label="a")
+        assert leaf == al.TreeNode(label="a")
+        assert leaf != al.TreeNode(label="a", depth=1)
+        assert (leaf == al.TreeNode(label="a", size=2)) is False
+        pair = al.TreeNode((leaf, al.TreeNode(label="b")), depth=1, cutoff=1.0, size=2)
+        longer = pair._replace(children=(*pair.children, al.TreeNode(label="c")))
+        assert (pair == longer) is False  # the walk zips children, so it counts them first
+        assert leaf != "a" and len({leaf, al.TreeNode((), "a")}) == 1
+
+
+class TestTreeMemory:
+    """A node holds its leaf count, not its leaves' labels, and a trace record
+    its merged nodes, so a tree and its trace take O(nodes) memory."""
+
+    def test_chain_keeps_less_than_a_square(self):
+        # TestDeepTree's chain: a node per merge that held its leaves' labels
+        # kept 33 MiB here, three times the square.
+        n = TestDeepTree.N
+        nd = tiny([[float(i * i)] for i in range(n)])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            d = al.stepwise_cluster(nd, al.LinkageMethod.SINGLE)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(d.trace) == n - 1 and d.root.size == n
+        assert kept < n * n * 8  # one n×n float64 square, 11 MiB
+
+    @pytest.mark.parametrize("fixture", ["para", "meta"])
+    def test_size_counts_the_leaves(self, fixture):
+        nd = al.normalize(io.load_fixture(fixture))
+        for d in (al.build_dendrogram(nd), al.stepwise_cluster(nd, al.LinkageMethod.AVERAGE)):
+            for node, _ in _preorder(d.roots):
+                assert node.size == len(node.leaves)
+                if node.children:
+                    assert node.leaves == frozenset().union(*(c.leaves for c in node.children))
+            assert d.root.leaves == frozenset(nd.labels)
+
+    @pytest.mark.parametrize("fixture", ["para", "meta"])
+    def test_equal_runs_hash_equal(self, fixture):
+        # The metadata is a dict, so it stays out of the hash.
+        nd = al.normalize(io.load_fixture(fixture))
+        for run in (al.build_dendrogram, functools.partial(al.stepwise_cluster, method="single")):
+            a, b = run(nd), run(nd)
+            assert a == b and hash(a) == hash(b)
+            assert a.trace == b.trace and hash(a.trace) == hash(b.trace)

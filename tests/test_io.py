@@ -244,11 +244,33 @@ class TestTraceDocuments:
 
     def test_built_record_writes_a_trace_that_reads_back(self):
         # The display is derived from the cut-off, so no record can disagree with it.
-        rec = al.DepthRecord(depth=1, cutoff=0.8974, groups=(frozenset({"A", "B"}),))
+        pair = TreeNode((TreeNode(label="A"), TreeNode(label="B")), depth=1, cutoff=0.8974, size=2)
+        rec = al.DepthRecord(depth=1, cutoff=0.8974, nodes=(pair,))
+        assert rec.groups == (frozenset({"A", "B"}),)
         assert rec.display == al.format_cutoff(0.8974) == "0.89"
         doc = io.TraceDocument(meta={}, trace=(rec,))
         again = io.read_trace(io.write_trace(doc))
         assert again == doc and again.trace[0].display == "0.89"
+
+    def test_records_compare_by_their_groups(self):
+        def pair(x, y):
+            return TreeNode((TreeNode(label=x), TreeNode(label=y)), depth=1, cutoff=0.5, size=2)
+
+        rec = al.DepthRecord(1, 0.5, (pair("a", "b"),))
+        same = al.DepthRecord(1, 0.5, (pair("b", "a"),))  # other child order, same group
+        assert rec == same and hash(rec) == hash(same)
+        assert rec != al.DepthRecord(1, 0.5, (pair("a", "c"),))
+        assert rec != al.DepthRecord(2, 0.5, (pair("a", "b"),))
+        assert rec != al.DepthRecord(1, 0.25, (pair("a", "b"),))
+
+    def test_group_over_an_unrecorded_merge_writes_sorted_labels(self):
+        # The pair under the group is in no record, so its labels come from its leaves.
+        pair = TreeNode((TreeNode(label="b"), TreeNode(label="a")), depth=1, cutoff=0.5, size=2)
+        triple = TreeNode((TreeNode(label="c"), pair), depth=1, cutoff=1.0, size=3)
+        doc = io.TraceDocument(meta={}, trace=(al.DepthRecord(1, 1.0, (triple,)),))
+        text = io.write_trace(doc)
+        assert json.loads(text)["trace"][0]["groups"] == [["a", "b", "c"]]
+        assert io.read_trace(text) == doc
 
     def test_first_seen_label_is_a_singleton(self):
         levels = [
@@ -274,11 +296,11 @@ def hand_forest():
     """Three roots: a 3-way merge over a pair and two leaves, a pair, a leaf."""
 
     def leaf(lab):
-        return TreeNode(leaves=frozenset({lab}), label=lab)
+        return TreeNode(label=lab)
 
     def join(depth, cutoff, *children):
-        leaves = frozenset().union(*(c.leaves for c in children))
-        return TreeNode(leaves=leaves, children=children, depth=depth, cutoff=cutoff)
+        size = sum(c.size for c in children)
+        return TreeNode(children=children, depth=depth, cutoff=cutoff, size=size)
 
     return SimpleNamespace(
         roots=(

@@ -47,7 +47,6 @@ and the reference tabulation it reproduces):
 from __future__ import annotations
 
 import hashlib
-from array import array
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, Context, Decimal
 from typing import NamedTuple
@@ -323,33 +322,38 @@ def _longest_candidates(nbs: Neighborhoods, keys: np.ndarray) -> np.ndarray:
 
 
 def _verified_groups(nbs: Neighborhoods, keys: np.ndarray) -> list[tuple[int, ...]] | None:
-    """Each unplaced center's longest candidate as a group, or None if one fails the check."""
-    starts, members = nbs.starts, nbs.members
-    bounds = starts.tolist()
+    """The classes of the centers' longest candidates, in order, or None if one fails the check.
+
+    A center's candidate is its first ``v > 1`` entries and its class the
+    candidate's least member; a point with no candidate has class -1. Each
+    class must hold exactly v centers for each of its members' v, and every
+    entry of its candidates must be of that class. Then each member's first
+    v entries are v distinct points of the class, so they are the class; no
+    candidate is shorter than the maximal set, so the class is that set.
+    """
     longest = _longest_candidates(nbs, keys)
     centers = (longest > 1).nonzero()[0]
-    owner = array("q", [-1]) * keys.size  # each point's group
-    groups: list[tuple[int, ...]] = []
-    by_size: dict[int, list[int]] = {}
-    for c, v in zip(centers.tolist(), longest[centers].tolist()):
-        if owner[c] < 0:
-            g = members[bounds[c] : bounds[c] + v].tolist()
-            for x in g:  # a point in two groups, or an ordering shorter than v, fails
-                if owner[x] >= 0 or bounds[x + 1] - bounds[x] < v:
-                    return None
-                owner[x] = len(groups)
-            by_size.setdefault(v, []).extend(g)
-            groups.append(tuple(sorted(g)))
-    owner = np.frombuffer(owner, dtype=np.int64)
-    for v, rows in by_size.items():
-        rows, cols = np.array(rows), np.arange(v)
-        step = max(1, _kernels._CELL_BUDGET // v)
-        for lo in range(0, rows.size, step):
-            part = rows[lo : lo + step]
-            if (owner[members[starts[part, None] + cols]] != owner[part, None]).any():
-                return None
-    groups.sort()  # disjoint tuples compare by their first members
-    return groups
+    v = longest[centers]
+    offsets = np.cumsum(v) - v
+    # Every candidate's positions, then its members, in one buffer: the
+    # positions are in range, and "clip" takes in place where "raise" copies.
+    entries = np.arange(v.sum())
+    entries += np.repeat(nbs.starts[centers] - offsets, v)
+    nbs.members.take(entries, out=entries, mode="clip")
+    least = np.minimum.reduceat(entries, offsets)
+    classes = np.full(longest.size, -1)
+    classes[centers] = least
+    classes.take(entries, out=entries, mode="clip")
+    if (
+        (np.minimum.reduceat(entries, offsets) != least).any()
+        or (np.maximum.reduceat(entries, offsets) != least).any()
+        or (np.bincount(least, minlength=longest.size)[least] != v).any()
+    ):
+        return None
+    # A stable sort by class lists the classes by least member, members ascending.
+    flat = centers[least.argsort(kind="stable")].tolist()
+    ends = np.cumsum(v[least == centers]).tolist()
+    return [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def extremely_close_sets(nbs: Neighborhoods) -> list[tuple[int, ...]]:
@@ -366,11 +370,11 @@ def extremely_close_sets(nbs: Neighborhoods) -> list[tuple[int, ...]]:
     whose sum occurs at least as often as the prefix is long. A qualifying
     set is the length-v prefix of each of its v members, so its sum occurs v
     times whatever the keys: no candidate is shorter than the maximal set,
-    and one is longer only through a collision of sums. So each group is
-    checked exactly: every member's ordering holds v entries or more, and
-    the first v all lie in the group. A collision that fails the check
-    redoes the level with the next of a few fixed key seeds, so runs stay
-    deterministic.
+    and one is longer only through a collision of sums. So the candidates
+    are checked exactly in one array pass: each candidate's class (its least
+    member) must hold as many centers as the candidate is long, and hold
+    every point in it. A collision that fails the check redoes the level
+    with the next of a few fixed key seeds, so runs stay deterministic.
     """
     n = nbs.starts.size - 1
     if n == 0:

@@ -302,18 +302,13 @@ class TestExtremelyCloseSets:
         assert tuple(range(50)) in groups
 
     @pytest.mark.parametrize("regime", REGIMES)
-    def test_batching_does_not_change_groups(self, regime, monkeypatch):
-        # One member row per batch of the exact check must not change the
-        # groups, which must match the oracle's definition.
+    def test_groups_match_the_oracle(self, regime):
         coords = al.normalize(regime_dataset(regime)).coords
         m = adaptive.level_distances(coords)
         cut = adaptive.cutoff_distance(m)
         nbs = adaptive.neighborhood(m, cut)
         want, _ = oracle_groups(oracle_square(coords), cut)
-        want = sorted(tuple(sorted(s)) for s in want)
-        assert adaptive.extremely_close_sets(nbs) == want
-        monkeypatch.setattr(_kernels, "_CELL_BUDGET", 1)
-        assert adaptive.extremely_close_sets(nbs) == want
+        assert adaptive.extremely_close_sets(nbs) == sorted(tuple(sorted(s)) for s in want)
 
 
 def colliding_keys(monkeypatch, collide, seeds=(0,)):
@@ -384,6 +379,41 @@ class TestKeyCollisions:
         nbs = adaptive.neighborhood(m, cut)
         want, _ = oracle_groups(oracle_square(coords), cut)
         asked = colliding_keys(monkeypatch, all_equal)
+        assert adaptive.extremely_close_sets(nbs) == sorted(tuple(sorted(s)) for s in want)
+        assert asked == [0, 1]
+
+    @pytest.mark.parametrize("points, want_orderings, longest", [
+        # {0, 2, 3} has three centers of three, but 2's candidate holds 1, which has none.
+        pytest.param(
+            [7.0, 0.0, 4.0, 8.0], [[0, 3, 2], [1, 2], [2, 0, 1, 3], [3, 0, 2]], [3, 1, 3, 3],
+            id="a-point-without-a-candidate",
+        ),
+        # {0, 3} has two centers of two, but 0's candidate holds 2, of class 1.
+        pytest.param(
+            [3.0, 7.0, 6.0, 0.0], [[0, 2, 3], [1, 2], [2, 1, 0], [3, 0]], [2, 2, 2, 2],
+            id="a-later-class",
+        ),
+        # Every candidate lies in class 0, which has four centers, not 3 or 2.
+        pytest.param(
+            [5.0, 3.0, 2.0, 10.0], [[0, 1, 2, 3], [1, 2, 0], [2, 1, 0], [3, 0]], [3, 3, 3, 2],
+            id="more-centers-than-its-size",
+        ),
+    ])
+    def test_an_over_long_candidate_is_caught(self, points, want_orderings, longest, monkeypatch):
+        # The first key seed yields the candidates ``longest``, none shorter than the real ones.
+        coords = np.array(points)[:, None]
+        m = adaptive.level_distances(coords)
+        cut = adaptive.cutoff_distance(m)
+        nbs = adaptive.neighborhood(m, cut)
+        assert orderings(nbs) == want_orderings
+        real = adaptive._longest_candidates
+        assert (np.array(longest) >= real(nbs, adaptive._keys(len(points), 0))).all()
+        asked = colliding_keys(monkeypatch, lambda keys: keys)
+        monkeypatch.setattr(
+            adaptive, "_longest_candidates",
+            lambda nbs, keys: np.array(longest) if asked == [0] else real(nbs, keys),
+        )
+        want, _ = oracle_groups(oracle_square(coords), cut)
         assert adaptive.extremely_close_sets(nbs) == sorted(tuple(sorted(s)) for s in want)
         assert asked == [0, 1]
 

@@ -4,10 +4,11 @@ One closest pair merges per step, n-1 binary merges in all (fewer under a
 stop threshold, leaving a forest), returned as the adaptive engine's
 :class:`~adaptlink.adaptive.Dendrogram` — the yardstick its level count is
 compared against. The starting distances are the adaptive engine's
-condensed matrix; single, complete and average linkage update them by the
-Lance-Williams formulas, and centroid linkage recomputes the merged
-centroid's distances with :func:`~adaptlink._kernels.distances_from`, which
-has the matrix kernel's bits.
+condensed matrix, copied into one symmetric n×n working square; single,
+complete and average linkage update them by the Lance-Williams formulas,
+and centroid linkage recomputes the merged centroid's distances with
+:func:`~adaptlink._kernels.distances_from`, which has the matrix kernel's
+bits.
 """
 from __future__ import annotations
 
@@ -47,17 +48,20 @@ def _lw_update(method: LinkageMethod, d_ai, d_bi, na: int, nb: int):
     return (na * d_ai + nb * d_bi) / (na + nb)
 
 
-def _upper_square(entries: np.ndarray, n: int) -> np.ndarray:
-    """n×n array with the condensed entries above the diagonal and inf elsewhere.
+def _square(entries: np.ndarray, n: int) -> np.ndarray:
+    """Symmetric n×n array of the condensed entries with inf on the diagonal.
 
     Each row's entries are one contiguous run of the condensed vector, so
-    the rows are copied one by one and nothing besides the output is
-    allocated.
+    each run is copied into its row and its column, and nothing besides the
+    output is allocated.
     """
-    dist = np.full((n, n), np.inf)
+    dist = np.empty((n, n))
     lo = 0
-    for i in range(n - 1):
-        dist[i, i + 1 :] = entries[lo : lo + n - 1 - i]
+    for i in range(n):
+        run = entries[lo : lo + n - 1 - i]
+        dist[i, i + 1 :] = run
+        dist[i + 1 :, i] = run
+        dist[i, i] = np.inf
         lo += n - 1 - i
     return dist
 
@@ -72,10 +76,13 @@ def stepwise_cluster(
     A merge keeps the lower slot, so slot ``s`` always holds the cluster whose
     smallest leaf is row ``s``, and the pair with the lowest (distance, lower
     leaf, upper leaf) key is the first minimum of the upper triangle in
-    row-major order. Every active row caches its first nearest active slot to
-    the right; a merge rescans only the merged row and the rows whose cached
-    neighbour was one of the merged pair. A step costs O(n) plus O(n) per
-    rescanned row: O(n^2) overall on typical data, O(n^3) at worst.
+    row-major order. Every active row caches its first nearest active slot in
+    either direction; the lowest row holding the least cached distance has
+    its cached slot above it, so that pair is the one merged. Only the merged
+    row's distances change, so a merge rescans only that row and the rows
+    whose cached slot was one of the merged pair and is now further away. A
+    step costs O(n) plus O(n) per rescanned row: O(n^2) overall on typical
+    data, O(n^3) at worst.
 
     With ``stop_threshold`` the loop stops before any merge whose distance
     exceeds it, leaving a forest; by default it runs to a single root. A NaN
@@ -92,9 +99,10 @@ def stepwise_cluster(
     if nd.n < 2:
         raise TooFewPoints(f"stepwise clustering needs n >= 2, got {nd.n}")
     n = nd.n
-    # Distances live in the upper triangle (i < j); the lower triangle, the
-    # diagonal and the row and column of every merged-away slot hold inf.
-    dist = _upper_square(matrix_from_coords(nd.coords).entries, n)
+    # dist[i, j] == dist[j, i] is the distance between active slots i != j;
+    # the diagonal holds inf, and a merged-away slot's row and column are
+    # never read again, so they are left as they were.
+    dist = _square(matrix_from_coords(nd.coords).entries, n)
     nn_j = dist.argmin(axis=1)
     nn_d = dist[np.arange(n), nn_j]
     nodes: list[TreeNode | None] = [TreeNode((), lab) for lab in nd.labels]
@@ -107,7 +115,7 @@ def stepwise_cluster(
         d = float(nn_d[a])
         if stop_threshold is not None and d > stop_threshold:
             break
-        b = int(nn_j[a])
+        b = int(nn_j[a])  # b > a: a slot below a at d would be a lower row at d
         na, nb = nodes[a].size, nodes[b].size
         if min_label[b] < min_label[a]:
             children = (nodes[b], nodes[a])
@@ -120,8 +128,6 @@ def stepwise_cluster(
         active[[a, b]] = False
         others = np.flatnonzero(active)
         active[a] = True
-        # Rows whose cached neighbour was a or b (row a among them) need a rescan.
-        stale = active & ((nn_j == a) | (nn_j == b))
         if method is LinkageMethod.CENTROID:
             with np.errstate(over="ignore", invalid="ignore"):
                 centroids[a] = (na * centroids[a] + nb * centroids[b]) / (na + nb)
@@ -132,30 +138,22 @@ def stepwise_cluster(
                     "rescale the descriptors"
                 )
         else:
-            # One of d[a, i] and d[i, a] is the distance, the other is inf.
-            new = _lw_update(
-                method,
-                np.minimum(dist[a, others], dist[others, a]),
-                np.minimum(dist[b, others], dist[others, b]),
-                na,
-                nb,
-            )
-        split = int(np.searchsorted(others, a))
-        before, after = others[:split], others[split:]
-        dist[before, a] = new[:split]
-        dist[a, after] = new[split:]
-        dist[b, :] = np.inf
-        dist[:, b] = np.inf
+            new = _lw_update(method, dist[a, others], dist[b, others], na, nb)
+        dist[a, others] = new
+        dist[others, a] = new
         nn_d[b] = np.inf
-        # A row i < a keeps its cached neighbour unless column a is now
-        # nearer, or as near and further left.
-        cand = new[:split]
-        closer = (cand < nn_d[before]) | ((cand == nn_d[before]) & (nn_j[before] > a))
-        nn_d[before[closer]] = cand[closer]
-        nn_j[before[closer]] = a
-        rows = np.flatnonzero(stale)
-        nn_j[rows] = dist[rows].argmin(axis=1)
-        nn_d[rows] = dist[rows, nn_j[rows]]
+        # Only slot a moved. A row takes it when it is nearer than the cached
+        # slot, or as near and further left; a row whose cached slot was a or
+        # b and is now further away is rescanned, and so is row a.
+        old_d, old_j = nn_d[others], nn_j[others]
+        closer = (new < old_d) | ((new == old_d) & (old_j > a))
+        take = others[closer]
+        nn_d[take] = new[closer]
+        nn_j[take] = a
+        rows = np.append(others[((old_j == a) | (old_j == b)) & (new > old_d)], a)
+        scan = np.where(active, dist[rows], np.inf)
+        nn_j[rows] = scan.argmin(axis=1)
+        nn_d[rows] = scan.min(axis=1)
     roots = tuple(nodes[i] for i in np.flatnonzero(active))
     meta = {**_run_meta(nd, method.value), "stop_threshold": stop_threshold}
     return Dendrogram(nd.labels, roots, tuple(records), meta)

@@ -165,8 +165,9 @@ def read_trace(text: str) -> TraceDocument:
         raise SchemaError(f"not valid JSON: {e}") from None
     if not isinstance(payload, dict) or payload.get("format") != "adaptlink-trace":
         raise SchemaError("missing adaptlink-trace format marker")
-    if payload.get("version") != 1:
-        raise SchemaError(f"unsupported version {payload.get('version')!r}")
+    version = payload.get("version")
+    if type(version) is not int or version != 1:  # true and 1.0 both equal 1
+        raise SchemaError(f"unsupported version {version!r}")
     meta = payload.get("metadata")
     entries = payload.get("trace")
     if not isinstance(meta, dict) or not isinstance(entries, list):

@@ -10,7 +10,7 @@ import adaptlink as al
 from adaptlink import io
 from adaptlink.adaptive import _preorder
 
-from _oracle import REGIMES, oracle_stepwise, regime_dataset
+from _oracle import RAW_REGIMES, REGIMES, oracle_stepwise, regime_frame
 
 
 ALL_METHODS = tuple(al.LinkageMethod)
@@ -169,8 +169,9 @@ def outputs(d):
 
 @functools.lru_cache(maxsize=None)
 def normalized(name):
-    data = io.load_fixture(name) if name in ("para", "meta") else regime_dataset(name)
-    return al.normalize(data)
+    if name in ("para", "meta"):
+        return al.normalize(io.load_fixture(name))
+    return regime_frame(name)  # the raw regimes stay in the raw frame
 
 
 class TestAgainstOracle:
@@ -178,7 +179,7 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("cut", ("full", "mid"))
     @pytest.mark.parametrize("method", ALL_METHODS)
-    @pytest.mark.parametrize("name", (*REGIMES, "para", "meta"))
+    @pytest.mark.parametrize("name", (*REGIMES, *RAW_REGIMES, "para", "meta"))
     def test_same_bytes(self, name, method, cut):
         nd = normalized(name)
         threshold = None

@@ -188,6 +188,8 @@ class TestTraceDocuments:
             "not json at all",
             '{"format": "something-else", "version": 1, "metadata": {}, "trace": []}',
             '{"format": "adaptlink-trace", "version": 2, "metadata": {}, "trace": []}',
+            '{"format": "adaptlink-trace", "version": true, "metadata": {}, "trace": []}',
+            '{"format": "adaptlink-trace", "version": 1.0, "metadata": {}, "trace": []}',
             '{"format": "adaptlink-trace", "version": 1, "metadata": [], "trace": []}',
             '{"format": "adaptlink-trace", "version": 1, "metadata": {}, "trace": [{}]}',
             '{"format": "adaptlink-trace", "version": 1, "metadata": {}, "trace": [{"depth": 1, "cutoff": "x", "cutoff_display": "1.00", "groups": []}]}',

@@ -10,13 +10,6 @@ from adaptlink import _kernels, adaptive, baseline, core, io
 from _oracle import condensed_square
 
 
-def upper_squareform(entries, n):
-    """scipy's square of the condensed entries with inf on and below the diagonal."""
-    square = pytest.importorskip("scipy.spatial.distance").squareform(entries)
-    square[np.tril_indices(n)] = np.inf
-    return square
-
-
 def pairwise(x):
     """The condensed entries of ``x``, with an inf-filled vector for the minima."""
     return _kernels.pairwise_condensed(x, np.full(len(x), np.inf))
@@ -60,18 +53,18 @@ class TestDistancesFrom:
 
 
 class TestSquareFromCondensed:
-    """The stepwise baseline's working square: condensed entries above the diagonal."""
+    """The stepwise baseline's working square: symmetric, with inf on the diagonal."""
 
     def test_matches_squareform(self):
         rng = np.random.default_rng(15)
         for n, p in ((2, 1), (7, 2), (40, 3)):
             entries = pairwise(random_coords(rng, n, p))
-            square = baseline._upper_square(entries, n)
-            assert np.array_equal(square, upper_squareform(entries, n))
+            square = baseline._square(entries, n)
+            assert np.array_equal(square, condensed_square(entries, n))
 
     def test_two_points(self):
-        square = baseline._upper_square(np.array([2.5]), 2)
-        assert np.array_equal(square, [[np.inf, 2.5], [np.inf, np.inf]])
+        square = baseline._square(np.array([2.5]), 2)
+        assert np.array_equal(square, [[np.inf, 2.5], [2.5, np.inf]])
         assert _kernels.cutoff_from_condensed(np.array([2.5]), 2) == 2.5
 
     def test_cutoff_zero_when_every_point_has_a_duplicate(self):
@@ -168,8 +161,8 @@ class TestRowBlocks:
         x = block_inputs()[name]
         n = x.shape[0]
         entries = pairwise(x)
-        want = upper_squareform(entries, n)
-        assert np.array_equal(baseline._upper_square(entries, n), want)
+        want = condensed_square(entries, n)
+        assert np.array_equal(baseline._square(entries, n), want)
 
     def test_same_bits_at_the_real_budget(self):
         rng = np.random.default_rng(18)
@@ -234,7 +227,7 @@ class TestMemory:
     def test_square_peak_near_its_output(self):
         x = np.random.default_rng(21).standard_normal((self.n, 3))
         entries = pairwise(x)
-        square, peak = self.peak_bytes(baseline._upper_square, entries, self.n)
+        square, peak = self.peak_bytes(baseline._square, entries, self.n)
         assert peak <= 1.05 * square.nbytes
 
     def test_matrix_and_cutoff_peak_near_the_condensed_vector(self):

@@ -2,6 +2,10 @@
 
 * :func:`pairwise_condensed` computes the condensed (row-major upper triangle) Euclidean
   distances of an n×p matrix and each point's least squared distance;
+* :func:`distance_square` computes the full symmetric n×n Euclidean
+  distances, the stepwise baselines' working square;
+* :func:`distances_from` gives the distances from one point to each of a
+  set of points;
 * :func:`cutoff_from_condensed` is the minimax scan over condensed entries,
   kept as the reference the fused minima are tested against;
 * :func:`pairs_within` lists the ``(i, j, d)`` pairs of a condensed vector
@@ -9,24 +13,25 @@
   into pairs of the rows that hold them;
 * :func:`neighbors_within` gives every point's ordering from such pairs,
   center first, in CSR form, from one sort of packed int64 keys (row,
-  distance rank, column), which fit for n < 65 536;
-* :func:`distances_from` gives the distances from one point to each of a
-  set of points.
+  distance rank, column), which fit for n < 65 536.
 
-The O(n²) kernels work on blocks of rows: rows ``r..r1`` against the
-columns ``r..n``, with rows per block chosen so a block holds at most
-``_CELL_BUDGET`` cells. The condensed entries of a block of rows form one
-contiguous segment, and a boolean upper-triangle mask over the block visits
-its cells right of the diagonal in that segment's order. The mask depends
-only on a cell's offset from the block's first row and column, so one mask
-as tall as the tallest block serves every block of a call. The distance
-and cut-off kernels therefore allocate no n×n array, and no kernel builds
-an index array of n²/2 entries.
+The condensed and cut-off kernels work on blocks of rows: rows ``r..r1``
+against the columns ``r..n``, with rows per block chosen so a block holds
+at most ``_CELL_BUDGET`` cells. The condensed entries of a block of rows
+form one contiguous segment, and a boolean upper-triangle mask over the
+block visits its cells right of the diagonal in that segment's order. The
+mask depends only on a cell's offset from the block's first row and
+column, so one mask as tall as the tallest block serves every block of a
+call. These kernels therefore allocate no n×n array, and no kernel builds
+an index array of n²/2 entries; :func:`distance_square` fills its square
+a block of whole rows at a time, in place, so its output is its only n×n
+array.
 
-Squared differences accumulate feature by feature in ascending order in
-both distance functions, so a distance has the same bits whichever of them
-computes it (``(a - b)²`` equals ``(b - a)²`` exactly, so the order of a
-pair does not matter either).
+All three distance functions get their squared sums from one routine,
+``_squared_distances``, which adds the squared differences feature by
+feature in ascending order, so a distance has the same bits whichever of
+them computes it (``(a - b)²`` equals ``(b - a)²`` exactly, so the order of
+a pair does not matter either).
 """
 from __future__ import annotations
 
@@ -62,6 +67,23 @@ def _blocks(n: int) -> tuple[list, np.ndarray]:
     return blocks, np.arange(rows)[:, None] < np.arange(n)
 
 
+def _squared_distances(at: np.ndarray, bt: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances of the columns of ``at`` (p×a) to those of ``bt`` (p×b).
+
+    The one place where coordinates are subtracted and squared: the a×b
+    sums go into ``out``, features added in ascending order, so every
+    caller gets the same bits for a pair.
+    """
+    np.subtract(at[0, :, None], bt[0], out=out)
+    out *= out
+    d = np.empty_like(out) if len(at) > 1 else None
+    for k in range(1, len(at)):
+        np.subtract(at[k, :, None], bt[k], out=d)
+        d *= d
+        out += d
+    return out
+
+
 def pairwise_condensed(coords: np.ndarray, nearest: np.ndarray) -> np.ndarray:
     """Condensed (row-major upper-triangle) Euclidean distances for an n×p matrix.
 
@@ -72,22 +94,34 @@ def pairwise_condensed(coords: np.ndarray, nearest: np.ndarray) -> np.ndarray:
     """
     # One contiguous row per feature.
     xt = np.ascontiguousarray(np.asarray(coords, dtype=np.float64).T)
-    p, n = xt.shape
+    n = xt.shape[1]
     out = np.empty(n * (n - 1) // 2)
     blocks, upper = _blocks(n)
     for r, r1, lo, hi in blocks:
-        acc = np.subtract.outer(xt[0, r:r1], xt[0, r:])
-        acc *= acc
-        d = np.empty_like(acc)
-        for k in range(1, p):
-            np.subtract.outer(xt[k, r:r1], xt[k, r:], out=d)
-            d *= d
-            acc += d
+        acc = _squared_distances(xt[:, r:r1], xt[:, r:], np.empty((r1 - r, n - r)))
         np.fill_diagonal(acc, np.inf)
         np.minimum(nearest[r:r1], acc.min(axis=1), out=nearest[r:r1])
         np.minimum(nearest[r:], acc.min(axis=0), out=nearest[r:])
         np.sqrt(acc[upper[: r1 - r, : n - r]], out=out[lo:hi])
     return out
+
+
+def distance_square(coords: np.ndarray) -> np.ndarray:
+    """Symmetric n×n Euclidean distances for an n×p matrix, 0.0 on the diagonal.
+
+    Each block of rows is summed against every column straight into its
+    rows of the square, and the square is then rooted in place; ``(a - b)²``
+    equals ``(b - a)²`` exactly, so it is symmetric bit for bit. A block is
+    half as tall as the budget allows, which leaves room for the buffer
+    numpy's broadcast subtraction takes beside the block's per-feature terms.
+    """
+    xt = np.ascontiguousarray(np.asarray(coords, dtype=np.float64).T)
+    n = xt.shape[1]
+    out = np.empty((n, n))
+    rows = max(1, _CELL_BUDGET // (2 * n))
+    for r in range(0, n, rows):
+        _squared_distances(xt[:, r : r + rows], xt, out[r : r + rows])
+    return np.sqrt(out, out=out)
 
 
 def cutoff_from_condensed(entries: np.ndarray, n: int) -> float:
@@ -222,8 +256,4 @@ def neighbors_within(
 
 def distances_from(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Euclidean distances from point ``x`` to each row of ``ys``."""
-    acc = np.zeros(ys.shape[0])
-    for k in range(x.shape[0]):
-        d = x[k] - ys[:, k]
-        acc += d * d
-    return np.sqrt(acc)
+    return np.sqrt(_squared_distances(x[:, None], ys.T, np.empty((1, len(ys))))[0])

@@ -3,12 +3,14 @@
 One closest pair merges per step, n-1 binary merges in all (fewer under a
 stop threshold, leaving a forest), returned as the adaptive engine's
 :class:`~adaptlink.adaptive.Dendrogram` — the yardstick its level count is
-compared against. The starting distances are the adaptive engine's
-condensed matrix, copied into one symmetric n×n working square; single,
-complete and average linkage update them by the Lance-Williams formulas,
-and centroid linkage recomputes the merged centroid's distances with
-:func:`~adaptlink._kernels.distances_from`, which has the matrix kernel's
-bits.
+compared against. The starting distances are one symmetric n×n working
+square, filled in place from the coordinates by
+:func:`~adaptlink._kernels.distance_square`, so a run holds no other n²
+array; single, complete and average linkage update them by the
+Lance-Williams formulas, and centroid linkage recomputes the merged
+centroid's distances with :func:`~adaptlink._kernels.distances_from`. Both
+share one per-feature routine with the adaptive engine's matrix kernel, so a
+pair's distance has the same bits whichever kernel computes it.
 """
 from __future__ import annotations
 
@@ -20,13 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .adaptive import Dendrogram, DepthRecord, TreeNode, _preorder, _run_meta
-from .core import (
-    ClusteringError,
-    NormalizedDataset,
-    Overflow,
-    TooFewPoints,
-    matrix_from_coords,
-)
+from .core import ClusteringError, NormalizedDataset, Overflow, TooFewPoints
 
 
 class LeafMismatch(ClusteringError):
@@ -48,21 +44,18 @@ def _lw_update(method: LinkageMethod, d_ai, d_bi, na: int, nb: int):
     return (na * d_ai + nb * d_bi) / (na + nb)
 
 
-def _square(entries: np.ndarray, n: int) -> np.ndarray:
-    """Symmetric n×n array of the condensed entries with inf on the diagonal.
+def _square(coords: np.ndarray) -> np.ndarray:
+    """The working square: symmetric n×n Euclidean distances, inf on the diagonal.
 
-    Each row's entries are one contiguous run of the condensed vector, so
-    each run is copied into its row and its column, and nothing besides the
-    output is allocated.
+    Raises :class:`Overflow` when a distance is not finite.
     """
-    dist = np.empty((n, n))
-    lo = 0
-    for i in range(n):
-        run = entries[lo : lo + n - 1 - i]
-        dist[i, i + 1 :] = run
-        dist[i + 1 :, i] = run
-        dist[i, i] = np.inf
-        lo += n - 1 - i
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = _kernels.distance_square(coords)
+    # No distance is negative or NaN, and the diagonal still holds 0.0, so an
+    # overflowed pair makes the maximum non-finite.
+    if not math.isfinite(dist.max()):
+        raise Overflow("pairwise distances overflow double precision; rescale the descriptors")
+    np.fill_diagonal(dist, np.inf)
     return dist
 
 
@@ -102,7 +95,7 @@ def stepwise_cluster(
     # dist[i, j] == dist[j, i] is the distance between active slots i != j;
     # the diagonal holds inf, and a merged-away slot's row and column are
     # never read again, so they are left as they were.
-    dist = _square(matrix_from_coords(nd.coords).entries, n)
+    dist = _square(nd.coords)
     nn_j = dist.argmin(axis=1)
     nn_d = dist[np.arange(n), nn_j]
     nodes: list[TreeNode | None] = [TreeNode((), lab) for lab in nd.labels]

@@ -1,9 +1,10 @@
 """Data containers, z-score normalization, and each level's distance matrix.
 
 The public surface is the containers, :func:`normalize` and the errors.
-:class:`DistanceMatrix`, the one record of a level's distances, is internal:
-:func:`matrix_from_coords` builds it over every row, and the adaptive engine's
-``level_distances`` over the distinct rows of a level with copies.
+:class:`DistanceMatrix`, the one record of a level's distances, is internal
+to the adaptive engine: :func:`matrix_from_coords` builds it over every row of
+a level without copies, and ``level_distances`` over the distinct rows of a
+level with copies. The stepwise baselines build no such record.
 """
 from __future__ import annotations
 

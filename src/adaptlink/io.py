@@ -153,7 +153,8 @@ def read_trace(text: str) -> TraceDocument:
     """Parse a trace document; raises SchemaError on anything malformed.
 
     Besides its shape, a document must be one the package writes: every
-    cut-off is a finite distance, displayed as ``format_cutoff`` displays it.
+    cut-off is a finite distance, not ``-0.0``, displayed as ``format_cutoff``
+    displays it, and every level merges at least one group.
     And it must replay: depths count 1, 2, ...; a label appears at most once
     per level; and every group is exactly the union of two or more clusters
     active at its level, a label not seen before being a cluster of its own
@@ -195,8 +196,10 @@ def read_trace(text: str) -> TraceDocument:
             )
         ):
             raise SchemaError(f"trace entry {k} is mistyped")
-        if not math.isfinite(cutoff) or cutoff < 0:
+        if not math.isfinite(cutoff) or math.copysign(1.0, cutoff) < 0:  # -0.0 too
             raise SchemaError(f"trace entry {k} has cut-off {cutoff!r}, not a distance")
+        if not groups:
+            raise SchemaError(f"trace entry {k} merges no group")
         if display != format_cutoff(cutoff):
             raise SchemaError(
                 f"trace entry {k} displays cut-off {cutoff!r} as {display!r}, "

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import adaptlink as al
-from adaptlink import io
+from adaptlink import _kernels, core, io
 from adaptlink.adaptive import _preorder
 
 from _oracle import RAW_REGIMES, REGIMES, oracle_stepwise, regime_frame
@@ -161,6 +161,21 @@ class TestStepwise:
         nd = tiny([[1.5e308, 0.0], [1.5e308, 1.0], [1.5e308, 3.0]])
         with pytest.raises(al.Overflow):
             al.stepwise_cluster(nd, al.LinkageMethod.CENTROID)
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_square_built_without_condensed_distances(self, monkeypatch, para_nd, method):
+        def refuse(*args):
+            raise AssertionError("condensed distances built")
+
+        monkeypatch.setattr(core, "matrix_from_coords", refuse)
+        monkeypatch.setattr(_kernels, "pairwise_condensed", refuse)
+        assert len(al.stepwise_cluster(para_nd, method).trace) == para_nd.n - 1
+
+    def test_overflowing_distances(self):
+        # The square is checked before any linkage reads it.
+        nd = tiny([[1e200, 0.0], [-1e200, 1.0], [0.0, 0.5]])
+        with pytest.raises(al.Overflow, match="pairwise distances overflow"):
+            al.stepwise_cluster(nd, al.LinkageMethod.SINGLE)
 
 
 def outputs(d):

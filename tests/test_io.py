@@ -195,6 +195,8 @@ class TestTraceDocuments:
             '{"format": "adaptlink-trace", "version": 1, "metadata": {}, "trace": [{"depth": 1, "cutoff": "x", "cutoff_display": "1.00", "groups": []}]}',
             '{"format": "adaptlink-trace", "version": 1, "metadata": {}, "trace": [{"depth": 1, "cutoff": 1.0, "cutoff_display": "1.00", "groups": [[]]}]}',
             '{"format": "adaptlink-trace", "version": 1, "metadata": {}, "trace": [{"depth": 1, "cutoff": 1.0, "cutoff_display": "1.00", "groups": [[1, 2]]}]}',
+            '{"format": "adaptlink-trace", "version": 1, "metadata": {}, "trace": [{"depth": 1, "cutoff": -0.0, "cutoff_display": "-0.00", "groups": [["A", "B"]]}]}',
+            '{"format": "adaptlink-trace", "version": 1, "metadata": {}, "trace": [{"depth": 1, "cutoff": 1.0, "cutoff_display": "1.00", "groups": []}]}',
         ],
     )
     def test_schema_errors(self, text):

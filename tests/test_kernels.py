@@ -53,19 +53,28 @@ class TestDistancesFrom:
 
 
 class TestSquareFromCondensed:
-    """The stepwise baseline's working square: symmetric, with inf on the diagonal."""
+    """The stepwise baseline's working square, built from coordinates, against
+    the condensed entries: symmetric, with inf on the diagonal."""
 
     def test_matches_squareform(self):
         rng = np.random.default_rng(15)
         for n, p in ((2, 1), (7, 2), (40, 3)):
-            entries = pairwise(random_coords(rng, n, p))
-            square = baseline._square(entries, n)
-            assert np.array_equal(square, condensed_square(entries, n))
+            x = random_coords(rng, n, p)
+            assert np.array_equal(baseline._square(x), condensed_square(pairwise(x), n))
 
     def test_two_points(self):
-        square = baseline._square(np.array([2.5]), 2)
+        square = baseline._square(np.array([[0.0], [2.5]]))
         assert np.array_equal(square, [[np.inf, 2.5], [2.5, np.inf]])
         assert _kernels.cutoff_from_condensed(np.array([2.5]), 2) == 2.5
+
+    @pytest.mark.parametrize("budget", [1, 16])
+    def test_overflow_raised(self, monkeypatch, budget):
+        # The pairs across the two values overflow; every row has a duplicate.
+        monkeypatch.setattr(_kernels, "_CELL_BUDGET", budget)
+        x = np.array([[1e200, 0.0], [-1e200, 1.0]] * 3)
+        for rows in (x, x[:2]):
+            with pytest.raises(al.Overflow):
+                baseline._square(rows)
 
     def test_cutoff_zero_when_every_point_has_a_duplicate(self):
         rng = np.random.default_rng(16)
@@ -159,10 +168,8 @@ class TestRowBlocks:
     def test_square_matches_squareform(self, monkeypatch, budget, name):
         monkeypatch.setattr(_kernels, "_CELL_BUDGET", budget)
         x = block_inputs()[name]
-        n = x.shape[0]
-        entries = pairwise(x)
-        want = condensed_square(entries, n)
-        assert np.array_equal(baseline._square(entries, n), want)
+        want = condensed_square(pairwise(x), x.shape[0])
+        assert np.array_equal(baseline._square(x), want)
 
     def test_same_bits_at_the_real_budget(self):
         rng = np.random.default_rng(18)
@@ -198,12 +205,11 @@ class TestFusedCutoff:
 
 
 class TestMemory:
-    """tracemalloc sees numpy's allocations: no kernel allocates an n×n array.
-
-    The stepwise baseline's square is its output. The neighbour kernel holds
-    O(pairs within the radius): far below a square on a typical level, a few
-    squares' worth on a degenerate one, where group discovery adds its prefix
-    sums and their order.
+    """tracemalloc sees numpy's allocations: no kernel allocates an n×n array
+    besides the stepwise baseline's square, which is its output and is filled
+    in place. The neighbour kernel holds O(pairs within the radius): far below
+    a square on a typical level, a few squares' worth on a degenerate one,
+    where group discovery adds its prefix sums and their order.
     """
 
     n = 1000
@@ -226,8 +232,7 @@ class TestMemory:
 
     def test_square_peak_near_its_output(self):
         x = np.random.default_rng(21).standard_normal((self.n, 3))
-        entries = pairwise(x)
-        square, peak = self.peak_bytes(baseline._square, entries, self.n)
+        square, peak = self.peak_bytes(baseline._square, x)
         assert peak <= 1.05 * square.nbytes
 
     def test_matrix_and_cutoff_peak_near_the_condensed_vector(self):
@@ -312,10 +317,11 @@ class TestMemory:
         assert groups == [tuple(range(1, self.n))]
         assert peak < 3.5 * self.n * self.n * 8
 
-    def test_stepwise_peak_is_its_square(self):
-        # The condensed vector lives only while the square is filled from it.
+    @pytest.mark.parametrize("method", list(baseline.LinkageMethod))
+    def test_stepwise_peak_is_its_square(self, method):
+        # The square is built in place; centroid linkage adds its n×p centroids.
         x = np.random.default_rng(24).standard_normal((self.n, 3))
         data = al.Dataset(labels=[f"r{i}" for i in range(self.n)], values=x, column_names="abc")
         nd = al.identity_normalized(data)
-        _, peak = self.peak_bytes(baseline.stepwise_cluster, nd, baseline.LinkageMethod.AVERAGE)
-        assert peak < 1.6 * self.n * self.n * 8
+        _, peak = self.peak_bytes(baseline.stepwise_cluster, nd, method)
+        assert peak < 1.1 * self.n * self.n * 8

@@ -7,7 +7,8 @@
 * :func:`distances_from` gives the distances from one point to each of a
   set of points;
 * :func:`cutoff_from_condensed` is the minimax scan over condensed entries,
-  kept as the reference the fused minima are tested against;
+  one row's run at a time, kept as the reference the pairwise kernel's
+  fused minima are tested against;
 * :func:`pairs_within` lists the ``(i, j, d)`` pairs of a condensed vector
   within a radius, and :func:`expand_copies` turns pairs of distinct values
   into pairs of the rows that hold them;
@@ -15,17 +16,16 @@
   center first, in CSR form, from one sort of packed int64 keys (row,
   distance rank, column), which fit for n < 65 536.
 
-The condensed and cut-off kernels work on blocks of rows: rows ``r..r1``
-against the columns ``r..n``, with rows per block chosen so a block holds
-at most ``_CELL_BUDGET`` cells. The condensed entries of a block of rows
-form one contiguous segment, and a boolean upper-triangle mask over the
-block visits its cells right of the diagonal in that segment's order. The
-mask depends only on a cell's offset from the block's first row and
-column, so one mask as tall as the tallest block serves every block of a
-call. These kernels therefore allocate no n×n array, and no kernel builds
-an index array of n²/2 entries; :func:`distance_square` fills its square
-a block of whole rows at a time, in place, so its output is its only n×n
-array.
+The condensed kernel works on blocks of rows: rows ``r..r1`` against the
+columns ``r..n``, with rows per block chosen so a block holds at most
+``_CELL_BUDGET`` cells. The condensed entries of a block of rows form one
+contiguous segment, and a boolean upper-triangle mask over the block
+visits its cells right of the diagonal in that segment's order; the mask
+depends only on a cell's offset from the block's first row and column, so
+one mask as tall as the tallest block serves every block of a call. The
+kernels therefore allocate no n×n array, and none builds an index array of
+n²/2 entries; :func:`distance_square` fills its square a block of whole
+rows at a time, in place, so its output is its only n×n array.
 
 All three distance functions get their squared sums from one routine,
 ``_squared_distances``, which adds the squared differences feature by
@@ -56,17 +56,6 @@ def _row_blocks(n: int):
         r, lo = r1, hi
 
 
-def _blocks(n: int) -> tuple[list, np.ndarray]:
-    """The row blocks of ``n`` points and one mask of the cells right of the diagonal.
-
-    The mask is as tall as the tallest block; block ``r..r1`` uses
-    ``mask[: r1 - r, : n - r]``.
-    """
-    blocks = list(_row_blocks(n))
-    rows = max((r1 - r for r, r1, _, _ in blocks), default=0)
-    return blocks, np.arange(rows)[:, None] < np.arange(n)
-
-
 def _squared_distances(at: np.ndarray, bt: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances of the columns of ``at`` (p×a) to those of ``bt`` (p×b).
 
@@ -88,15 +77,18 @@ def pairwise_condensed(coords: np.ndarray, nearest: np.ndarray) -> np.ndarray:
     """Condensed (row-major upper-triangle) Euclidean distances for an n×p matrix.
 
     Each block's squared sums, diagonal at inf, fold their row and column
-    minima (as in :func:`cutoff_from_condensed`; cells left of the diagonal
-    repeat the block's pairs) into ``nearest``, an inf-filled n-vector.
-    ``sqrt`` is monotone, so its roots are the least entries per point.
+    minima (cells left of the diagonal repeat the block's pairs) into
+    ``nearest``, an inf-filled n-vector. ``sqrt`` is monotone, so its roots
+    are the least entries per point.
     """
     # One contiguous row per feature.
     xt = np.ascontiguousarray(np.asarray(coords, dtype=np.float64).T)
     n = xt.shape[1]
     out = np.empty(n * (n - 1) // 2)
-    blocks, upper = _blocks(n)
+    blocks = list(_row_blocks(n))
+    # The cells right of the diagonal; block r..r1 uses upper[: r1 - r, : n - r].
+    tallest = max((r1 - r for r, r1, _, _ in blocks), default=0)
+    upper = np.arange(tallest)[:, None] < np.arange(n)
     for r, r1, lo, hi in blocks:
         acc = _squared_distances(xt[:, r:r1], xt[:, r:], np.empty((r1 - r, n - r)))
         np.fill_diagonal(acc, np.inf)
@@ -127,17 +119,17 @@ def distance_square(coords: np.ndarray) -> np.ndarray:
 def cutoff_from_condensed(entries: np.ndarray, n: int) -> float:
     """Minimax scan: max over points of the distance to their nearest other point.
 
-    Each block's segment is scattered into an inf-padded block; its row
-    minima cover the pairs right of each of its rows, its column minima the
-    pairs above each later point.
+    Row i's run of condensed entries holds its pairs with the later points:
+    its minimum is i's nearest later point, and it lowers each later point's
+    nearest earlier one. The scan holds one n-vector besides its input.
     """
     nearest = np.full(n, np.inf)
-    blocks, upper = _blocks(n)
-    for r, r1, lo, hi in blocks:
-        block = np.full((r1 - r, n - r), np.inf)
-        block[upper[: r1 - r, : n - r]] = entries[lo:hi]
-        np.minimum(nearest[r:r1], block.min(axis=1), out=nearest[r:r1])
-        np.minimum(nearest[r:], block.min(axis=0), out=nearest[r:])
+    lo = 0
+    for i in range(n - 1):
+        run = entries[lo : lo + n - 1 - i]
+        nearest[i] = np.minimum(nearest[i], run.min())
+        np.minimum(nearest[i + 1 :], run, out=nearest[i + 1 :])
+        lo += n - 1 - i
     return float(nearest.max())
 
 

@@ -10,7 +10,9 @@ array; single, complete and average linkage update them by the
 Lance-Williams formulas, and centroid linkage recomputes the merged
 centroid's distances with :func:`~adaptlink._kernels.distances_from`. Both
 share one per-feature routine with the adaptive engine's matrix kernel, so a
-pair's distance has the same bits whichever kernel computes it.
+pair's distance has the same bits whichever kernel computes it, and one
+overflow check with it. :func:`compare_compactness` counts the steps to one
+root, so it refuses a forest.
 """
 from __future__ import annotations
 
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .adaptive import Dendrogram, DepthRecord, TreeNode, _preorder, _run_meta
-from .core import ClusteringError, NormalizedDataset, Overflow, TooFewPoints
+from .adaptive import Dendrogram, DepthRecord, TreeNode, _run_meta
+from .core import ClusteringError, NormalizedDataset, TooFewPoints, _finite_distances
 
 
 class LeafMismatch(ClusteringError):
@@ -49,12 +51,7 @@ def _square(coords: np.ndarray) -> np.ndarray:
 
     Raises :class:`Overflow` when a distance is not finite.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        dist = _kernels.distance_square(coords)
-    # No distance is negative or NaN, and the diagonal still holds 0.0, so an
-    # overflowed pair makes the maximum non-finite.
-    if not math.isfinite(dist.max()):
-        raise Overflow("pairwise distances overflow double precision; rescale the descriptors")
+    dist = _finite_distances(_kernels.distance_square, coords)
     np.fill_diagonal(dist, np.inf)
     return dist
 
@@ -124,12 +121,9 @@ def stepwise_cluster(
         if method is LinkageMethod.CENTROID:
             with np.errstate(over="ignore", invalid="ignore"):
                 centroids[a] = (na * centroids[a] + nb * centroids[b]) / (na + nb)
-                new = _kernels.distances_from(centroids[a], centroids[others])
-            if not np.isfinite(new).all():
-                raise Overflow(
-                    "centroid distances overflow double precision; "
-                    "rescale the descriptors"
-                )
+            new = _finite_distances(
+                _kernels.distances_from, centroids[a], centroids[others], of="centroid"
+            )
         else:
             new = _lw_update(method, dist[a, others], dist[b, others], na, nb)
         dist[a, others] = new
@@ -152,8 +146,9 @@ def stepwise_cluster(
     return Dendrogram(nd.labels, roots, tuple(records), meta)
 
 
-def _max_arity(roots) -> int:
-    return max(len(node.children) for node, _ in _preorder(roots))
+def _max_arity(run: Dendrogram) -> int:
+    # Each merge is in exactly one record.
+    return max((len(node.children) for rec in run.trace for node in rec.nodes), default=0)
 
 
 @dataclass(frozen=True)
@@ -191,18 +186,21 @@ def compare_compactness(adaptive: Dendrogram, stepwise: Dendrogram) -> Compariso
     """Levels-vs-steps report; both runs must cover the same leaves.
 
     The first run's ``meta["method"]`` must be ``"adaptive"`` and the second's a
-    :class:`LinkageMethod`, else ``ValueError``.
+    :class:`LinkageMethod`, and the second run must have one root, not a
+    forest left by a stop threshold; else ``ValueError``.
     """
     method = adaptive.meta.get("method")
     if method != "adaptive":
         raise ValueError(f"the first run's method is {method!r}, not 'adaptive'")
+    if len(stepwise.roots) != 1:
+        raise ValueError(f"the second run is a forest of {len(stepwise.roots)} trees")
     if frozenset(adaptive.labels) != frozenset(stepwise.labels):
         raise LeafMismatch("dendrograms cover different leaf sets")
     return ComparisonReport(
         adaptive_levels=len(adaptive.trace),
         stepwise_steps=len(stepwise.trace),
         stepwise_method=LinkageMethod(stepwise.meta["method"]).value,
-        adaptive_max_arity=_max_arity(adaptive.roots),
-        stepwise_max_arity=_max_arity(stepwise.roots),
+        adaptive_max_arity=_max_arity(adaptive),
+        stepwise_max_arity=_max_arity(stepwise),
         groups_per_level=tuple(len(rec.nodes) for rec in adaptive.trace),
     )

@@ -1,10 +1,15 @@
 """Data containers, z-score normalization, and each level's distance matrix.
 
 The public surface is the containers, :func:`normalize` and the errors.
-:class:`DistanceMatrix`, the one record of a level's distances, is internal
-to the adaptive engine: :func:`matrix_from_coords` builds it over every row of
-a level without copies, and ``level_distances`` over the distinct rows of a
-level with copies. The stepwise baselines build no such record.
+Both tables check their rows through one contract, ``_check_table``, and
+every distance kernel runs through one overflow check,
+``_finite_distances``: this matrix, the stepwise square and the stepwise
+centroid updates. :class:`DistanceMatrix`, the one record of a level's
+distances, is internal to the adaptive engine: :func:`matrix_from_coords`
+builds it over every row of a level without copies, and
+``level_distances`` over the distinct rows of a level with copies. The
+stepwise baselines build no such record, and
+:func:`~adaptlink.baseline.compare_compactness` refuses a stepwise forest.
 """
 from __future__ import annotations
 
@@ -63,6 +68,52 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return _frozen(np.array(a, dtype=np.float64, copy=True))
 
 
+def _check_names(kind: str, names) -> None:
+    """Refuse a label or column name that a written table or tree cannot carry.
+
+    A name is a string on one line (nothing ``str.splitlines`` splits on)
+    with no surrounding whitespace, and a label is not empty: the table
+    format splits lines and strips cells, and the tree text indents one
+    node per line.
+    """
+    for name in names:
+        if not isinstance(name, str):
+            raise ValueError(f"{kind} {name!r} is not a string; names must be strings")
+        if len(name.splitlines()) > 1 or name != name.strip() or (kind == "label" and not name):
+            raise ValueError(
+                f"{kind} {name!r} does not survive the table format or a written tree: "
+                "no line breaks, surrounding whitespace or empty labels"
+            )
+
+
+def _check_table(table, values: str, names_optional: bool) -> None:
+    """The contract of both tables' rows, with the fields converted in place.
+
+    Labels and column names become tuples and ``table.<values>`` a read-only
+    float64 copy; it needs a row and a column, one label per row and one
+    column name per column (or, if ``names_optional``, none at all). Labels
+    and names pass :func:`_check_names`, labels are unique and values finite.
+    """
+    labels, names = tuple(table.labels), tuple(table.column_names)
+    array = _readonly(np.atleast_2d(getattr(table, values)))
+    object.__setattr__(table, "labels", labels)
+    object.__setattr__(table, "column_names", names)
+    object.__setattr__(table, values, array)
+    n, p = array.shape
+    if n < 1 or p < 1:
+        raise ValueError(f"{values} must have at least one row and one column")
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} rows")
+    if len(names) != p and (names or not names_optional):
+        raise ValueError(f"{len(names)} column names for {p} columns")
+    _check_names("label", labels)
+    _check_names("column name", names)
+    if len(set(labels)) != n:
+        raise ValueError("labels must be unique")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{values} must be finite")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Labeled n×p table of finite real descriptor values."""
@@ -72,32 +123,11 @@ class Dataset:
     column_names: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "column_names", tuple(self.column_names))
-        object.__setattr__(self, "values", _readonly(np.atleast_2d(self.values)))
-        n, p = self.values.shape
-        if n < 1 or p < 1:
-            raise ValueError("dataset must have at least one row and one column")
-        if len(self.labels) != n:
-            raise ValueError(f"{len(self.labels)} labels for {n} rows")
-        if len(self.column_names) != p:
-            raise ValueError(f"{len(self.column_names)} column names for {p} columns")
-        if any(not lab for lab in self.labels):
-            raise ValueError("labels must be non-empty")
-        if len(set(self.labels)) != n:
-            raise ValueError("labels must be unique")
+        _check_table(self, "values", names_optional=False)
         for kind, names in (("label", self.labels), ("column name", self.column_names)):
-            for name in names:
-                if not isinstance(name, str):
-                    raise ValueError(f"{kind} {name!r} is not a string")
-                # The table format splits cells on "," and lines, and strips cells.
-                if "," in name or len(name.splitlines()) > 1 or name != name.strip():
-                    raise ValueError(
-                        f"{kind} {name!r} does not survive the table format: no "
-                        "commas, line breaks or surrounding whitespace"
-                    )
-        if not np.isfinite(self.values).all():
-            raise ValueError("descriptor values must be finite")
+            bad = next((name for name in names if "," in name), None)
+            if bad is not None:  # the table format splits cells on ","
+                raise ValueError(f"{kind} {bad!r} does not survive the table format: no commas")
 
     @property
     def n(self) -> int:
@@ -151,24 +181,10 @@ class NormalizedDataset:
     normalized: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "column_names", tuple(self.column_names))
-        object.__setattr__(self, "coords", _readonly(np.atleast_2d(self.coords)))
-        n, p = self.coords.shape
-        if n < 1 or p < 1:
-            raise ValueError("coordinates must have at least one row and one column")
-        if len(self.labels) != n:
-            raise ValueError("label/coordinate row count mismatch")
-        if not all(isinstance(name, str) for name in self.labels + self.column_names):
-            raise ValueError("labels and column names must be strings")
-        if len(set(self.labels)) != n:
-            raise ValueError("labels must be unique")
-        if len(self.column_names) not in (0, p):
-            raise ValueError(f"{len(self.column_names)} column names for {p} columns")
+        _check_table(self, "coords", names_optional=True)
+        p = self.coords.shape[1]
         if self.stats.means.shape != (p,):
             raise ValueError(f"stats of shape {self.stats.means.shape} for {p} columns")
-        if not np.isfinite(self.coords).all():
-            raise ValueError("coordinates must be finite")
 
     @property
     def n(self) -> int:
@@ -269,14 +285,19 @@ def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
     if coords.shape[1] < 1:
         raise ValueError("coordinates must have at least one column")
     nearest = np.full(n, np.inf)
-    # Overflow surfaces as a non-finite distance below, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        entries = _kernels.pairwise_condensed(coords, nearest)
-    # The kernel yields no negative distance, and a NaN or inf makes the maximum
-    # non-finite: this one reduction checks the whole vector, ``nearest`` too.
-    if not math.isfinite(entries.max()):
-        raise Overflow(
-            "pairwise distances overflow double precision; rescale the descriptors"
-        )
+    entries = _finite_distances(_kernels.pairwise_condensed, coords, nearest)
     return DistanceMatrix(n, entries, nearest)
 
+
+def _finite_distances(kernel, *args, of: str = "pairwise") -> np.ndarray:
+    """``kernel(*args)``, a distance array, or :class:`Overflow` if one is not finite.
+
+    Overflow surfaces as a non-finite distance, not as a warning. A kernel
+    yields no negative distance, and a NaN or inf makes the maximum
+    non-finite, so one reduction checks the whole array; an empty one passes.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = kernel(*args)
+    if out.size and not math.isfinite(out.max()):
+        raise Overflow(f"{of} distances overflow double precision; rescale the descriptors")
+    return out

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .adaptive import DepthRecord, TreeNode, _preorder, format_cutoff
-from .core import ClusteringError, Dataset
+from .core import ClusteringError, Dataset, _check_names
 
 FIXTURES = ("para", "meta")
 
@@ -154,7 +154,8 @@ def read_trace(text: str) -> TraceDocument:
 
     Besides its shape, a document must be one the package writes: every
     cut-off is a finite distance, not ``-0.0``, displayed as ``format_cutoff``
-    displays it, and every level merges at least one group.
+    displays it, every level merges at least one group, and every label is
+    one a dataset may hold (non-empty, one line, no surrounding whitespace).
     And it must replay: depths count 1, 2, ...; a label appears at most once
     per level; and every group is exactly the union of two or more clusters
     active at its level, a label not seen before being a cluster of its own
@@ -221,6 +222,10 @@ def _replay(
     if depth != k + 1:
         raise SchemaError(f"trace entry {k} has depth {depth}, expected {k + 1}")
     labels = [lab for g in groups for lab in g]
+    try:
+        _check_names("label", labels)
+    except ValueError as e:
+        raise SchemaError(f"trace entry {k}: {e}") from None
     if len(set(labels)) != len(labels):
         raise SchemaError(f"depth {depth}: a label appears more than once")
     nodes = []

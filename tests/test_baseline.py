@@ -159,7 +159,8 @@ class TestStepwise:
     def test_overflowing_centroid(self):
         # distances are finite, but the mean of two 1.5e308 rows overflows
         nd = tiny([[1.5e308, 0.0], [1.5e308, 1.0], [1.5e308, 3.0]])
-        with pytest.raises(al.Overflow):
+        message = "^centroid distances overflow double precision; rescale the descriptors$"
+        with pytest.raises(al.Overflow, match=message):
             al.stepwise_cluster(nd, al.LinkageMethod.CENTROID)
 
     @pytest.mark.parametrize("method", ALL_METHODS)
@@ -262,6 +263,15 @@ class TestCompare:
         stepwise = al.stepwise_cluster(para_nd, al.LinkageMethod.AVERAGE)
         with pytest.raises(ValueError, match="^the first run's method is 'average', not 'adaptive'$"):
             al.compare_compactness(stepwise, stepwise)
+
+    @pytest.mark.parametrize("threshold, roots", [(1.0, 7), (0.0, 25)], ids=["seven", "no-merge"])
+    def test_stepwise_forest_raises(self, para_nd, threshold, roots):
+        # A run stopped early is no count of the steps to one tree.
+        adaptive = al.build_dendrogram(para_nd)
+        forest = al.stepwise_cluster(para_nd, al.LinkageMethod.AVERAGE, stop_threshold=threshold)
+        assert len(forest.roots) == roots
+        with pytest.raises(ValueError, match=f"^the second run is a forest of {roots} trees$"):
+            al.compare_compactness(adaptive, forest)
 
     def test_leaf_mismatch(self, para_nd):
         adaptive = al.build_dendrogram(para_nd)

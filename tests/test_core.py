@@ -324,6 +324,22 @@ class TestNormalizedDataset:
         with pytest.raises(ValueError, match=problem):
             self.frame(**kw)
 
+    @pytest.mark.parametrize(
+        "label", ["a\nb", "a\rb", "\tpad", " pad", "pad ", ""],
+        ids=["newline", "carriage-return", "tab", "leading-space", "trailing-space", "empty"],
+    )
+    def test_label_the_writers_cannot_draw_rejected(self, label):
+        with pytest.raises(ValueError, match="does not survive the table format or a written tree"):
+            self.frame(labels=(label, "b", "c"))
+
+    def test_column_name_on_two_lines_rejected(self):
+        with pytest.raises(ValueError, match=r"^column name 'x\\ny' does not survive"):
+            self.frame(column_names=("x\ny", "y"))
+
+    def test_comma_label_accepted(self):
+        # Commas break only the table format, which a frame is never written to.
+        assert self.frame(labels=("2,4-Cl2", "b", "c")).labels[0] == "2,4-Cl2"
+
     def test_column_names_must_be_empty_or_one_per_column(self):
         assert self.frame(column_names=()).column_names == ()
         with pytest.raises(ValueError, match="1 column names for 2 columns"):

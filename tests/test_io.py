@@ -197,6 +197,11 @@ class TestTraceDocuments:
             '{"format": "adaptlink-trace", "version": 1, "metadata": {}, "trace": [{"depth": 1, "cutoff": 1.0, "cutoff_display": "1.00", "groups": [[1, 2]]}]}',
             '{"format": "adaptlink-trace", "version": 1, "metadata": {}, "trace": [{"depth": 1, "cutoff": -0.0, "cutoff_display": "-0.00", "groups": [["A", "B"]]}]}',
             '{"format": "adaptlink-trace", "version": 1, "metadata": {}, "trace": [{"depth": 1, "cutoff": 1.0, "cutoff_display": "1.00", "groups": []}]}',
+            *(
+                '{"format": "adaptlink-trace", "version": 1, "metadata": {}, "trace": [{"depth": 1, "cutoff": 1.0, "cutoff_display": "1.00", "groups": [[%s, "B"]]}]}'
+                % json.dumps(label)
+                for label in ("A\nC", "A\rC", "\tA", " A", "A ", "")
+            ),
         ],
     )
     def test_schema_errors(self, text):
@@ -236,6 +241,13 @@ class TestTraceDocuments:
         payload["trace"][0].update(entry)
         with pytest.raises(io.SchemaError, match=problem):
             io.read_trace(json.dumps(payload))
+
+    def test_group_labels_follow_the_dataset_rule(self):
+        # Commas break only the table format; a label on two lines is refused by name.
+        text = trace_text([(1, [["2,4-Cl2", "B"]])])
+        assert io.write_trace(io.read_trace(text)) == text
+        with pytest.raises(io.SchemaError, match=r"^trace entry 0: label 'A\\nC' does not survive"):
+            io.read_trace(trace_text([(1, [["A\nC", "B"]])]))
 
     def test_huge_cutoff_round_trip(self):
         nd = al.identity_normalized(

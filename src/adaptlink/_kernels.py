@@ -181,7 +181,9 @@ def expand_copies(i, j, d, rows: np.ndarray, starts: np.ndarray):
     )
 
 
-# Keys (row·(D + 1) + rank)·n + column stay below n²·(D + 1) <= n⁴/2 < 2⁶³ for smaller n.
+# With b = (n - 1).bit_length() bits for the column, the keys
+# ((row·(D + 1) + rank) << b) | column stay below n·(D + 1)·2^b, and for
+# n <= 65 535 that is at most 65 535·(65 535·65 534/2 + 1)·2^16 < 2^63.
 _MAX_NEIGHBOR_POINTS = 1 << 16
 
 
@@ -199,12 +201,14 @@ def neighbors_within(
     distance 0.
 
     The D distinct distances get the dense ranks 1..D and each center the
-    rank 0, so the int64 key ``(row·(D + 1) + rank)·n + column`` sorts like
+    rank 0, so the int64 key ``((row·(D + 1) + rank) << b) | column``, with
+    the column in the low ``b = (n - 1).bit_length()`` bits, sorts like
     (row, distance, column); each pair is written as (i, j) and (j, i),
     each center as (i, i), and one sort of these unique keys orders every
-    neighbourhood. The keys stay below n⁴/2, so n must be below 65 536,
-    where the condensed vector alone already takes 17 GB; a larger n raises
-    ``ValueError`` before anything is allocated. The ranks take d's buffer
+    neighbourhood, whose members are the keys' low b bits. The keys stay
+    below n·(D + 1)·2^b < 2⁶³ (see ``_MAX_NEIGHBOR_POINTS``), so n must be
+    below 65 536, where the condensed vector alone already takes 17 GB; a
+    larger n raises ``ValueError`` before anything is allocated. The ranks take d's buffer
     and the key 2m + n values, so with m pairs the peak is about 5m
     values, inputs included: where every pair is in radius, about 2.5 n×n
     float64 squares.
@@ -227,22 +231,23 @@ def neighbors_within(
     rank = d.view(np.int64)
     rank[order] = sorted_rank
     del dist, order, new_value, sorted_rank
+    b = (n - 1).bit_length()
     key = np.empty(2 * m + n, dtype=np.int64)
     ij, ji, ii = key[:m], key[m : 2 * m], key[2 * m :]
     np.multiply(i, w, out=ij)
     ij += rank
-    ij *= n
-    ij += j
+    ij <<= b
+    ij |= j
     np.multiply(j, w, out=ji)
     ji += rank
-    ji *= n
-    ji += i
-    np.multiply(np.arange(n, dtype=np.int64), w * n + 1, out=ii)
+    ji <<= b
+    ji |= i
+    np.multiply(np.arange(n, dtype=np.int64), (w << b) + 1, out=ii)
     del rank, ij, ji, ii
     key.sort()
-    # Row r's keys are those from r·(D + 1)·n up to (r + 1)·(D + 1)·n.
-    starts = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * (w * n))
-    key %= n
+    # Row r's keys are those from r·(D + 1)·2^b up to (r + 1)·(D + 1)·2^b.
+    starts = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * (w << b))
+    key &= (1 << b) - 1
     return starts, key
 
 

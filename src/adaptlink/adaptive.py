@@ -28,9 +28,9 @@ to the copies' pairs before the orderings are built.
 :func:`_step` calls :func:`~adaptlink.core.matrix_from_coords` (through
 :func:`level_distances`), :func:`cutoff_distance`, :func:`neighborhood`
 (every point's ordering, in CSR form, once per level) and
-:func:`extremely_close_sets` (prefix hashes, then an exact check) through
-this module's globals, so a tracer that rebinds them here (the benchmark's
-per-layer timers do) sees every call of a level.
+:func:`extremely_close_sets` (prefix hashes, a last-member test, then an
+exact check) through this module's globals, so a tracer that rebinds them
+here (the benchmark's per-layer timers do) sees every call of a level.
 
 The working coordinate frame follows the input (see README for the rationale
 and the reference tabulation it reproduces):
@@ -300,23 +300,46 @@ def _keys(n: int, seed: int) -> np.ndarray:
 
 
 def _longest_candidates(nbs: Neighborhoods, keys: np.ndarray) -> np.ndarray:
-    """Each center's longest prefix whose key sum occurs at least as often as it is long."""
-    starts = nbs.starts
-    h = keys[nbs.members]
+    """Each center's longest prefix that passes the last-member test and whose key
+    sum occurs among the passing prefixes at least as often as it is long; else 1."""
+    starts, members = nbs.starts, nbs.members
+    h = keys[members]
     # One cumsum over all rows, restarted per row by taking off the previous row's sum.
     h[starts[1:-1]] -= np.add.reduceat(h, starts[:-1])[:-1]
     np.add.accumulate(h, out=h)
-    order = h.argsort()
-    h.sort()
-    # Where h[k] == h[k + 1], both lie in one run of a repeated sum.
-    k = (h[1:] == h[:-1]).nonzero()[0]
-    count = h.searchsorted(h[k], "right") - h.searchsorted(h[k])
-    pos = order[np.concatenate((k, k + 1))]
-    del h, order
-    rows = np.repeat(np.arange(starts.size - 1), starts[1:] - starts[:-1])[pos]
+    # Entry q, at offset k of c's row and holding e, passes when h[starts[e] + k]
+    # equals h[q]. Blocks of whole rows of at most half the cell budget's
+    # entries keep the indices and the one temporary beside them within it (take
+    # would copy the read-only members first). An index past the last entry is
+    # clipped, and then passes only by a collision.
+    passed = np.empty(h.size, dtype=bool)
+    r0, m, block = 0, starts.size - 1, _kernels._CELL_BUDGET // 2
+    while r0 < m:
+        r1 = max(r0 + 1, int(starts.searchsorted(starts[r0] + block, "right")) - 1)
+        a, b = starts[r0], starts[r1]
+        idx = starts[members[a:b]]
+        idx -= starts[r0:r1].repeat(starts[r0 + 1 : r1 + 1] - starts[r0:r1])
+        idx += np.arange(a, b)
+        np.equal(h.take(idx, mode="clip"), h[a:b], out=passed[a:b])
+        r0 = r1
+    passed[starts[:-1]] = False  # a center alone is no candidate
+    pos = passed.nonzero()[0]
+    sums = h[pos]
+    del h, passed
+    # Each passing entry counts the entries in its run of equal sums.
+    order = sums.argsort()
+    sums = sums[order]
+    edges = np.empty(sums.size + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    np.not_equal(sums[1:], sums[:-1], out=edges[1:-1])
+    runs = edges.nonzero()[0]
+    runs = runs[1:] - runs[:-1]
+    count = np.empty_like(pos)
+    count[order] = runs.repeat(runs)
+    rows = starts.searchsorted(pos, "right") - 1
     sizes = pos - starts[rows] + 1
-    ok = np.concatenate((count, count)) >= sizes
-    longest = np.ones(starts.size - 1, dtype=np.intp)
+    ok = count >= sizes
+    longest = np.ones(m, dtype=np.intp)
     np.maximum.at(longest, rows[ok], sizes[ok])
     return longest
 
@@ -334,11 +357,11 @@ def _verified_groups(nbs: Neighborhoods, keys: np.ndarray) -> list[tuple[int, ..
     longest = _longest_candidates(nbs, keys)
     centers = (longest > 1).nonzero()[0]
     v = longest[centers]
-    offsets = np.cumsum(v) - v
+    offsets = v.cumsum() - v
     # Every candidate's positions, then its members, in one buffer: the
     # positions are in range, and "clip" takes in place where "raise" copies.
     entries = np.arange(v.sum())
-    entries += np.repeat(nbs.starts[centers] - offsets, v)
+    entries += (nbs.starts[centers] - offsets).repeat(v)
     nbs.members.take(entries, out=entries, mode="clip")
     least = np.minimum.reduceat(entries, offsets)
     classes = np.full(longest.size, -1)
@@ -352,7 +375,7 @@ def _verified_groups(nbs: Neighborhoods, keys: np.ndarray) -> list[tuple[int, ..
         return None
     # A stable sort by class lists the classes by least member, members ascending.
     flat = centers[least.argsort(kind="stable")].tolist()
-    ends = np.cumsum(v[least == centers]).tolist()
+    ends = v[least == centers].cumsum().tolist()
     return [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
 
 
@@ -365,16 +388,19 @@ def extremely_close_sets(nbs: Neighborhoods) -> list[tuple[int, ...]]:
     containing i is the longest qualifying prefix of that ordering.
 
     Every point gets a pseudo-random 64-bit key, and one segmented cumsum
-    over the CSR arrays gives every prefix the wrapping sum of its keys; one
-    argsort counts the sums that repeat. Each center takes its longest prefix
+    over the CSR arrays gives every prefix the wrapping sum of its keys. A
+    prefix of v entries is kept only if its last member's first v entries
+    have the same sum (one gather per entry), and one argsort of the kept
+    sums counts those that repeat. Each center takes its longest kept prefix
     whose sum occurs at least as often as the prefix is long. A qualifying
-    set is the length-v prefix of each of its v members, so its sum occurs v
-    times whatever the keys: no candidate is shorter than the maximal set,
-    and one is longer only through a collision of sums. So the candidates
-    are checked exactly in one array pass: each candidate's class (its least
-    member) must hold as many centers as the candidate is long, and hold
-    every point in it. A collision that fails the check redoes the level
-    with the next of a few fixed key seeds, so runs stay deterministic.
+    set is the length-v prefix of each of its v members, and each of those
+    prefixes ends in a member whose own length-v prefix is the set, so its
+    sum is kept v times whatever the keys: no candidate is shorter than the
+    maximal set, and one is longer only through a collision of sums. So the
+    candidates are checked exactly in one array pass: each candidate's class
+    (its least member) must hold as many centers as the candidate is long,
+    and hold every point in it. A collision that fails the check redoes the
+    level with the next of a few fixed key seeds, so runs stay deterministic.
     """
     n = nbs.starts.size - 1
     if n == 0:

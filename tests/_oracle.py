@@ -74,6 +74,54 @@ def oracle_groups(square, cutoff: float) -> list[frozenset[int]]:
     return [s for s in sets if not any(s < t for t in sets)], orders
 
 
+def all_prefix_candidates(nbs, keys: np.ndarray) -> np.ndarray:
+    """Each center's longest prefix whose key sum occurs, among every prefix of
+    every ordering, at least as often as the prefix is long.
+
+    The engine's candidates count only the prefixes that pass its last-member
+    test; absent a collision of sums both give each center its maximal set's
+    size (1 where it has none). This count sorts every prefix's sum.
+    """
+    starts = nbs.starts
+    h = keys[nbs.members]
+    h[starts[1:-1]] -= np.add.reduceat(h, starts[:-1])[:-1]
+    np.add.accumulate(h, out=h)
+    order = h.argsort()
+    h.sort()
+    # Where h[k] == h[k + 1], both lie in one run of a repeated sum.
+    k = (h[1:] == h[:-1]).nonzero()[0]
+    count = h.searchsorted(h[k], "right") - h.searchsorted(h[k])
+    pos = order[np.concatenate((k, k + 1))]
+    rows = np.repeat(np.arange(starts.size - 1), starts[1:] - starts[:-1])[pos]
+    sizes = pos - starts[rows] + 1
+    ok = np.concatenate((count, count)) >= sizes
+    longest = np.ones(starts.size - 1, dtype=np.intp)
+    np.maximum.at(longest, rows[ok], sizes[ok])
+    return longest
+
+
+def level_orderings(nd):
+    """Yield the orderings of every level of the engine's run on ``nd``, depth 1 first."""
+    level, depth = adaptive.initial_state(nd), 1
+    while len(level[1]) > 1:
+        distances = adaptive.level_distances(level[0])
+        yield adaptive.neighborhood(distances, adaptive.cutoff_distance(distances))
+        level, _ = adaptive._step(level, nd, depth)
+        depth += 1
+
+
+def candidate_mismatches(nbs, seeds=range(adaptive._KEY_SEEDS)) -> list[int]:
+    """The key seeds under which the engine's candidates and the all-prefix count differ."""
+    n = nbs.starts.size - 1
+    return [
+        seed for seed in seeds
+        if not np.array_equal(
+            adaptive._longest_candidates(nbs, adaptive._keys(n, seed)),
+            all_prefix_candidates(nbs, adaptive._keys(n, seed)),
+        )
+    ]
+
+
 @dataclass
 class RunReport:
     n: int

@@ -10,8 +10,9 @@ from adaptlink import _kernels, adaptive, core, io
 
 import _expected as exp
 from _oracle import (
-    RAW_REGIMES, REGIMES, condensed_square, oracle_groups, oracle_neighbor_order,
-    oracle_square, raw_frame, regime_dataset, regime_frame, verify_run
+    RAW_REGIMES, REGIMES, candidate_mismatches, condensed_square, level_orderings,
+    oracle_groups, oracle_neighbor_order, oracle_square, raw_frame, regime_dataset,
+    regime_frame, verify_run
 )
 
 
@@ -335,6 +336,23 @@ def clashing_sums(keys):
     return keys
 
 
+@pytest.mark.parametrize("frame", [*REGIMES, *RAW_REGIMES, "para", "meta"])
+def test_candidates_match_the_all_prefix_count_on_every_level(frame):
+    # Every key seed, on every level: the last-member test drops no prefix
+    # that the count over every prefix would have kept.
+    nd = al.normalize(io.load_fixture(frame)) if frame in ("para", "meta") else regime_frame(frame)
+    levels = list(level_orderings(nd))
+    assert len(levels) > 1
+    for depth, nbs in enumerate(levels, 1):
+        assert candidate_mismatches(nbs) == [], f"depth {depth}"
+
+
+def copied_pair(keys):
+    # Keys 2 and 3 equal keys 0 and 1.
+    keys[2:4] = keys[0:2]
+    return keys
+
+
 class TestKeyCollisions:
     """Colliding keys may cost a retry with the next key seed, never a wrong group."""
 
@@ -363,10 +381,19 @@ class TestKeyCollisions:
         colliding_keys(monkeypatch, collide)
         assert verify_run(al.normalize(io.load_fixture(fixture))).failures == []
 
-    def test_a_clash_that_fakes_a_candidate_is_caught(self, monkeypatch):
-        # {0, 1} now sums like {2, 3}, so the prefix [0, 1] occurs twice.
+    def test_a_clash_the_last_member_test_drops_costs_no_retry(self, monkeypatch):
+        # {0, 1} now sums like {2, 3}, but 1's first two entries are {1, 2}, so
+        # the prefix [0, 1] fails the last-member test and is never counted.
         nbs = self.line()
         asked = colliding_keys(monkeypatch, clashing_sums)
+        assert adaptive.extremely_close_sets(nbs) == [(2, 3)]
+        assert asked == [0]
+
+    def test_a_clash_that_fakes_a_candidate_is_caught(self, monkeypatch):
+        # Keys 2 and 3 copy keys 0 and 1, so every prefix of two sums alike and
+        # passes the last-member test: each center gets a candidate of two.
+        nbs = self.line()
+        asked = colliding_keys(monkeypatch, copied_pair)
         assert adaptive.extremely_close_sets(nbs) == [(2, 3)]
         assert asked == [0, 1]
 

@@ -209,7 +209,7 @@ class TestMemory:
     besides the stepwise baseline's square, which is its output and is filled
     in place. The neighbour kernel holds O(pairs within the radius): far below
     a square on a typical level, a few squares' worth on a degenerate one,
-    where group discovery adds its prefix sums and their order.
+    where group discovery adds its prefix sums and its candidates' entries.
     """
 
     n = 1000
@@ -305,8 +305,9 @@ class TestMemory:
         assert peak < 3 * square_bytes
 
     def test_orderings_and_groups_peak_on_a_degenerate_level(self):
-        # The orderings, then group discovery's prefix sums and their argsort
-        # beside them; every ordering but the far row's spans the set.
+        # The orderings, then group discovery's prefix sums and the exact
+        # check's 999 candidates of 999 entries beside them; every ordering
+        # but the far row's spans the set.
         x = np.random.default_rng(23).standard_normal((self.n, 3))
         x[0] = 40.0
         m = adaptive.level_distances(x)

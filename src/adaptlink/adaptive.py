@@ -358,10 +358,15 @@ def _verified_groups(nbs: Neighborhoods, keys: np.ndarray) -> list[tuple[int, ..
     centers = (longest > 1).nonzero()[0]
     v = longest[centers]
     offsets = v.cumsum() - v
-    # Every candidate's positions, then its members, in one buffer: the
-    # positions are in range, and "clip" takes in place where "raise" copies.
-    entries = np.arange(v.sum())
-    entries += (nbs.starts[centers] - offsets).repeat(v)
+    # Every candidate's positions, then its members, in one buffer: ones with
+    # a jump to each candidate's start, summed in place (the ufunc's own
+    # cumsum, the cheapest call); the positions are in range, and "clip"
+    # takes in place where "raise" copies.
+    jumps = nbs.starts[centers] - offsets
+    jumps[1:] -= jumps[:-1] - 1
+    entries = np.ones(v.sum(), dtype=int)
+    entries[offsets] = jumps
+    np.add.accumulate(entries, out=entries)
     nbs.members.take(entries, out=entries, mode="clip")
     least = np.minimum.reduceat(entries, offsets)
     classes = np.full(longest.size, -1)

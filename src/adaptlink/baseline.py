@@ -6,13 +6,15 @@ stop threshold, leaving a forest), returned as the adaptive engine's
 compared against. The starting distances are one symmetric n×n working
 square, filled in place from the coordinates by
 :func:`~adaptlink._kernels.distance_square`, so a run holds no other n²
-array; single, complete and average linkage update them by the
-Lance-Williams formulas, and centroid linkage recomputes the merged
-centroid's distances with :func:`~adaptlink._kernels.distances_from`. Both
-share one per-feature routine with the adaptive engine's matrix kernel, so a
-pair's distance has the same bits whichever kernel computes it, and one
-overflow check with it. :func:`compare_compactness` counts the steps to one
-root, so it refuses a forest.
+array. A merge holds the merged-away slot's row and column at +inf, so each
+step works on whole rows of the square: single, complete and average
+linkage update the merged row by the Lance-Williams formulas, and centroid
+linkage recomputes the merged centroid's distances with
+:func:`~adaptlink._kernels.distances_from`. Both share one per-feature
+routine with the adaptive engine's matrix kernel, so a pair's distance has
+the same bits whichever kernel computes it, and one overflow check with it.
+:func:`compare_compactness` counts the steps to one root, so it refuses a
+forest.
 """
 from __future__ import annotations
 
@@ -89,16 +91,16 @@ def stepwise_cluster(
     if nd.n < 2:
         raise TooFewPoints(f"stepwise clustering needs n >= 2, got {nd.n}")
     n = nd.n
-    # dist[i, j] == dist[j, i] is the distance between active slots i != j;
-    # the diagonal holds inf, and a merged-away slot's row and column are
-    # never read again, so they are left as they were.
+    # dist[i, j] == dist[j, i] is the distance between live slots i != j; the
+    # diagonal and a merged-away slot's row and column hold +inf, so a whole
+    # row's first minimum is its first nearest live slot.
     dist = _square(nd.coords)
     nn_j = dist.argmin(axis=1)
     nn_d = dist[np.arange(n), nn_j]
     nodes: list[TreeNode | None] = [TreeNode((), lab) for lab in nd.labels]
     min_label = list(nd.labels)
     centroids = np.array(nd.coords) if method is LinkageMethod.CENTROID else None
-    active = np.ones(n, dtype=bool)
+    merged = np.zeros(n, dtype=bool)
     records: list[DepthRecord] = []
     for step in range(1, n):
         a = int(nn_d.argmin())
@@ -115,33 +117,36 @@ def stepwise_cluster(
         nodes[b] = None
         records.append(DepthRecord(step, d, (nodes[a],)))
         min_label[a] = min(min_label[a], min_label[b])
-        active[[a, b]] = False
-        others = np.flatnonzero(active)
-        active[a] = True
+        merged[b] = True
         if method is LinkageMethod.CENTROID:
             with np.errstate(over="ignore", invalid="ignore"):
                 centroids[a] = (na * centroids[a] + nb * centroids[b]) / (na + nb)
+            # Stale centroids are measured too, but only the live slots besides a
+            # are checked, as only their distances are used.
+            others = ~merged
+            others[a] = False
             new = _finite_distances(
-                _kernels.distances_from, centroids[a], centroids[others], of="centroid"
+                _kernels.distances_from, centroids[a], centroids, of="centroid", where=others
             )
+            new[~others] = np.inf
         else:
-            new = _lw_update(method, dist[a, others], dist[b, others], na, nb)
-        dist[a, others] = new
-        dist[others, a] = new
-        nn_d[b] = np.inf
+            # Merged-away slots hold +inf in both rows, and every formula keeps it.
+            new = _lw_update(method, dist[a], dist[b], na, nb)
+            new[a] = new[b] = np.inf
+        dist[a] = dist[:, a] = new
+        dist[b] = dist[:, b] = nn_d[b] = np.inf
         # Only slot a moved. A row takes it when it is nearer than the cached
         # slot, or as near and further left; a row whose cached slot was a or
-        # b and is now further away is rescanned, and so is row a.
-        old_d, old_j = nn_d[others], nn_j[others]
-        closer = (new < old_d) | ((new == old_d) & (old_j > a))
-        take = others[closer]
-        nn_d[take] = new[closer]
-        nn_j[take] = a
-        rows = np.append(others[((old_j == a) | (old_j == b)) & (new > old_d)], a)
-        scan = np.where(active, dist[rows], np.inf)
+        # b and is now further away is rescanned, and so is row a. A merged-away
+        # row compares +inf with +inf and is never rescanned.
+        closer = (new < nn_d) | ((new == nn_d) & (nn_j > a))
+        np.copyto(nn_d, new, where=closer)
+        np.copyto(nn_j, a, where=closer)
+        rows = (((nn_j == a) | (nn_j == b)) & (new > nn_d)).nonzero()[0]
+        scan = dist[rows]
         nn_j[rows] = scan.argmin(axis=1)
         nn_d[rows] = scan.min(axis=1)
-    roots = tuple(nodes[i] for i in np.flatnonzero(active))
+    roots = tuple(nodes[i] for i in np.flatnonzero(~merged))
     meta = {**_run_meta(nd, method.value), "stop_threshold": stop_threshold}
     return Dendrogram(nd.labels, roots, tuple(records), meta)
 

@@ -7,6 +7,7 @@ invariant violations.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .adaptive import build_dendrogram
@@ -74,6 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call to main, not at import, and reused by later calls.
+_parser = functools.cache(build_parser)
+
+
 def _load_normalized(args):
     if args.fixture:
         data = load_fixture(args.fixture)
@@ -120,9 +125,8 @@ def _cmd_compare(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

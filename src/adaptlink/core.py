@@ -289,15 +289,16 @@ def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
     return DistanceMatrix(n, entries, nearest)
 
 
-def _finite_distances(kernel, *args, of: str = "pairwise") -> np.ndarray:
+def _finite_distances(kernel, *args, of: str = "pairwise", where=True) -> np.ndarray:
     """``kernel(*args)``, a distance array, or :class:`Overflow` if one is not finite.
 
     Overflow surfaces as a non-finite distance, not as a warning. A kernel
     yields no negative distance, and a NaN or inf makes the maximum
-    non-finite, so one reduction checks the whole array; an empty one passes.
+    non-finite, so one reduction checks the whole array, or the entries a
+    boolean ``where`` selects; an empty selection passes.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out = kernel(*args)
-    if out.size and not math.isfinite(out.max()):
+    if not math.isfinite(out.max(initial=0.0, where=where)):
         raise Overflow(f"{of} distances overflow double precision; rescale the descriptors")
     return out

@@ -210,6 +210,35 @@ class TestAgainstOracle:
             assert 1 < len(got.roots) < nd.n
 
 
+class TestWholeRows:
+    """A merged-away slot's row, column and cached distance hold +inf."""
+
+    def test_merged_slot_never_comes_back_as_a_nearest(self):
+        # min(dist[a], dist[b]) is d01 = 1 at slot 1 itself: without the
+        # reset, row 1 would cache slot 0 at 1 and merge again at step 2.
+        nd = tiny([[0.0], [1.0], [3.0], [7.0]])
+        got = al.stepwise_cluster(nd, al.LinkageMethod.SINGLE)
+        assert [rec.cutoff for rec in got.trace] == [1.0, 2.0, 4.0]
+        assert outputs(got) == outputs(oracle_stepwise(nd, al.LinkageMethod.SINGLE))
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_forest_roots_in_slot_order(self, method):
+        # Slots 1 and 3 merge first, then 0 and 2; slot 4 stays a leaf.
+        nd = tiny([[0.0], [10.0], [1.5], [11.0], [5.0]])
+        got = al.stepwise_cluster(nd, method, stop_threshold=1.6)
+        assert [rec.cutoff for rec in got.trace] == [1.0, 1.5]
+        assert [set(root.leaves) for root in got.roots] == [{"r0", "r2"}, {"r1", "r3"}, {"r4"}]
+        assert outputs(got) == outputs(oracle_stepwise(nd, method, stop_threshold=1.6))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_last_centroid_is_never_read(self):
+        # The mean of the last pair overflows, but no live slot is left to
+        # measure it against, so only its own merge height is recorded.
+        nd = tiny([[1.5e308, 0.0], [1.5e308, 1.0]])
+        got = al.stepwise_cluster(nd, al.LinkageMethod.CENTROID)
+        assert [rec.cutoff for rec in got.trace] == [1.0]
+
+
 class TestAgainstScipy:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("method", ALL_METHODS)

@@ -103,6 +103,40 @@ class TestCluster:
         assert 0 < len(json.loads(out)["trace"]) < 24
 
 
+# Flags that later calls must not inherit: a format, a stepwise method with
+# a threshold, raw values with the population s.d., an output file; then
+# errors, whose usage lines come from the same parser.
+SUCCESSIVE = (
+    ("cluster", "--fixture", "para", "--format", "dot"),
+    ("cluster", "--fixture", "meta", "--method", "complete", "--threshold", "1.5",
+     "--format", "tree-text"),
+    ("compare", "--fixture", "meta", "--method", "single", "--output", "{out}"),
+    ("cluster", "--fixture", "para", "--no-normalize", "--sd", "population"),
+    ("compare", "--fixture", "para"),
+    ("cluster", "--fixture", "para", "--threshold", "1.0"),
+    ("compare", "--fixture", "para", "--format", "dot"),
+    ("cluster", "--fixture", "meta", "--output", "{out}"),
+)
+
+
+class TestSuccessiveCalls:
+    def test_same_bytes_as_fresh_processes(self, capsys, tmp_path):
+        fresh = []
+        for k, argv in enumerate(SUCCESSIVE):
+            out = tmp_path / f"fresh{k}.txt"
+            cmd = [sys.executable, "-m", "adaptlink.cli", *(a.format(out=out) for a in argv)]
+            proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            fresh.append((proc, out))
+        for k, (argv, (proc, fresh_out)) in enumerate(zip(SUCCESSIVE, fresh)):
+            out = tmp_path / f"same{k}.txt"
+            code, stdout, stderr = run_cli(capsys, *(a.format(out=out) for a in argv))
+            want_out, want_err = proc.communicate()
+            assert (code, stdout.encode(), stderr.encode()) == (proc.returncode, want_out, want_err)
+            assert out.exists() == fresh_out.exists()
+            if out.exists():
+                assert out.read_bytes() == fresh_out.read_bytes()
+
+
 class TestCompare:
     def test_para_report(self, capsys):
         code, out, err = run_cli(capsys, "compare", "--fixture", "para")

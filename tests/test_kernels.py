@@ -306,8 +306,8 @@ class TestMemory:
 
     def test_orderings_and_groups_peak_on_a_degenerate_level(self):
         # The orderings, then group discovery's prefix sums and the exact
-        # check's 999 candidates of 999 entries beside them; every ordering
-        # but the far row's spans the set.
+        # check's 999 candidates of 999 entries beside them, in one buffer;
+        # every ordering but the far row's spans the set.
         x = np.random.default_rng(23).standard_normal((self.n, 3))
         x[0] = 40.0
         m = adaptive.level_distances(x)
@@ -316,7 +316,7 @@ class TestMemory:
             lambda: adaptive.extremely_close_sets(adaptive.neighborhood(m, cut))
         )
         assert groups == [tuple(range(1, self.n))]
-        assert peak < 3.5 * self.n * self.n * 8
+        assert peak < 2.75 * self.n * self.n * 8
 
     @pytest.mark.parametrize("method", list(baseline.LinkageMethod))
     def test_stepwise_peak_is_its_square(self, method):

@@ -15,19 +15,17 @@ node of each row. A step builds its own distances, so one set is alive at
 a time, builds each merged node once and records the merged nodes in the
 trace. A node holds its children and its leaf count, not its leaves' labels,
 so a merge costs O(children) and a tree with its trace takes O(nodes) memory.
-The distances are computed once per distinct row: rows that compare equal
-in every column are copies, which lie at +0.0 from each other and at their
-representative's distance from every other row, so the step's
-:class:`~adaptlink.core.DistanceMatrix` covers the representatives (each
-value's lowest row) only, with a least distance of 0.0 for each value that
-has copies, and a level without copies takes every row as it is. That one
-record of the level is internal, not public API: its cut-off is the root of
-the largest least distance, and its pairs within the cut-off are expanded
-to the copies' pairs before the orderings are built.
+The step's distances are one :class:`~adaptlink.core.DistanceMatrix` from
+:func:`~adaptlink.core.matrix_from_coords`, which computes them once per
+distinct row (rows that compare equal in every column are copies). That
+one record of the level is internal, not public API: its cut-off is the
+root of the largest least distance, and the orderings are built from its
+:meth:`~adaptlink.core.DistanceMatrix.pairs_within` the cut-off, which
+expands the copies, so nothing here reads how the record groups them.
 
-:func:`_step` calls :func:`~adaptlink.core.matrix_from_coords` (through
-:func:`level_distances`), :func:`cutoff_distance`, :func:`neighborhood`
-(every point's ordering, in CSR form, once per level) and
+:func:`_step` calls :func:`~adaptlink.core.matrix_from_coords`,
+:func:`cutoff_distance`, :func:`neighborhood` (every point's ordering, in
+CSR form, once per level) and
 :func:`extremely_close_sets` (prefix hashes, a last-member test, then an
 exact check) through this module's globals, so a tracer that rebinds them
 here (the benchmark's per-layer timers do) sees every call of a level.
@@ -55,7 +53,7 @@ import numpy as np
 
 from . import _kernels
 from .core import (
-    ClusteringError, DistanceMatrix, NormalizedDataset, SdMode, matrix_from_coords
+    ClusteringError, DistanceMatrix, NormalizedDataset, SdMode, _frozen, matrix_from_coords
 )
 
 # Decimals of the grid a z-scored working frame is rounded to.
@@ -84,8 +82,8 @@ class Neighborhoods:
     members: np.ndarray
 
     def __post_init__(self):
-        for a in (self.starts, self.members):
-            a.setflags(write=False)
+        for name in ("starts", "members"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
 class TreeNode(NamedTuple):
@@ -94,8 +92,8 @@ class TreeNode(NamedTuple):
     ``size`` counts the leaves under the node: 1 for a leaf, the sum of the
     children's for a merge. The leaves' labels are not stored, and
     :attr:`leaves` collects them on demand. Equality walks both
-    subtrees with a stack, and hash and repr read only the node's own fields,
-    so trees deeper than the recursion limit work too.
+    subtrees in lockstep with :func:`_preorder`, and hash and repr read only
+    the node's own fields, so trees deeper than the recursion limit work too.
     """
 
     children: tuple[TreeNode, ...] = ()
@@ -119,13 +117,10 @@ class TreeNode(NamedTuple):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is not b:
-                if a._own() != b._own() or len(a.children) != len(b.children):
-                    return False
-                stack.extend(zip(a.children, b.children))
+        # Equal child counts at every node keep the two walks in step.
+        for (a, _), (b, _) in zip(_preorder((self,)), _preorder((other,))):
+            if a._own() != b._own() or len(a.children) != len(b.children):
+                return False
         return True
 
     def __hash__(self) -> int:
@@ -221,53 +216,12 @@ def _run_meta(nd: NormalizedDataset, method: str) -> dict:
     }
 
 
-def _distinct_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """A level's rows grouped by value, or None where no two rows are equal.
-
-    Rows are equal when every column compares equal, so ``-0.0`` matches
-    ``0.0``. Returns ``(rows, starts)``: value k is held by
-    ``rows[starts[k]:starts[k + 1]]`` in ascending order, led by its
-    representative, and the values come in ``lexsort`` order. A level with
-    a non-finite coordinate counts as one without copies, so that
-    :func:`~adaptlink.core.matrix_from_coords` reports its overflow.
-    """
-    first = np.sort(coords[:, 0])  # equal rows have equal first columns
-    if not (first[1:] == first[:-1]).any():
-        return None
-    order = np.lexsort(coords.T)  # stable: equal rows in one run, lowest row first
-    ranked = coords[order]
-    same = (ranked[1:] == ranked[:-1]).all(axis=1)
-    if not same.any() or not np.isfinite(coords).all():
-        return None
-    return order, np.flatnonzero(np.concatenate(([True], ~same, [True])))
-
-
-def level_distances(coords: np.ndarray) -> DistanceMatrix:
-    """A level's distances, from :func:`~adaptlink.core.matrix_from_coords` over its distinct rows.
-
-    Copies have the same distances to every other row, and +0.0 to each
-    other, so only the representatives' pairs are computed, and none where
-    every row holds one value; a level without copies takes the matrix over
-    every row as it is.
-    """
-    copies = _distinct_rows(coords)
-    if copies is None:
-        return matrix_from_coords(coords)
-    rows, starts = copies
-    if starts.size == 2:  # one value
-        return DistanceMatrix(len(coords), np.empty(0), np.zeros(1), rows, starts)
-    reps = matrix_from_coords(coords[rows[starts[:-1]]])
-    nearest = np.where(np.diff(starts) > 1, 0.0, reps.nearest)
-    return DistanceMatrix(len(coords), reps.entries, nearest, rows, starts)
-
-
 def cutoff_distance(level: DistanceMatrix) -> float:
     """Max over the level's rows of the distance to their nearest other row.
 
     A row with a copy is at +0.0 from it, the least distance ``nearest``
-    holds for its value. Any other row is as near to the others as to
-    their representatives, so its nearest distance is the root of the
-    squared minimum :func:`~adaptlink.core.matrix_from_coords` keeps;
+    holds for its value. Any other row's nearest distance is the root of
+    the squared minimum :func:`~adaptlink.core.matrix_from_coords` keeps;
     ``sqrt`` is monotone and correctly rounded, so the result has the bits
     of the least condensed entries.
     """
@@ -280,14 +234,9 @@ def neighborhood(level: DistanceMatrix, d_u: float) -> Neighborhoods:
     Row i's members are i, then every j with d(i, j) <= d_u, sorted by
     (distance, index) ascending; the index component makes tied distances
     (e.g. duplicate rows) resolve deterministically. The center leads even
-    when a duplicate of it (distance 0) has a lower index. Where rows
-    repeat, the pairs of representatives within d_u are expanded to the
-    pairs of their copies, with every two copies of one value at +0.0.
+    when a duplicate of it (distance 0) has a lower index.
     """
-    i, j, d = _kernels.pairs_within(level.entries, level.nearest.size, d_u)
-    if level.rows is not None:
-        i, j, d = _kernels.expand_copies(i, j, d, level.rows, level.starts)
-    return Neighborhoods(*_kernels.neighbors_within(i, j, d, level.n))
+    return Neighborhoods(*_kernels.neighbors_within(*level.pairs_within(d_u), level.n))
 
 
 # Key seeds a level is tried with before its groups count as unverifiable.
@@ -485,7 +434,7 @@ def _step(level: Level, nd: NormalizedDataset, depth: int) -> tuple[Level, Depth
     :class:`~adaptlink.core.TooFewPoints`.
     """
     coords, nodes = level
-    distances = level_distances(coords)
+    distances = matrix_from_coords(coords)
     d_u = float(cutoff_distance(distances))
     nbs = neighborhood(distances, d_u)
     del distances  # freed before the level's other allocations, which then reuse its space

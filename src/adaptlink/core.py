@@ -5,10 +5,11 @@ Both tables check their rows through one contract, ``_check_table``, and
 every distance kernel runs through one overflow check,
 ``_finite_distances``: this matrix, the stepwise square and the stepwise
 centroid updates. :class:`DistanceMatrix`, the one record of a level's
-distances, is internal to the adaptive engine: :func:`matrix_from_coords`
-builds it over every row of a level without copies, and
-``level_distances`` over the distinct rows of a level with copies. The
-stepwise baselines build no such record, and
+distances, is internal to the adaptive engine, and
+:func:`matrix_from_coords` is its one constructor: it groups a level's
+copies and computes the distances of one representative per value, and
+:meth:`DistanceMatrix.pairs_within` expands the pairs within a radius back
+to the level's rows. The stepwise baselines build no such record, and
 :func:`~adaptlink.baseline.compare_compactness` refuses a stepwise forest.
 """
 from __future__ import annotations
@@ -248,6 +249,27 @@ def identity_normalized(data: Dataset, mode: SdMode = SdMode.SAMPLE) -> Normaliz
     )
 
 
+def _distinct_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """A level's rows grouped by value, or None where no two rows are equal.
+
+    Rows are equal when every column compares equal, so ``-0.0`` matches
+    ``0.0``. Returns ``(rows, starts)``: value k is held by
+    ``rows[starts[k]:starts[k + 1]]`` in ascending order, led by its
+    representative, and the values come in ``lexsort`` order. A level with
+    a non-finite coordinate counts as one without copies, so that its
+    distances report the overflow.
+    """
+    first = np.sort(coords[:, 0])  # equal rows have equal first columns
+    if not (first[1:] == first[:-1]).any():
+        return None
+    order = np.lexsort(coords.T)  # stable: equal rows in one run, lowest row first
+    ranked = coords[order]
+    same = (ranked[1:] == ranked[:-1]).all(axis=1)
+    if not same.any() or not np.isfinite(coords).all():
+        return None
+    return order, np.flatnonzero(np.concatenate(([True], ~same, [True])))
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
     """One level's distances over its ``n`` rows; every array is read-only.
@@ -270,13 +292,28 @@ class DistanceMatrix:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _frozen(getattr(self, name)))
 
+    def pairs_within(self, radius: float):
+        """The row pairs ``(i, j, d)`` with ``d <= radius``, each once.
+
+        Where rows repeat, the representatives' pairs are expanded to the
+        pairs of their copies, with every two copies of one value at +0.0.
+        """
+        pairs = _kernels.pairs_within(self.entries, self.nearest.size, radius)
+        if self.rows is None:
+            return pairs
+        return _kernels.expand_copies(*pairs, self.rows, self.starts)
+
 
 def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
-    """Condensed Euclidean distance matrix over every row of ``coords``.
+    """A level's condensed Euclidean distances, computed once per distinct row.
 
-    The same pass keeps each point's least squared distance for the cut-off.
-    Raises :class:`Overflow` when a distance is not finite (squared
-    differences beyond double precision, or coordinates that already were).
+    Copies lie at the same distance from every other row, and at +0.0 from
+    each other, so only their representatives' pairs are computed, none
+    where every row holds one value, and each value with copies has a least
+    distance of 0.0. The same pass keeps each point's least squared
+    distance for the cut-off. Raises :class:`Overflow` when a distance is
+    not finite (squared differences beyond double precision, or coordinates
+    that already were).
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     n = coords.shape[0]
@@ -284,9 +321,13 @@ def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
         raise TooFewPoints(f"distance matrix needs n >= 2, got {n}")
     if coords.shape[1] < 1:
         raise ValueError("coordinates must have at least one column")
-    nearest = np.full(n, np.inf)
-    entries = _finite_distances(_kernels.pairwise_condensed, coords, nearest)
-    return DistanceMatrix(n, entries, nearest)
+    rows, starts = _distinct_rows(coords) or (None, None)
+    reps = coords if rows is None else coords[rows[starts[:-1]]]
+    nearest = np.full(len(reps), np.inf)
+    entries = _finite_distances(_kernels.pairwise_condensed, reps, nearest)
+    if rows is not None:
+        nearest[np.diff(starts) > 1] = 0.0
+    return DistanceMatrix(n, entries, nearest, rows, starts)
 
 
 def _finite_distances(kernel, *args, of: str = "pairwise", where=True) -> np.ndarray:

@@ -42,19 +42,23 @@ class SchemaError(ClusteringError):
 
 
 def parse_table(text: str) -> Dataset:
-    """Parse a delimited table (header; label column + numeric descriptors)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Parse a delimited table (header; label column + numeric descriptors).
+
+    Blank lines are skipped; an error names a row by its line in ``text``.
+    """
+    lines = text.splitlines()
+    used = [k for k, ln in enumerate(lines) if ln.strip()]  # the non-blank lines
+    if not used:
         raise ParseError(0, None, "empty input")
-    header = [c.strip() for c in lines[0].split(",")]
+    top, header = used[0] + 1, [c.strip() for c in lines[used[0]].split(",")]
     if len(header) < 2:
-        raise ParseError(1, None, "header needs a label column and at least one descriptor")
+        raise ParseError(top, None, "header needs a label column and at least one descriptor")
     width = len(header)
     labels: list[str] = []
     rows: list[list[float]] = []
     seen: dict[str, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(",")]
+    for k in used[1:]:
+        lineno, cells = k + 1, [c.strip() for c in lines[k].split(",")]
         if len(cells) != width:
             raise ParseError(lineno, None, f"expected {width} cells, got {len(cells)}")
         label = cells[0]
@@ -75,7 +79,7 @@ def parse_table(text: str) -> Dataset:
         labels.append(label)
         rows.append(values)
     if not rows:
-        raise ParseError(1, None, "no data rows")
+        raise ParseError(top, None, "no data rows")
     return Dataset(labels=tuple(labels), values=rows, column_names=tuple(header[1:]))
 
 

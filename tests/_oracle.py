@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 import adaptlink as al
-from adaptlink import adaptive
+from adaptlink import _kernels, adaptive
 from adaptlink.adaptive import Dendrogram, DepthRecord, TreeNode
 from adaptlink.baseline import LinkageMethod
 from adaptlink.core import TooFewPoints, matrix_from_coords
@@ -40,6 +40,12 @@ def oracle_square(coords: np.ndarray) -> list[list[float]]:
         [0.0 if i == j else _dist(coords[i], coords[j]) for j in range(n)]
         for i in range(n)
     ]
+
+
+def pairwise(coords) -> np.ndarray:
+    """The condensed entries over every row, copies included, from the all-pairs
+    kernel with an inf-filled vector for the minima."""
+    return _kernels.pairwise_condensed(coords, np.full(len(coords), np.inf))
 
 
 def condensed_square(entries: np.ndarray, n: int) -> np.ndarray:
@@ -104,7 +110,7 @@ def level_orderings(nd):
     """Yield the orderings of every level of the engine's run on ``nd``, depth 1 first."""
     level, depth = adaptive.initial_state(nd), 1
     while len(level[1]) > 1:
-        distances = adaptive.level_distances(level[0])
+        distances = matrix_from_coords(level[0])
         yield adaptive.neighborhood(distances, adaptive.cutoff_distance(distances))
         level, _ = adaptive._step(level, nd, depth)
         depth += 1
@@ -338,6 +344,14 @@ def regime_frame(regime: str, seed: int = 0) -> al.NormalizedDataset:
     return al.identity_normalized(data) if regime in RAW_REGIMES else al.normalize(data)
 
 
+def far_outlier(seed: int, n: int = 1000) -> np.ndarray:
+    """n Gaussian rows in 3 columns with row 0 moved to 40.0 in each: it sets
+    the level-1 cut-off, so the other n - 1 rows form one group."""
+    x = np.random.default_rng(seed).standard_normal((n, 3))
+    x[0] = 40.0
+    return x
+
+
 def run_random_suite(count: int = 200, seed: int = 20240817):
     """Verify `count` random datasets; returns (reports, elapsed_seconds)."""
     rng = np.random.default_rng(seed)
@@ -376,8 +390,7 @@ def oracle_stepwise(
     if nd.n < 2:
         raise TooFewPoints(f"stepwise clustering needs n >= 2, got {nd.n}")
     n = nd.n
-    entries = matrix_from_coords(nd.coords).entries
-    dist = condensed_square(entries, n)
+    dist = condensed_square(pairwise(nd.coords), n)
     nodes: list[TreeNode | None] = [TreeNode((), lab) for lab in nd.labels]
     sizes = [1] * n
     min_leaf = list(range(n))

@@ -11,7 +11,7 @@ from adaptlink import _kernels, adaptive, core, io
 import _expected as exp
 from _oracle import (
     RAW_REGIMES, REGIMES, candidate_mismatches, condensed_square, level_orderings,
-    oracle_groups, oracle_neighbor_order, oracle_square, raw_frame, regime_dataset,
+    oracle_groups, oracle_neighbor_order, oracle_square, pairwise, raw_frame, regime_dataset,
     regime_frame, verify_run
 )
 
@@ -28,7 +28,7 @@ def merge(coords, *groups):
 
 def first_matrix(nd):
     """The distances the first step of ``nd`` builds."""
-    return adaptive.level_distances(adaptive.initial_state(nd)[0])
+    return core.matrix_from_coords(adaptive.initial_state(nd)[0])
 
 
 @pytest.fixture(scope="module")
@@ -43,17 +43,17 @@ def meta_nd():
 
 class TestCutoff:
     def test_two_points(self):
-        m = adaptive.level_distances(np.array([[0.0], [3.0]]))
+        m = core.matrix_from_coords(np.array([[0.0], [3.0]]))
         assert adaptive.cutoff_distance(m) == 3.0
 
     def test_max_of_row_minima(self):
         # distances: d01=1, d02=3, d12=2 -> row minima 1, 1, 2 -> cut-off 2
-        m = adaptive.level_distances(np.array([[0.0], [1.0], [3.0]]))
+        m = core.matrix_from_coords(np.array([[0.0], [1.0], [3.0]]))
         assert m.entries.tolist() == [1.0, 3.0, 2.0]
         assert adaptive.cutoff_distance(m) == 2.0
 
     def test_every_value_with_copies_is_at_zero(self):
-        m = adaptive.level_distances(np.array([[0.0], [5.0], [0.0], [5.0]]))
+        m = core.matrix_from_coords(np.array([[0.0], [5.0], [0.0], [5.0]]))
         assert m.entries.tolist() == [5.0] and adaptive.cutoff_distance(m) == 0.0
 
     def test_para_depth1_value(self, para_nd):
@@ -102,7 +102,7 @@ class TestFormatCutoff:
 class TestNeighborhood:
     def test_center_first_and_sorted(self, para_nd):
         coords = adaptive.initial_state(para_nd)[0]
-        matrix = adaptive.level_distances(coords)
+        matrix = core.matrix_from_coords(coords)
         cut = adaptive.cutoff_distance(matrix)
         for i, members in enumerate(orderings(adaptive.neighborhood(matrix, cut))):
             dists = _kernels.distances_from(coords[i], coords[members]).tolist()
@@ -139,7 +139,7 @@ class TestNeighborOrdering:
         depth = 0
         while len(level[1]) > 1:
             coords, _ = level
-            matrix = adaptive.level_distances(coords)
+            matrix = core.matrix_from_coords(coords)
             d_u = adaptive.cutoff_distance(matrix)
             square = oracle_square(coords)
             want = [oracle_neighbor_order(square, i, d_u) for i in range(matrix.n)]
@@ -149,13 +149,13 @@ class TestNeighborOrdering:
         assert depth >= 2
 
     def test_radius_below_every_distance(self):
-        m = adaptive.level_distances(np.array([[0.0], [1.0], [3.0], [7.0]]))
+        m = core.matrix_from_coords(np.array([[0.0], [1.0], [3.0], [7.0]]))
         assert self.orders(m, 0.5) == [[0], [1], [2], [3]]
         nbs = adaptive.neighborhood(m, 0.5)
         assert nbs.starts.tolist() == list(range(5)) and nbs.members.tolist() == [0, 1, 2, 3]
 
     def test_second_radius_is_not_the_stored_one(self):
-        m = adaptive.level_distances(np.array([[0.0], [1.0], [3.0], [7.0]]))
+        m = core.matrix_from_coords(np.array([[0.0], [1.0], [3.0], [7.0]]))
         assert self.orders(m, 2.0) == [[0, 1], [1, 0, 2], [2, 1], [3]]
         assert self.orders(m, 4.0) == [[0, 1, 2], [1, 0, 2], [2, 1, 0, 3], [3, 2]]
         assert self.orders(m, 2.0) == [[0, 1], [1, 0, 2], [2, 1], [3]]
@@ -183,16 +183,19 @@ class TestNeighborOrdering:
         assert orderings(adaptive.Neighborhoods(*_kernels.neighbors_within(i, j, d, n))) == want
 
     def test_two_points(self):
-        m = adaptive.level_distances(np.array([[0.0, 1.0], [3.0, 5.0]]))
+        m = core.matrix_from_coords(np.array([[0.0, 1.0], [3.0, 5.0]]))
         assert self.orders(m, adaptive.cutoff_distance(m)) == [[0, 1], [1, 0]]
         assert self.orders(m, 4.9) == [[0], [1]]
 
     def test_csr_arrays_are_read_only(self):
-        m = adaptive.level_distances(np.array([[0.0], [1.0], [3.0]]))
+        # As read-only as the level's distances: not even setflags reopens them.
+        m = core.matrix_from_coords(np.array([[0.0], [1.0], [3.0]]))
         nbs = adaptive.neighborhood(m, 2.0)
-        for a in (nbs.starts, nbs.members):
+        for a in (nbs.starts, nbs.members, m.entries, m.nearest):
             with pytest.raises(ValueError):
                 a[0] = 1
+            with pytest.raises(ValueError):
+                a.setflags(write=True)
 
     @staticmethod
     def no_pairs():
@@ -224,7 +227,7 @@ class TestSubNeighborhood:
 
 class TestExtremelyCloseSets:
     def nbhds(self, coords):
-        m = adaptive.level_distances(coords)
+        m = core.matrix_from_coords(coords)
         cut = adaptive.cutoff_distance(m)
         return adaptive.neighborhood(m, cut)
 
@@ -269,7 +272,7 @@ class TestExtremelyCloseSets:
 
     def test_center_first_before_lower_index_duplicate(self):
         coords = np.array([[0.0], [0.0], [5.0]])
-        m = adaptive.level_distances(coords)
+        m = core.matrix_from_coords(coords)
         members = orderings(adaptive.neighborhood(m, adaptive.cutoff_distance(m)))[1]
         assert members == [1, 0, 2]
         assert _kernels.distances_from(coords[1], coords[members]).tolist() == [0.0, 0.0, 5.0]
@@ -292,7 +295,7 @@ class TestExtremelyCloseSets:
         # pair leads its own orderings, and every cluster row's ordering runs
         # past the cluster, yet the pair's maximal group is the cluster.
         coords = al.normalize(regime_dataset("nested", seed)).coords
-        m = adaptive.level_distances(coords)
+        m = core.matrix_from_coords(coords)
         assert int(np.argmax(m.nearest)) == 150
         nbs = adaptive.neighborhood(m, adaptive.cutoff_distance(m))
         starts, members = nbs.starts, nbs.members
@@ -305,7 +308,7 @@ class TestExtremelyCloseSets:
     @pytest.mark.parametrize("regime", REGIMES)
     def test_groups_match_the_oracle(self, regime):
         coords = al.normalize(regime_dataset(regime)).coords
-        m = adaptive.level_distances(coords)
+        m = core.matrix_from_coords(coords)
         cut = adaptive.cutoff_distance(m)
         nbs = adaptive.neighborhood(m, cut)
         want, _ = oracle_groups(oracle_square(coords), cut)
@@ -359,7 +362,7 @@ class TestKeyCollisions:
     @staticmethod
     def line():
         # Only {2, 3} qualifies.
-        m = adaptive.level_distances(np.array([[0.0], [1.0], [1.8], [2.0]]))
+        m = core.matrix_from_coords(np.array([[0.0], [1.0], [1.8], [2.0]]))
         nbs = adaptive.neighborhood(m, adaptive.cutoff_distance(m))
         assert orderings(nbs) == [[0, 1], [1, 2, 0, 3], [2, 3, 1], [3, 2, 1]]
         return nbs
@@ -368,7 +371,7 @@ class TestKeyCollisions:
     @pytest.mark.parametrize("regime", REGIMES)
     def test_regime_level_matches_the_oracle(self, regime, collide, monkeypatch):
         coords = al.normalize(regime_dataset(regime)).coords
-        m = adaptive.level_distances(coords)
+        m = core.matrix_from_coords(coords)
         cut = adaptive.cutoff_distance(m)
         nbs = adaptive.neighborhood(m, cut)
         want, _ = oracle_groups(oracle_square(coords), cut)
@@ -401,7 +404,7 @@ class TestKeyCollisions:
         # Under equal keys a candidate outgrows the ordering of the last row,
         # so the check must not read past that row.
         coords = np.array([[3.0], [2.0], [8.0], [7.0], [0.0], [1.0], [4.0]])
-        m = adaptive.level_distances(coords)
+        m = core.matrix_from_coords(coords)
         cut = adaptive.cutoff_distance(m)
         nbs = adaptive.neighborhood(m, cut)
         want, _ = oracle_groups(oracle_square(coords), cut)
@@ -429,7 +432,7 @@ class TestKeyCollisions:
     def test_an_over_long_candidate_is_caught(self, points, want_orderings, longest, monkeypatch):
         # The first key seed yields the candidates ``longest``, none shorter than the real ones.
         coords = np.array(points)[:, None]
-        m = adaptive.level_distances(coords)
+        m = core.matrix_from_coords(coords)
         cut = adaptive.cutoff_distance(m)
         nbs = adaptive.neighborhood(m, cut)
         assert orderings(nbs) == want_orderings
@@ -578,7 +581,7 @@ class TestDistinctRows:
     """A level's distances are computed once per distinct row."""
 
     def test_rows_equal_but_for_a_zero_sign_are_copies(self):
-        rows, starts = adaptive._distinct_rows(np.array([[0.0, 1.0], [5.0, 5.0], [-0.0, 1.0]]))
+        rows, starts = core._distinct_rows(np.array([[0.0, 1.0], [5.0, 5.0], [-0.0, 1.0]]))
         assert rows.tolist() == [0, 2, 1] and starts.tolist() == [0, 2, 3]
         # The raw regime holds such rows, so its oracle run covers them.
         coords = regime_frame("signed_zeros").coords
@@ -589,9 +592,9 @@ class TestDistinctRows:
     def test_rows_at_an_underflowing_distance_stay_distinct(self):
         coords = np.array([[1e-200], [2e-200], [1e-200]])
         assert _kernels.distances_from(coords[0], coords).tolist() == [0.0, 0.0, 0.0]
-        rows, starts = adaptive._distinct_rows(coords)
+        rows, starts = core._distinct_rows(coords)
         assert rows.tolist() == [0, 2, 1] and starts.tolist() == [0, 2, 3]
-        level = adaptive.level_distances(coords)
+        level = core.matrix_from_coords(coords)
         assert level.nearest.size == 2 and adaptive.cutoff_distance(level) == 0.0
         # The raw regime holds distinct rows at distance 0.0.
         coords = regime_frame("underflow").coords
@@ -601,17 +604,17 @@ class TestDistinctRows:
 
     def test_no_copies_leaves_every_row(self):
         coords = np.array([[0.0, 1.0], [0.0, 2.0], [3.0, 1.0]])
-        assert adaptive._distinct_rows(coords) is None
-        level = adaptive.level_distances(coords)
+        assert core._distinct_rows(coords) is None
+        level = core.matrix_from_coords(coords)
         assert level.rows is None and level.starts is None and level.n == 3
-        full = core.matrix_from_coords(coords)
-        assert level.entries.tolist() == full.entries.tolist()
-        assert level.nearest.tolist() == full.nearest.tolist()
+        nearest = np.full(3, np.inf)
+        assert level.entries.tolist() == _kernels.pairwise_condensed(coords, nearest).tolist()
+        assert level.nearest.tolist() == nearest.tolist()
 
     def test_copies_keep_the_representatives_distances(self):
         # Values 0.0 (rows 1, 3), 1.0 (row 0), 3.0 (row 2) and 7.0 (rows 4, 5).
         coords = np.array([[1.0], [0.0], [3.0], [0.0], [7.0], [7.0]])
-        level = adaptive.level_distances(coords)
+        level = core.matrix_from_coords(coords)
         assert isinstance(level, core.DistanceMatrix) and level.n == 6
         assert level.rows.tolist() == [1, 3, 0, 2, 4, 5]
         assert level.starts.tolist() == [0, 2, 3, 4, 6]
@@ -626,20 +629,66 @@ class TestDistinctRows:
             with pytest.raises(ValueError):
                 a.setflags(write=True)
 
-    def test_one_value_needs_no_matrix(self, monkeypatch):
-        # Every row equal: cut-off 0.0 and one group of every row, as a full
-        # matrix gives, without a matrix over the one representative.
-        def refuse(coords):
-            raise AssertionError(f"matrix over {len(coords)} rows")
+    @pytest.mark.parametrize("frame", ["raw", "z-scored"])
+    def test_one_value_level_takes_the_one_constructor(self, monkeypatch, frame):
+        # Every row equal: the level's matrix runs the kernel on the one
+        # representative, which gives no entries, and the copies' least
+        # distance of 0.0 gives the cut-off 0.0 and one group of every row.
+        seen = []
+        matrix, kernel = adaptive.matrix_from_coords, _kernels.pairwise_condensed
 
-        monkeypatch.setattr(adaptive, "matrix_from_coords", refuse)
-        d = al.build_dendrogram(raw([[1.0, 2.0]] * 3))
-        assert [(r.cutoff, r.groups) for r in d.trace] == [(0.0, (frozenset("abc"),))]
-        assert [c.label for c in d.root.children] == ["a", "b", "c"]
-        level = adaptive.level_distances(np.zeros((2, 1)))
+        def spy_matrix(coords):
+            seen.append(("matrix", len(coords)))
+            return matrix(coords)
+
+        def spy_kernel(coords, nearest):
+            entries = kernel(coords, nearest)
+            seen.append(("kernel", len(coords), entries.size))
+            return entries
+
+        monkeypatch.setattr(adaptive, "matrix_from_coords", spy_matrix)
+        monkeypatch.setattr(_kernels, "pairwise_condensed", spy_kernel)
+        if frame == "raw":
+            nd = raw([[1.0, 2.0]] * 3)
+            d = al.build_dendrogram(nd)
+            assert [(r.cutoff, r.groups) for r in d.trace] == [(0.0, (frozenset("abc"),))]
+            assert [c.label for c in d.root.children] == ["a", "b", "c"]
+            level = adaptive.initial_state(nd)
+        else:
+            # A z-scored frame whose every column collapsed, as re-z-scoring leaves it.
+            values = [[1.0, 2.0], [0.0, 5.0], [3.0, 1.0]]
+            nd = al.normalize(al.Dataset(labels=("a", "b", "c"), values=values, column_names="xy"))
+            level = (np.zeros((3, 2)), adaptive.initial_state(nd)[1])
+        seen.clear()
+        (_, nodes), record = adaptive._step(level, nd, 1)
+        assert seen == [("matrix", 3), ("kernel", 1, 0)]
+        assert (record.cutoff, record.groups) == (0.0, (frozenset("abc"),))
+        assert len(nodes) == 1 and nodes[0].size == 3
+
+    def test_one_value_matrix(self):
+        level = core.matrix_from_coords(np.zeros((2, 1)))
         assert level.entries.size == 0 and level.nearest.tolist() == [0.0]
         assert level.n == 2 and adaptive.cutoff_distance(level) == 0.0
         assert orderings(adaptive.neighborhood(level, 0.0)) == [[0, 1], [1, 0]]
+
+    @pytest.mark.parametrize("regime, frame", [
+        *((r, "raw") for r in REGIMES + RAW_REGIMES), *((r, "z-scored") for r in REGIMES)
+    ])
+    def test_pairs_within_match_the_all_pairs_kernel(self, regime, frame):
+        # Level 1's pairs within the cut-off, copies expanded, against every
+        # pair of rows from the all-pairs kernel and a plain mask: same bits.
+        data = regime_dataset(regime)
+        nd = al.identity_normalized(data) if frame == "raw" else al.normalize(data)
+        coords = adaptive.initial_state(nd)[0]
+        m = core.matrix_from_coords(coords)
+        d_u = adaptive.cutoff_distance(m)
+        i, j, d = m.pairs_within(d_u)
+        got = zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist(), map(float.hex, d.tolist()))
+        entries = pairwise(coords)
+        within = entries <= d_u
+        a, b = (k[within].tolist() for k in np.triu_indices(nd.n, 1))
+        want = zip(a, b, map(float.hex, entries[within].tolist()))
+        assert sorted(got) == sorted(want)
 
     @pytest.mark.parametrize("coords", [
         [[np.inf], [np.inf]],

@@ -47,7 +47,7 @@ def test_every_public_name_resolves():
 
 def test_per_level_names_live_in_adaptive():
     for name in (
-        "level_distances", "Neighborhoods", "neighborhood", "extremely_close_sets",
+        "Neighborhoods", "neighborhood", "extremely_close_sets",
     ):
         assert name not in al.__all__ and not hasattr(al, name), name
         assert getattr(al.adaptive, name) is not None, name

@@ -60,6 +60,19 @@ class TestParseTable:
             io.parse_table("name,x\na,1\na,2\n")
         assert err.value.row == 3
 
+    @pytest.mark.parametrize("text, message", [
+        ("name,x\n\n\na,1\nb,oops\n", "row 5, column 2: not a number: 'oops'"),
+        ("\n\nname,x\na,1\n\nb,oops\n", "row 6, column 2: not a number: 'oops'"),
+        ("\nname,x\n\na,1\n\na,2\n", "row 6, column 1: duplicate label 'a' (first at row 4)"),
+        ("\n\nname,x,y\n\na,1\n", "row 5: expected 3 cells, got 2"),
+        ("\n\nname,x\n\n", "row 3: no data rows"),
+        ("\nname\na\n", "row 2: header needs a label column and at least one descriptor"),
+    ])
+    def test_errors_name_the_line_past_blank_lines(self, text, message):
+        with pytest.raises(io.ParseError) as err:
+            io.parse_table(text)
+        assert str(err.value) == message
+
     def test_empty_label(self):
         with pytest.raises(io.ParseError):
             io.parse_table("name,x\n,1\n")

@@ -7,12 +7,7 @@ import pytest
 import adaptlink as al
 from adaptlink import _kernels, adaptive, baseline, core, io
 
-from _oracle import condensed_square
-
-
-def pairwise(x):
-    """The condensed entries of ``x``, with an inf-filled vector for the minima."""
-    return _kernels.pairwise_condensed(x, np.full(len(x), np.inf))
+from _oracle import condensed_square, far_outlier, pairwise
 
 
 def random_coords(rng, n, p):
@@ -35,8 +30,7 @@ class TestAgainstScipy:
     def test_fixture_matrix_matches_pdist(self):
         pdist = pytest.importorskip("scipy.spatial.distance").pdist
         nd = al.normalize(io.load_fixture("meta"))
-        m = core.matrix_from_coords(nd.coords)
-        assert np.allclose(m.entries, pdist(nd.coords), rtol=1e-12, atol=1e-12)
+        assert np.allclose(pairwise(nd.coords), pdist(nd.coords), rtol=1e-12, atol=1e-12)
 
 
 class TestDistancesFrom:
@@ -49,10 +43,10 @@ class TestDistancesFrom:
         for i in range(9):
             # Row i against every point, those before i (reversed differences) included.
             assert np.array_equal(_kernels.distances_from(x[i], x), square[i])
-        assert np.array_equal(core.matrix_from_coords(x).entries, entries)
+        assert np.array_equal(pairwise(x), entries)
 
 
-class TestSquareFromCondensed:
+class TestStepwiseSquare:
     """The stepwise baseline's working square, built from coordinates, against
     the condensed entries: symmetric, with inf on the diagonal."""
 
@@ -110,13 +104,13 @@ def assert_fused_cutoff(x):
 
     The level's cut-off, from the distinct rows' pass, has those bits too.
     """
-    m = core.matrix_from_coords(x)
-    n, entries = m.n, m.entries
-    assert np.array_equal(entries, pairwise(x))
+    n = len(x)
+    nearest = np.full(n, np.inf)
+    entries = _kernels.pairwise_condensed(x, nearest)
     square = condensed_square(entries, n)
-    assert np.sqrt(m.nearest).tobytes() == square.min(axis=1).tobytes()
+    assert np.sqrt(nearest).tobytes() == square.min(axis=1).tobytes()
     cuts = (
-        adaptive.cutoff_distance(adaptive.level_distances(x)),
+        adaptive.cutoff_distance(core.matrix_from_coords(x)),
         _kernels.cutoff_from_condensed(entries, n),
         scan_cutoff(entries, n),
     )
@@ -238,7 +232,7 @@ class TestMemory:
     def test_matrix_and_cutoff_peak_near_the_condensed_vector(self):
         # The cut-off reads the nearest distances kept by the pairwise pass.
         x = np.random.default_rng(26).standard_normal((self.n, 3))
-        cut, peak = self.peak_bytes(lambda: adaptive.cutoff_distance(adaptive.level_distances(x)))
+        cut, peak = self.peak_bytes(lambda: adaptive.cutoff_distance(core.matrix_from_coords(x)))
         assert cut > 0
         assert peak < 1.5 * self.n * (self.n - 1) // 2 * 8
 
@@ -264,10 +258,9 @@ class TestMemory:
     def test_neighbors_peak_far_below_a_square_on_a_grid_level(self):
         # Every pair of rows, copies included, in the condensed vector's order.
         coords = al.adaptive.initial_state(self.grid())[0]
-        m = core.matrix_from_coords(coords)
-        cut = adaptive.cutoff_distance(adaptive.level_distances(coords))
-        pairs = _kernels.pairs_within(m.entries, m.n, cut)
-        (_, members), peak = self.peak_bytes(_kernels.neighbors_within, *pairs, m.n)
+        cut = adaptive.cutoff_distance(core.matrix_from_coords(coords))
+        pairs = _kernels.pairs_within(pairwise(coords), self.n, cut)
+        (_, members), peak = self.peak_bytes(_kernels.neighbors_within, *pairs, self.n)
         square_bytes = self.n * self.n * 8
         assert 0 < members.size < self.n * self.n / 50
         assert peak < square_bytes / 8
@@ -281,7 +274,7 @@ class TestMemory:
         assert u == 125
 
         def level():
-            distances = adaptive.level_distances(coords)
+            distances = core.matrix_from_coords(coords)
             return adaptive.neighborhood(distances, adaptive.cutoff_distance(distances))
 
         nbs, peak = self.peak_bytes(level)
@@ -293,8 +286,7 @@ class TestMemory:
 
     def test_neighbors_peak_on_a_degenerate_level(self):
         # One far row sets the cut-off, so every other pair is within it.
-        x = np.random.default_rng(23).standard_normal((self.n, 3))
-        x[0] = 40.0
+        x = far_outlier(23, self.n)
         entries = pairwise(x)
         cut = _kernels.cutoff_from_condensed(entries, self.n)
         pairs = _kernels.pairs_within(entries, self.n, cut)
@@ -308,9 +300,8 @@ class TestMemory:
         # The orderings, then group discovery's prefix sums and the exact
         # check's 999 candidates of 999 entries beside them, in one buffer;
         # every ordering but the far row's spans the set.
-        x = np.random.default_rng(23).standard_normal((self.n, 3))
-        x[0] = 40.0
-        m = adaptive.level_distances(x)
+        x = far_outlier(23, self.n)
+        m = core.matrix_from_coords(x)
         cut = adaptive.cutoff_distance(m)
         groups, peak = self.peak_bytes(
             lambda: adaptive.extremely_close_sets(adaptive.neighborhood(m, cut))

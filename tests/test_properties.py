@@ -8,8 +8,8 @@ import adaptlink as al
 from adaptlink import adaptive, core, io
 
 from _oracle import (
-    condensed_square, oracle_cutoff, oracle_square, oracle_stepwise, random_dataset, raw_frame,
-    verify_run
+    condensed_square, oracle_cutoff, oracle_square, oracle_stepwise, pairwise, random_dataset,
+    raw_frame, verify_run
 )
 
 
@@ -149,14 +149,14 @@ class TestEngineInvariants:
     def test_cutoff_is_max_of_row_minima(self, data):
         # The pure-Python oracle adds squares in the kernel's order: the same bits.
         nd = wrap(data)
-        cut = adaptive.cutoff_distance(adaptive.level_distances(nd.coords))
+        cut = adaptive.cutoff_distance(core.matrix_from_coords(nd.coords))
         assert cut.hex() == oracle_cutoff(oracle_square(nd.coords)).hex()
 
     @settings(max_examples=60, deadline=None)
     @given(datasets())
     def test_lemma1_every_neighborhood_has_a_neighbor(self, data):
         nd = wrap(data)
-        m = adaptive.level_distances(nd.coords)
+        m = core.matrix_from_coords(nd.coords)
         cut = adaptive.cutoff_distance(m)
         assert (np.diff(adaptive.neighborhood(m, cut).starts) >= 2).all()
 
@@ -164,7 +164,7 @@ class TestEngineInvariants:
     @given(datasets())
     def test_lemma2_at_least_one_merge(self, data):
         nd = wrap(data)
-        m = adaptive.level_distances(nd.coords)
+        m = core.matrix_from_coords(nd.coords)
         cut = adaptive.cutoff_distance(m)
         groups = adaptive.extremely_close_sets(adaptive.neighborhood(m, cut))
         assert len(groups) >= 1
@@ -211,8 +211,7 @@ class TestNormalizeProperties:
         except al.ZeroVariance:
             return
         assert np.array_equal(nd.coords[0], nd.coords[-1])
-        m = core.matrix_from_coords(nd.coords)
-        assert condensed_square(m.entries, m.n)[0, -1] == 0.0
+        assert condensed_square(pairwise(nd.coords), nd.n)[0, -1] == 0.0
 
 
 class TestRoundTrips:

@@ -357,8 +357,6 @@ def extremely_close_sets(nbs: Neighborhoods) -> list[tuple[int, ...]]:
     level with the next of a few fixed key seeds, so runs stay deterministic.
     """
     n = nbs.starts.size - 1
-    if n == 0:
-        return []
     for seed in range(_KEY_SEEDS):
         groups = _verified_groups(nbs, _keys(n, seed))
         if groups is not None:

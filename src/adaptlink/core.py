@@ -217,7 +217,7 @@ def normalize(data: Dataset, mode: SdMode = SdMode.SAMPLE) -> NormalizedDataset:
     zero = np.flatnonzero((values == values[0]).all(axis=0) | (sds == 0.0))
     if zero.size:
         k = int(zero[0])
-        raise ZeroVariance(k, data.column_names[k] if data.column_names else None)
+        raise ZeroVariance(k, data.column_names[k])
     # A mean that overflowed leaves its s.d. non-finite too.
     if not np.isfinite(sds).all():
         k = int(np.flatnonzero(~np.isfinite(sds))[0])

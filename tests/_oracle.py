@@ -352,6 +352,16 @@ def far_outlier(seed: int, n: int = 1000) -> np.ndarray:
     return x
 
 
+def chain(n: int = 1200) -> al.Dataset:
+    """x = i² in one column: single linkage adds one point per step, a chain
+    n - 1 merges deep, deeper than Python's default recursion limit."""
+    return al.Dataset(
+        labels=tuple(f"r{i}" for i in range(n)),
+        values=[[float(i * i)] for i in range(n)],
+        column_names=("c0",),
+    )
+
+
 def run_random_suite(count: int = 200, seed: int = 20240817):
     """Verify `count` random datasets; returns (reports, elapsed_seconds)."""
     rng = np.random.default_rng(seed)

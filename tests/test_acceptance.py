@@ -27,26 +27,6 @@ def announce(capsys):
 
 
 @pytest.fixture(scope="module")
-def para_nd():
-    return al.normalize(io.load_fixture("para"))
-
-
-@pytest.fixture(scope="module")
-def meta_nd():
-    return al.normalize(io.load_fixture("meta"))
-
-
-@pytest.fixture(scope="module")
-def para_dendro(para_nd):
-    return al.build_dendrogram(para_nd)  # also warms the JIT cache
-
-
-@pytest.fixture(scope="module")
-def meta_dendro(meta_nd):
-    return al.build_dendrogram(meta_nd)
-
-
-@pytest.fixture(scope="module")
 def suite():
     reports, elapsed = run_random_suite(200)
     return reports, elapsed

@@ -31,16 +31,6 @@ def first_matrix(nd):
     return core.matrix_from_coords(adaptive.initial_state(nd)[0])
 
 
-@pytest.fixture(scope="module")
-def para_nd():
-    return al.normalize(io.load_fixture("para"))
-
-
-@pytest.fixture(scope="module")
-def meta_nd():
-    return al.normalize(io.load_fixture("meta"))
-
-
 class TestCutoff:
     def test_two_points(self):
         m = core.matrix_from_coords(np.array([[0.0], [3.0]]))

@@ -10,7 +10,7 @@ import adaptlink as al
 from adaptlink import _kernels, core, io
 from adaptlink.adaptive import _preorder
 
-from _oracle import RAW_REGIMES, REGIMES, oracle_stepwise, regime_frame
+from _oracle import RAW_REGIMES, REGIMES, chain, oracle_stepwise, regime_frame
 
 
 ALL_METHODS = tuple(al.LinkageMethod)
@@ -25,16 +25,6 @@ def tiny(values, labels=None):
         column_names=tuple(f"c{k}" for k in range(values.shape[1])),
     )
     return al.identity_normalized(data)
-
-
-@pytest.fixture(scope="module")
-def para_nd():
-    return al.normalize(io.load_fixture("para"))
-
-
-@pytest.fixture(scope="module")
-def meta_nd():
-    return al.normalize(io.load_fixture("meta"))
 
 
 class TestStepwise:
@@ -311,15 +301,12 @@ class TestCompare:
 
 
 class TestDeepTree:
-    """Single linkage on x = i² adds one point per step: a chain n-1 deep,
-    deeper than Python's default recursion limit."""
+    """The single-linkage run on ``_oracle.chain``: a tree 1199 merges deep."""
 
     N = 1200
 
-    def chain(self):
-        return al.stepwise_cluster(
-            tiny([[float(i * i)] for i in range(self.N)]), al.LinkageMethod.SINGLE
-        ).root
+    def chain_root(self):
+        return al.stepwise_cluster(al.identity_normalized(chain()), al.LinkageMethod.SINGLE).root
 
     @staticmethod
     def with_deepest_cutoff(root, cutoff):
@@ -334,18 +321,18 @@ class TestDeepTree:
         return node, len(path)
 
     def test_equal_trees_compare_equal(self):
-        a, b = self.chain(), self.chain()
+        a, b = self.chain_root(), self.chain_root()
         assert a is not b
         assert a == b and not a != b
         assert hash(a) == hash(b)
         assert repr(a) == repr(b) and repr(a).startswith("TreeNode(")
 
     def test_one_changed_cutoff_compares_unequal(self):
-        a = self.chain()
+        a = self.chain_root()
         changed, depth = self.with_deepest_cutoff(a, 0.5)
         assert depth == self.N - 1
         assert changed != a and a != changed
-        assert changed == self.with_deepest_cutoff(self.chain(), 0.5)[0]
+        assert changed == self.with_deepest_cutoff(self.chain_root(), 0.5)[0]
         assert changed == self.with_deepest_cutoff(a, 0.5)[0]
         assert a == self.with_deepest_cutoff(a, 1.0)[0]  # x = 0, 1: the first merge is at 1
 
@@ -368,7 +355,7 @@ class TestTreeMemory:
         # TestDeepTree's chain: a node per merge that held its leaves' labels
         # kept 33 MiB here, three times the square.
         n = TestDeepTree.N
-        nd = tiny([[float(i * i)] for i in range(n)])
+        nd = al.identity_normalized(chain(n))
         gc.collect()
         tracemalloc.start()
         try:

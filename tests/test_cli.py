@@ -11,6 +11,7 @@ from adaptlink import io
 from adaptlink.cli import main
 
 import _expected as exp
+import _oracle
 
 
 def run_cli(capsys, *argv):
@@ -151,16 +152,14 @@ class TestCompare:
 
 
 class TestDeepTree:
-    """Single linkage on x = i² adds one point per step: a chain n-1 deep,
-    deeper than Python's default recursion limit."""
+    """Single linkage on ``_oracle.chain``: a tree 1199 merges deep."""
 
     N = 1200
 
     @pytest.fixture
     def chain(self, tmp_path):
         table = tmp_path / "chain.csv"
-        rows = "".join(f"p{i},{i * i}\n" for i in range(self.N))
-        table.write_text("label,x\n" + rows, encoding="utf-8")
+        table.write_text(al.format_table(_oracle.chain(self.N)), encoding="utf-8")
         return str(table)
 
     def test_dot(self, capsys, chain):
@@ -423,3 +422,23 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "adaptive: 10 levels, average-linkage: 24 steps"
+
+
+# numpy is the one runtime dependency: with any scipy import made to fail,
+# both subcommands still run.
+NUMPY_ONLY = """
+import sys
+sys.modules["scipy"] = None
+from adaptlink.cli import main
+codes = [main(["cluster", "--fixture", "meta", "--format", "trace"]),
+         main(["compare", "--fixture", "para", "--method", "average"])]
+sys.exit(any(codes))
+"""
+
+
+class TestNumpyOnly:
+    def test_runs_with_scipy_blocked(self):
+        proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert '"format": "adaptlink-trace"' in proc.stdout
+        assert "adaptive: 10 levels, average-linkage: 24 steps\n" in proc.stdout

@@ -11,15 +11,7 @@ import adaptlink as al
 from adaptlink import io
 from adaptlink.adaptive import TreeNode
 
-
-@pytest.fixture(scope="module")
-def para_dendro():
-    return al.build_dendrogram(al.normalize(io.load_fixture("para")))
-
-
-@pytest.fixture(scope="module")
-def meta_dendro():
-    return al.build_dendrogram(al.normalize(io.load_fixture("meta")))
+from _oracle import chain
 
 
 class TestParseTable:
@@ -341,14 +333,7 @@ def hand_forest():
 
 
 def chain_1200():
-    """Single linkage on x = i² adds one point per step: a chain 1199 merges deep."""
-    n = 1200
-    data = al.Dataset(
-        labels=tuple(f"r{i}" for i in range(n)),
-        values=[[float(i * i)] for i in range(n)],
-        column_names=("c0",),
-    )
-    return al.stepwise_cluster(al.identity_normalized(data), al.LinkageMethod.SINGLE)
+    return al.stepwise_cluster(al.identity_normalized(chain()), al.LinkageMethod.SINGLE)
 
 
 def para_forest():

@@ -7,7 +7,7 @@ import pytest
 import adaptlink as al
 from adaptlink import _kernels, adaptive, baseline, core, io
 
-from _oracle import condensed_square, far_outlier, pairwise
+from _oracle import condensed_square, far_outlier, oracle_cutoff, pairwise
 
 
 def random_coords(rng, n, p):
@@ -79,12 +79,6 @@ class TestStepwiseSquare:
         assert _kernels.cutoff_from_condensed(entries, 12) == 0.0
 
 
-def scan_cutoff(entries, n):
-    """Brute-force minimax: every row of the inf-diagonal square, in Python."""
-    square = condensed_square(entries, n).tolist()
-    return max(min(row) for row in square)
-
-
 def assert_exact(x):
     """Every condensed entry and the cut-off equal the per-point references bit for bit."""
     n = x.shape[0]
@@ -96,7 +90,9 @@ def assert_exact(x):
         hi = lo + n - i - 1
         assert np.array_equal(entries[lo:hi], _kernels.distances_from(x[i], x[i + 1 :])), i
         lo = hi
-    assert _kernels.cutoff_from_condensed(entries, n) == scan_cutoff(entries, n)
+    assert _kernels.cutoff_from_condensed(entries, n) == oracle_cutoff(
+        condensed_square(entries, n).tolist()
+    )
 
 
 def assert_fused_cutoff(x):
@@ -112,7 +108,7 @@ def assert_fused_cutoff(x):
     cuts = (
         adaptive.cutoff_distance(core.matrix_from_coords(x)),
         _kernels.cutoff_from_condensed(entries, n),
-        scan_cutoff(entries, n),
+        oracle_cutoff(square.tolist()),
     )
     assert len({c.hex() for c in cuts}) == 1, cuts
 

@@ -91,9 +91,9 @@ def pairwise_condensed(coords: np.ndarray, nearest: np.ndarray) -> np.ndarray:
     upper = np.arange(tallest)[:, None] < np.arange(n)
     for r, r1, lo, hi in blocks:
         acc = _squared_distances(xt[:, r:r1], xt[:, r:], np.empty((r1 - r, n - r)))
-        np.fill_diagonal(acc, np.inf)
-        np.minimum(nearest[r:r1], acc.min(axis=1), out=nearest[r:r1])
-        np.minimum(nearest[r:], acc.min(axis=0), out=nearest[r:])
+        acc.reshape(-1)[:: n - r + 1] = np.inf  # the diagonal of a block no taller than wide
+        np.minimum(nearest[r:r1], np.minimum.reduce(acc, axis=1), out=nearest[r:r1])
+        np.minimum(nearest[r:], np.minimum.reduce(acc, axis=0), out=nearest[r:])
         np.sqrt(acc[upper[: r1 - r, : n - r]], out=out[lo:hi])
     return out
 
@@ -136,14 +136,16 @@ def cutoff_from_condensed(entries: np.ndarray, n: int) -> float:
 def pairs_within(entries: np.ndarray, n: int, radius: float):
     """The pairs ``(i, j, d)`` of a condensed vector with ``d <= radius``, ``i < j``.
 
-    Row r's entries start at r(2n - r - 1)/2 and the in-radius positions
-    are found in order, so each row's pairs are one run.
+    Row r's entries start at r(2n - r - 1)/2, and the n-th such start is
+    the vector's length; the in-radius positions are found in order, so
+    each row's pairs are one run.
     """
-    idx = np.flatnonzero(entries <= radius)
+    idx = (entries <= radius).nonzero()[0]
     d = entries[idx]
-    r = np.arange(n, dtype=np.int64)
+    r = np.arange(n + 1, dtype=np.int64)
     row_starts = r * (2 * n - r - 1) // 2
-    i = np.repeat(r, np.diff(np.searchsorted(idx, row_starts), append=idx.size))
+    bounds = idx.searchsorted(row_starts)
+    i = r[:-1].repeat(bounds[1:] - bounds[:-1])
     j = idx  # the position becomes the column in place
     j -= row_starts[i]
     j += i
@@ -153,8 +155,8 @@ def pairs_within(entries: np.ndarray, n: int, radius: float):
 
 def _ragged_arange(lengths: np.ndarray) -> np.ndarray:
     """``0..l-1`` for each ``l`` of ``lengths``, concatenated."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - lengths, lengths)
+    ends = lengths.cumsum()
+    return np.arange(ends[-1] if ends.size else 0) - (ends - lengths).repeat(lengths)
 
 
 def expand_copies(i, j, d, rows: np.ndarray, starts: np.ndarray):
@@ -164,20 +166,20 @@ def expand_copies(i, j, d, rows: np.ndarray, starts: np.ndarray):
     every pair of a row of i's value and a row of j's value, at the same d,
     and every two rows of one value are added as a pair at +0.0.
     """
-    size = np.diff(starts)
+    size = starts[1:] - starts[:-1]
     across = size[i] * size[j]
     t = _ragged_arange(across)
-    cols = np.repeat(size[j], across)
-    a = rows[np.repeat(starts[i], across) + t // cols]
-    b = rows[np.repeat(starts[j], across) + t % cols]
+    cols = size[j].repeat(across)
+    a = rows[starts[i].repeat(across) + t // cols]
+    b = rows[starts[j].repeat(across) + t % cols]
     # Each row against the later rows of its value.
-    later = np.repeat(size, size) - 1 - _ragged_arange(size)
-    a0 = np.repeat(rows, later)
-    b0 = rows[np.repeat(np.arange(rows.size), later) + 1 + _ragged_arange(later)]
+    later = size.repeat(size) - 1 - _ragged_arange(size)
+    a0 = rows.repeat(later)
+    b0 = rows[np.arange(rows.size).repeat(later) + 1 + _ragged_arange(later)]
     return (
         np.concatenate((a, a0)),
         np.concatenate((b, b0)),
-        np.concatenate((np.repeat(d, across), np.zeros(a0.size))),
+        np.concatenate((d.repeat(across), np.zeros(a0.size))),
     )
 
 
@@ -225,7 +227,7 @@ def neighbors_within(
     sorted_rank = dist.view(np.int64)
     sorted_rank[:1] = 1
     sorted_rank[1:] = new_value
-    np.cumsum(sorted_rank, out=sorted_rank)
+    sorted_rank.cumsum(out=sorted_rank)
     # w = D + 1 rank values per row, the centers' 0 included.
     w = int(sorted_rank[-1]) + 1 if m else 1
     rank = d.view(np.int64)
@@ -246,7 +248,7 @@ def neighbors_within(
     del rank, ij, ji, ii
     key.sort()
     # Row r's keys are those from r·(D + 1)·2^b up to (r + 1)·(D + 1)·2^b.
-    starts = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * (w << b))
+    starts = key.searchsorted(np.arange(n + 1, dtype=np.int64) * (w << b))
     key &= (1 << b) - 1
     return starts, key
 

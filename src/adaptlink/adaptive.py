@@ -30,6 +30,13 @@ CSR form, once per level) and
 exact check) through this module's globals, so a tracer that rebinds them
 here (the benchmark's per-layer timers do) sees every call of a level.
 
+On a small level numpy's Python-level wrappers (``ndarray.any``, ``.max``,
+``.mean`` and ``.std``, ``np.sort``, ``np.repeat`` and the like) cost more
+than the arithmetic, so every per-level function, here, in ``core`` and in
+``_kernels``, calls ufuncs, ``ufunc.reduce`` and C-level ndarray methods
+directly; the reductions are the ones those wrappers make, so the bits are
+theirs.
+
 The working coordinate frame follows the input (see README for the rationale
 and the reference tabulation it reproduces):
 
@@ -225,7 +232,7 @@ def cutoff_distance(level: DistanceMatrix) -> float:
     ``sqrt`` is monotone and correctly rounded, so the result has the bits
     of the least condensed entries.
     """
-    return float(np.sqrt(level.nearest.max()))
+    return float(np.sqrt(np.maximum.reduce(level.nearest)))
 
 
 def neighborhood(level: DistanceMatrix, d_u: float) -> Neighborhoods:
@@ -288,7 +295,8 @@ def _longest_candidates(nbs: Neighborhoods, keys: np.ndarray) -> np.ndarray:
     rows = starts.searchsorted(pos, "right") - 1
     sizes = pos - starts[rows] + 1
     ok = count >= sizes
-    longest = np.ones(m, dtype=np.intp)
+    longest = np.empty(m, dtype=np.intp)
+    longest.fill(1)
     np.maximum.at(longest, rows[ok], sizes[ok])
     return longest
 
@@ -313,18 +321,20 @@ def _verified_groups(nbs: Neighborhoods, keys: np.ndarray) -> list[tuple[int, ..
     # takes in place where "raise" copies.
     jumps = nbs.starts[centers] - offsets
     jumps[1:] -= jumps[:-1] - 1
-    entries = np.ones(v.sum(), dtype=int)
+    entries = np.empty(np.add.reduce(v), dtype=int)
+    entries.fill(1)
     entries[offsets] = jumps
     np.add.accumulate(entries, out=entries)
     nbs.members.take(entries, out=entries, mode="clip")
     least = np.minimum.reduceat(entries, offsets)
-    classes = np.full(longest.size, -1)
+    classes = np.empty(longest.size, dtype=int)
+    classes.fill(-1)
     classes[centers] = least
     classes.take(entries, out=entries, mode="clip")
     if (
-        (np.minimum.reduceat(entries, offsets) != least).any()
-        or (np.maximum.reduceat(entries, offsets) != least).any()
-        or (np.bincount(least, minlength=longest.size)[least] != v).any()
+        np.logical_or.reduce(np.minimum.reduceat(entries, offsets) != least)
+        or np.logical_or.reduce(np.maximum.reduceat(entries, offsets) != least)
+        or np.logical_or.reduce(np.bincount(least, minlength=longest.size)[least] != v)
     ):
         return None
     # A stable sort by class lists the classes by least member, members ascending.
@@ -373,34 +383,41 @@ def _merge(coords: np.ndarray, groups: list[tuple[int, ...]]) -> tuple[np.ndarra
     rows keep their order, and row k of the result is slot ``kept[k]``.
     """
     out = coords.copy()
-    keep = np.ones(len(coords), dtype=bool)
+    keep = np.empty(len(coords), dtype=bool)
+    keep.fill(True)
     by_size: dict[int, list[tuple[int, ...]]] = {}
     for g in groups:
         by_size.setdefault(len(g), []).append(g)
     # One mean per size over the (groups x size) member slots has the bits of
-    # each group's own mean (np.add.reduceat does not). A raw-frame mean that
-    # overflows to inf fails the next level's distances; a last merge has none.
+    # each group's own mean (np.add.reduceat does not); the sum and division
+    # are the ones ndarray.mean makes. A raw-frame mean that overflows to inf
+    # fails the next level's distances; a last merge has none.
     with np.errstate(over="ignore", invalid="ignore"):
-        for members in map(np.array, by_size.values()):
-            out[members[:, 0]] = coords[members].mean(axis=1)
+        for size, same_size in by_size.items():
+            members = np.array(same_size)
+            out[members[:, 0]] = np.add.reduce(coords[members], axis=1) / size
             keep[members[:, 1:]] = False
-    return out[keep], np.flatnonzero(keep).tolist()
+    return out[keep], keep.nonzero()[0].tolist()
 
 
 def _standardize_working(coords: np.ndarray, mode: SdMode) -> np.ndarray:
     """Z-score a working frame; columns that collapsed to a constant become 0.
 
     Each column is one contiguous row of a transposed copy, so the axis-1
-    mean and s.d. have the bits of that column's own 1-D reductions.
+    mean and s.d. have the bits of that column's own 1-D reductions. They
+    are the sums, divisions and root that ndarray.mean and ndarray.std make,
+    in the same order, so they have those methods' bits too.
     """
     cols = np.ascontiguousarray(coords.T)
-    varying = (cols != cols[:, :1]).any(axis=1)
-    out = np.zeros_like(coords)
-    if varying.any():  # a one-row frame has none, and asks no s.d. of one row
+    varying = np.logical_or.reduce(cols != cols[:, :1], axis=1)
+    out = np.zeros(coords.shape)
+    if np.logical_or.reduce(varying):  # a one-row frame has none, and asks no s.d. of one row
         v = cols[varying]
+        k = v.shape[1]
+        dev = v - np.add.reduce(v, axis=1, keepdims=True) / k
         ddof = 1 if mode is SdMode.SAMPLE else 0
-        z = (v - v.mean(axis=1, keepdims=True)) / v.std(axis=1, ddof=ddof, keepdims=True)
-        out[:, varying] = z.T
+        sd = np.sqrt(np.add.reduce(dev * dev, axis=1, keepdims=True) / (k - ddof))
+        out[:, varying] = (dev / sd).T
     return out
 
 
@@ -421,7 +438,7 @@ def initial_state(nd: NormalizedDataset) -> Level:
         )
     coords = np.asarray(nd.coords, dtype=np.float64)
     if nd.normalized:
-        coords = np.round(coords, _WORKING_DECIMALS)
+        coords = coords.round(_WORKING_DECIMALS)
     return coords, [TreeNode((), lab) for lab in nd.labels]
 
 
@@ -449,7 +466,7 @@ def _step(level: Level, nd: NormalizedDataset, depth: int) -> tuple[Level, Depth
     record = DepthRecord(depth, d_u, tuple([merged[g[0]] for g in groups]))
     nodes = [merged[k] for k in kept]
     if nd.normalized:  # a one-row frame becomes zeros, which nothing reads
-        coords = np.round(_standardize_working(coords, nd.stats.mode), _WORKING_DECIMALS)
+        coords = _standardize_working(coords, nd.stats.mode).round(_WORKING_DECIMALS)
     return (coords, nodes), record
 
 

@@ -54,7 +54,7 @@ def _square(coords: np.ndarray) -> np.ndarray:
     Raises :class:`Overflow` when a distance is not finite.
     """
     dist = _finite_distances(_kernels.distance_square, coords)
-    np.fill_diagonal(dist, np.inf)
+    dist.reshape(-1)[:: len(dist) + 1] = np.inf
     return dist
 
 
@@ -145,8 +145,8 @@ def stepwise_cluster(
         rows = (((nn_j == a) | (nn_j == b)) & (new > nn_d)).nonzero()[0]
         scan = dist[rows]
         nn_j[rows] = scan.argmin(axis=1)
-        nn_d[rows] = scan.min(axis=1)
-    roots = tuple(nodes[i] for i in np.flatnonzero(~merged))
+        nn_d[rows] = np.minimum.reduce(scan, axis=1)
+    roots = tuple(nodes[i] for i in (~merged).nonzero()[0])
     meta = {**_run_meta(nd, method.value), "stop_threshold": stop_threshold}
     return Dendrogram(nd.labels, roots, tuple(records), meta)
 

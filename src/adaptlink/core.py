@@ -259,15 +259,19 @@ def _distinct_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     a non-finite coordinate counts as one without copies, so that its
     distances report the overflow.
     """
-    first = np.sort(coords[:, 0])  # equal rows have equal first columns
-    if not (first[1:] == first[:-1]).any():
+    first = coords[:, 0].copy()  # equal rows have equal first columns
+    first.sort()
+    if not np.logical_or.reduce(first[1:] == first[:-1]):
         return None
     order = np.lexsort(coords.T)  # stable: equal rows in one run, lowest row first
     ranked = coords[order]
-    same = (ranked[1:] == ranked[:-1]).all(axis=1)
-    if not same.any() or not np.isfinite(coords).all():
+    same = np.logical_and.reduce(ranked[1:] == ranked[:-1], axis=1)
+    if not np.logical_or.reduce(same) or not np.logical_and.reduce(np.isfinite(coords), axis=None):
         return None
-    return order, np.flatnonzero(np.concatenate(([True], ~same, [True])))
+    edges = np.empty(same.size + 2, dtype=bool)  # each value's first row, then the end
+    edges[0] = edges[-1] = True
+    np.logical_not(same, out=edges[1:-1])
+    return order, edges.nonzero()[0]
 
 
 @dataclass(frozen=True)
@@ -315,7 +319,8 @@ def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
     not finite (squared differences beyond double precision, or coordinates
     that already were).
     """
-    coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
+    if type(coords) is not np.ndarray or coords.ndim != 2 or coords.dtype != np.float64:
+        coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     n = coords.shape[0]
     if n < 2:
         raise TooFewPoints(f"distance matrix needs n >= 2, got {n}")
@@ -323,10 +328,11 @@ def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
         raise ValueError("coordinates must have at least one column")
     rows, starts = _distinct_rows(coords) or (None, None)
     reps = coords if rows is None else coords[rows[starts[:-1]]]
-    nearest = np.full(len(reps), np.inf)
+    nearest = np.empty(len(reps))
+    nearest.fill(np.inf)
     entries = _finite_distances(_kernels.pairwise_condensed, reps, nearest)
     if rows is not None:
-        nearest[np.diff(starts) > 1] = 0.0
+        nearest[starts[1:] - starts[:-1] > 1] = 0.0
     return DistanceMatrix(n, entries, nearest, rows, starts)
 
 
@@ -340,6 +346,6 @@ def _finite_distances(kernel, *args, of: str = "pairwise", where=True) -> np.nda
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out = kernel(*args)
-    if not math.isfinite(out.max(initial=0.0, where=where)):
+    if not math.isfinite(np.maximum.reduce(out, axis=None, initial=0.0, where=where)):
         raise Overflow(f"{of} distances overflow double precision; rescale the descriptors")
     return out

@@ -1,4 +1,6 @@
 """Tests for the adaptive clustering engine."""
+import os
+import sys
 import tracemalloc
 import warnings
 
@@ -329,12 +331,17 @@ def clashing_sums(keys):
     return keys
 
 
+def fixture_or_regime(frame):
+    if frame in ("para", "meta"):
+        return al.normalize(io.load_fixture(frame))
+    return regime_frame(frame)
+
+
 @pytest.mark.parametrize("frame", [*REGIMES, *RAW_REGIMES, "para", "meta"])
 def test_candidates_match_the_all_prefix_count_on_every_level(frame):
     # Every key seed, on every level: the last-member test drops no prefix
     # that the count over every prefix would have kept.
-    nd = al.normalize(io.load_fixture(frame)) if frame in ("para", "meta") else regime_frame(frame)
-    levels = list(level_orderings(nd))
+    levels = list(level_orderings(fixture_or_regime(frame)))
     assert len(levels) > 1
     for depth, nbs in enumerate(levels, 1):
         assert candidate_mismatches(nbs) == [], f"depth {depth}"
@@ -484,6 +491,93 @@ class TestStandardizeWorking:
             warnings.simplefilter("error")
             got = adaptive._standardize_working(np.array([[1.5, -2.0, 0.0]]), mode)
         assert np.array_equal(got, [[0.0, 0.0, 0.0]])
+
+
+def engine_levels(nd):
+    """Yield each level's coordinates and groups, depth 1 first, as ``_step`` finds them."""
+    level, depth = adaptive.initial_state(nd), 1
+    while len(level[1]) > 1:
+        distances = core.matrix_from_coords(level[0])
+        nbs = adaptive.neighborhood(distances, adaptive.cutoff_distance(distances))
+        yield level[0], adaptive.extremely_close_sets(nbs)
+        level, _ = adaptive._step(level, nd, depth)
+        depth += 1
+
+
+@pytest.mark.parametrize("frame", [*REGIMES, "para", "meta"])
+def test_merge_and_standardize_keep_the_bits_of_ndarray_mean_and_std(frame):
+    # The engine calls the ufuncs behind ndarray.mean and ndarray.std itself;
+    # on every level the results must match those methods byte for byte.
+    for coords, groups in engine_levels(fixture_or_regime(frame)):
+        merged, kept = adaptive._merge(coords, groups)
+        for size in {len(g) for g in groups}:
+            members = np.array([g for g in groups if len(g) == size])
+            slots = [kept.index(k) for k in members[:, 0]]
+            assert merged[slots].tobytes() == coords[members].mean(axis=1).tobytes()
+        cols = np.ascontiguousarray(merged.T)
+        varying = (cols != cols[:, :1]).any(axis=1)
+        for mode in al.SdMode:
+            got = adaptive._standardize_working(merged, mode).T
+            assert not got[~varying].any()
+            if varying.any():
+                v = cols[varying]
+                ddof = 1 if mode is al.SdMode.SAMPLE else 0
+                z = (v - v.mean(axis=1, keepdims=True)) / v.std(axis=1, ddof=ddof, keepdims=True)
+                assert np.ascontiguousarray(got[varying]).tobytes() == z.tobytes()
+
+
+# numpy's Python-level wrappers: the ndarray reductions routed through
+# _methods.py, and the functions of these files (numpy 1.x and 2.x names)
+# that wrap a C method or a ufunc. Their *_dispatcher functions, the C shims
+# of multiarray.py and np.errstate stay allowed.
+_NUMPY_DIR = os.path.dirname(np.__file__) + os.sep
+_WRAPPER_FILES = {
+    "fromnumeric.py", "numeric.py", "shape_base.py", "function_base.py",
+    "_function_base_impl.py", "index_tricks.py", "_index_tricks_impl.py",
+}
+
+
+def numpy_wrappers_entered(fn, *args):
+    """``fn(*args)`` and the numpy wrapper functions it entered, as ``file:function``."""
+    entered = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(_NUMPY_DIR):
+            name = os.path.basename(code.co_filename)
+            if name == "_methods.py" or (
+                name in _WRAPPER_FILES and not code.co_name.endswith("_dispatcher")
+            ):
+                entered.append(f"{name}:{code.co_name}")
+
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        out = fn(*args)
+    finally:
+        sys.setprofile(before)
+    return out, entered
+
+
+class TestNoNumpyWrappers:
+    """Each level calls ufuncs and C-level ndarray methods directly, so it pays
+    no numpy Python frames per call beyond the allowed shims."""
+
+    @pytest.mark.parametrize("name", ["para", "meta"])
+    def test_every_step_of_a_fixture(self, name):
+        nd = al.normalize(io.load_fixture(name))
+        level, depth = adaptive.initial_state(nd), 1
+        if name == "meta":  # level 1 takes the copies path
+            assert core._distinct_rows(level[0]) is not None
+        while len(level[1]) > 1:
+            (level, _), entered = numpy_wrappers_entered(adaptive._step, level, nd, depth)
+            assert entered == [], f"depth {depth}"
+            depth += 1
+
+    @pytest.mark.parametrize("method", list(al.LinkageMethod))
+    def test_a_whole_stepwise_run(self, para_nd, method):
+        run, entered = numpy_wrappers_entered(al.stepwise_cluster, para_nd, method)
+        assert entered == [] and len(run.trace) == para_nd.n - 1
 
 
 class TestMergeGroup:

@@ -3,7 +3,8 @@
 * :func:`pairwise_condensed` computes the condensed (row-major upper triangle) Euclidean
   distances of an n×p matrix and each point's least squared distance;
 * :func:`distance_square` computes the full symmetric n×n Euclidean
-  distances, the stepwise baselines' working square;
+  distances, the stepwise baselines' working square and the square of an
+  adaptive level of at most 16 rows;
 * :func:`distances_from` gives the distances from one point to each of a
   set of points;
 * :func:`cutoff_from_condensed` is the minimax scan over condensed entries,

@@ -15,7 +15,8 @@ node of each row. A step builds its own distances, so one set is alive at
 a time, builds each merged node once and records the merged nodes in the
 trace. A node holds its children and its leaf count, not its leaves' labels,
 so a merge costs O(children) and a tree with its trace takes O(nodes) memory.
-The step's distances are one :class:`~adaptlink.core.DistanceMatrix` from
+A level of more than ``_SMALL_LEVEL`` (16) rows gets its distances as one
+:class:`~adaptlink.core.DistanceMatrix` from
 :func:`~adaptlink.core.matrix_from_coords`, which computes them once per
 distinct row (rows that compare equal in every column are copies). That
 one record of the level is internal, not public API: its cut-off is the
@@ -23,12 +24,17 @@ root of the largest least distance, and the orderings are built from its
 :meth:`~adaptlink.core.DistanceMatrix.pairs_within` the cut-off, which
 expands the copies, so nothing here reads how the record groups them.
 
-:func:`_step` calls :func:`~adaptlink.core.matrix_from_coords`,
-:func:`cutoff_distance`, :func:`neighborhood` (every point's ordering, in
-CSR form, once per level) and
-:func:`extremely_close_sets` (prefix hashes, a last-member test, then an
-exact check) through this module's globals, so a tracer that rebinds them
-here (the benchmark's per-layer timers do) sees every call of a level.
+For such a level :func:`_step` calls
+:func:`~adaptlink.core.matrix_from_coords`, :func:`cutoff_distance`,
+:func:`neighborhood` (every point's ordering, in CSR form, once per level)
+and :func:`extremely_close_sets` (prefix hashes, a last-member test, then
+an exact check) through this module's globals, so a tracer that rebinds
+them here (the benchmark's per-layer timers do) sees every call of the
+level. A level of at most 16 rows, where that machinery costs more than
+its arithmetic, takes one exact pass over its full square instead,
+:func:`_small_level`, which gives the same cut-off bits and groups; a
+tracer counts its time in ``build_dendrogram``'s own. Every benchmark
+workload starts above 16 rows, so each of those layers is still called.
 
 On a small level numpy's Python-level wrappers (``ndarray.any``, ``.max``,
 ``.mean`` and ``.std``, ``np.sort``, ``np.repeat`` and the like) cost more
@@ -60,7 +66,8 @@ import numpy as np
 
 from . import _kernels
 from .core import (
-    ClusteringError, DistanceMatrix, NormalizedDataset, SdMode, _frozen, matrix_from_coords
+    ClusteringError, DistanceMatrix, NormalizedDataset, SdMode, TooFewPoints, _finite_distances,
+    _frozen, matrix_from_coords
 )
 
 # Decimals of the grid a z-scored working frame is rounded to.
@@ -374,6 +381,57 @@ def extremely_close_sets(nbs: Neighborhoods) -> list[tuple[int, ...]]:
     raise RuntimeError("internal invariant violated: no key seed gave groups that pass the check")
 
 
+# Levels of at most this many rows take _small_level's one pass over their square.
+_SMALL_LEVEL = 16
+
+
+def _small_level(coords: np.ndarray) -> tuple[float, list[tuple[int, ...]]]:
+    """A small level's cut-off and maximal extremely close sets, from its full square.
+
+    The cut-off is the largest row minimum with the diagonal at +inf; ``sqrt``
+    is monotone and correctly rounded, so it has the bits of
+    :func:`cutoff_distance`. One stable argsort of every row, diagonal at -1,
+    gives each ordering, center first and ties by index, as
+    :func:`neighborhood` does. With ``pos[x, y]`` the place of y in x's
+    ordering (w, the longest ordering's length, where y lies past the
+    cut-off) and ``o`` each row's first w entries, prefix v of center c is an
+    extremely close set exactly when every ``pos[o[c, a], o[c, b]]`` with
+    a, b < v is below v, that is when their maximum is v - 1 (``a = 0``
+    gives that much). Two running maxima over the m×w×w cube of these places
+    give that maximum for every prefix at once, and each center takes its
+    longest qualifying prefix, which is the maximal set holding it. Raises
+    :class:`~adaptlink.core.TooFewPoints` below two rows.
+    """
+    m = len(coords)
+    if m < 2:
+        raise TooFewPoints(f"distance matrix needs n >= 2, got {m}")
+    d = _finite_distances(_kernels.distance_square, coords)
+    diagonal = d.reshape(-1)[:: m + 1]
+    diagonal.fill(np.inf)
+    d_u = float(np.maximum.reduce(np.minimum.reduce(d, axis=1)))
+    diagonal.fill(-1.0)
+    order = d.argsort(axis=1, kind="stable")
+    past = d > d_u
+    w = m - int(np.minimum.reduce(np.add.reduce(past, axis=1)))
+    pos = np.empty((m, m), dtype=np.intp)
+    pos[np.arange(m)[:, None], order] = np.arange(m)
+    pos[past] = w
+    o = order[:, :w]
+    cube = pos[o[:, :, None], o[:, None, :]]
+    np.maximum.accumulate(cube, axis=1, out=cube)
+    np.maximum.accumulate(cube, axis=2, out=cube)
+    k = np.arange(w)
+    longest = np.maximum.reduce((cube[:, k, k] == k) * (k + 1), axis=1).tolist()
+    # Each set is the longest prefix of every member; its least member lists it.
+    groups = []
+    for c, (row, v) in enumerate(zip(o.tolist(), longest)):
+        if v > 1:
+            group = sorted(row[:v])
+            if group[0] == c:
+                groups.append(tuple(group))
+    return d_u, groups
+
+
 def _merge(coords: np.ndarray, groups: list[tuple[int, ...]]) -> tuple[np.ndarray, list[int]]:
     """Next level's rows, each group's member mean at its smallest slot, and the kept slots.
 
@@ -449,11 +507,14 @@ def _step(level: Level, nd: NormalizedDataset, depth: int) -> tuple[Level, Depth
     :class:`~adaptlink.core.TooFewPoints`.
     """
     coords, nodes = level
-    distances = matrix_from_coords(coords)
-    d_u = float(cutoff_distance(distances))
-    nbs = neighborhood(distances, d_u)
-    del distances  # freed before the level's other allocations, which then reuse its space
-    groups = extremely_close_sets(nbs)
+    if len(coords) <= _SMALL_LEVEL:
+        d_u, groups = _small_level(coords)
+    else:
+        distances = matrix_from_coords(coords)
+        d_u = float(cutoff_distance(distances))
+        nbs = neighborhood(distances, d_u)
+        del distances  # freed before the level's other allocations, which then reuse its space
+        groups = extremely_close_sets(nbs)
     if not groups:
         raise RuntimeError("internal invariant violated: no extremely close set")
     coords, kept = _merge(coords, groups)

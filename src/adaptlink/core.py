@@ -3,9 +3,10 @@
 The public surface is the containers, :func:`normalize` and the errors.
 Both tables check their rows through one contract, ``_check_table``, and
 every distance kernel runs through one overflow check,
-``_finite_distances``: this matrix, the stepwise square and the stepwise
-centroid updates. :class:`DistanceMatrix`, the one record of a level's
-distances, is internal to the adaptive engine, and
+``_finite_distances``: this matrix, the full square of a small adaptive
+level (:func:`~adaptlink.adaptive._small_level`), the stepwise square and
+the stepwise centroid updates. :class:`DistanceMatrix`, the one record of
+a level's distances, is internal to the adaptive engine, and
 :func:`matrix_from_coords` is its one constructor: it groups a level's
 copies and computes the distances of one representative per value, and
 :meth:`DistanceMatrix.pairs_within` expands the pairs within a radius back

@@ -33,6 +33,14 @@ def first_matrix(nd):
     return core.matrix_from_coords(adaptive.initial_state(nd)[0])
 
 
+@pytest.fixture(params=[0, 16], ids=["hash-path", "square-path"])
+def small_level(request, monkeypatch):
+    """Run the test with levels of at most this many rows on ``_small_level``:
+    0 sends every level through the four module globals."""
+    monkeypatch.setattr(adaptive, "_SMALL_LEVEL", request.param)
+    return request.param
+
+
 class TestCutoff:
     def test_two_points(self):
         m = core.matrix_from_coords(np.array([[0.0], [3.0]]))
@@ -378,6 +386,7 @@ class TestKeyCollisions:
     @pytest.mark.parametrize("collide", [all_equal, clashing_sums])
     @pytest.mark.parametrize("fixture", ["para", "meta"])
     def test_every_fixture_level_matches_the_oracle(self, fixture, collide, monkeypatch):
+        monkeypatch.setattr(adaptive, "_SMALL_LEVEL", 0)  # every level on the hash path
         colliding_keys(monkeypatch, collide)
         assert verify_run(al.normalize(io.load_fixture(fixture))).failures == []
 
@@ -564,7 +573,7 @@ class TestNoNumpyWrappers:
     no numpy Python frames per call beyond the allowed shims."""
 
     @pytest.mark.parametrize("name", ["para", "meta"])
-    def test_every_step_of_a_fixture(self, name):
+    def test_every_step_of_a_fixture(self, name, small_level):
         nd = al.normalize(io.load_fixture(name))
         level, depth = adaptive.initial_state(nd), 1
         if name == "meta":  # level 1 takes the copies path
@@ -630,7 +639,7 @@ class TestClusterStep:
         assert (nodes[0].depth, nodes[0].cutoff) == (1, 1.0)
         assert np.array_equal(coords, [[0.5]])
 
-    def test_single_point_state_rejected(self):
+    def test_single_point_state_rejected(self, small_level):
         nd = al.identity_normalized(
             al.Dataset(labels=("a", "b"), values=np.array([[0.0], [1.0]]), column_names=("x",))
         )
@@ -732,6 +741,7 @@ class TestDistinctRows:
 
         monkeypatch.setattr(adaptive, "matrix_from_coords", spy_matrix)
         monkeypatch.setattr(_kernels, "pairwise_condensed", spy_kernel)
+        monkeypatch.setattr(adaptive, "_SMALL_LEVEL", 0)  # a 3-row level on the hash path
         if frame == "raw":
             nd = raw([[1.0, 2.0]] * 3)
             d = al.build_dendrogram(nd)
@@ -779,7 +789,7 @@ class TestDistinctRows:
         [[np.inf, 0.0], [np.inf, 0.0], [-np.inf, 1.0], [-np.inf, 1.0]],
         [[np.nan], [np.nan], [0.0]],
     ])
-    def test_non_finite_copies_overflow(self, coords):
+    def test_non_finite_copies_overflow(self, coords, small_level):
         # Equal rows whose coordinates overflowed are not merged at 0.0.
         nd = raw([[0.0]] * len(coords))
         nodes = adaptive.initial_state(nd)[1]
@@ -791,7 +801,7 @@ class TestDistinctRows:
         # Each pair of copies merges to an overflowing mean at level 1.
         ([[1.7e308, 0.0], [1.7e308, 0.0], [1.7e308, 1.0], [1.7e308, 1.0]], 2),
     ])
-    def test_raw_copies_that_overflow(self, values, depth):
+    def test_raw_copies_that_overflow(self, values, depth, small_level):
         nd = raw(values)
         level = adaptive.initial_state(nd)
         for k in range(1, depth):
@@ -934,6 +944,61 @@ class TestBuildDendrogram:
         nd = al.normalize(io.load_fixture("para"), al.SdMode.POPULATION)
         d = al.build_dendrogram(nd)
         assert d.root.leaves == frozenset(nd.labels)
+
+
+class TestSmallLevel:
+    """Levels of at most ``_SMALL_LEVEL`` rows take one pass over their square."""
+
+    def test_a_line(self):
+        # Only {2, 3} qualifies; the cut-off is 0's distance to 1.
+        assert adaptive._small_level(np.array([[0.0], [1.0], [1.8], [2.0]])) == (1.0, [(2, 3)])
+
+    def test_copies_and_their_nearest_row(self):
+        # 2's ordering ties 0 and 1 at 1.0 and takes 0 first; both copies lead with themselves.
+        coords = np.array([[0.0], [0.0], [1.0], [5.0], [5.0]])
+        assert adaptive._small_level(coords) == (1.0, [(0, 1, 2), (3, 4)])
+
+    @pytest.mark.parametrize("source, variant", [
+        *((f, v) for f in ("para", "meta") for v in ("z-scored", "raw")),
+        *((r, seed) for r in REGIMES + RAW_REGIMES for seed in range(3)),
+    ])
+    def test_both_paths_pass_the_oracle_with_the_same_trace(self, source, variant, monkeypatch):
+        if source in ("para", "meta"):
+            data = io.load_fixture(source)
+            nd = al.normalize(data) if variant == "z-scored" else al.identity_normalized(data)
+        else:
+            nd = regime_frame(source, variant)
+        real, small = adaptive._small_level, []
+        monkeypatch.setattr(
+            adaptive, "_small_level", lambda coords: small.append(len(coords)) or real(coords)
+        )
+        traces = []
+        for limit in (0, 16):
+            monkeypatch.setattr(adaptive, "_SMALL_LEVEL", limit)
+            assert verify_run(nd).failures == [], f"_SMALL_LEVEL = {limit}"
+            traces.append(io.write_trace(al.build_dendrogram(nd)))
+        assert small  # the second run took the square path
+        assert traces[0] == traces[1]
+
+
+@pytest.mark.parametrize("name", ["para", "meta"])
+def test_the_fixtures_call_every_traced_layer(name, monkeypatch):
+    layers = ("matrix_from_coords", "cutoff_distance", "neighborhood", "extremely_close_sets")
+    called = set()
+    for layer in layers:
+        def spy(*args, _real=getattr(adaptive, layer), _layer=layer):
+            called.add(_layer)
+            return _real(*args)
+
+        monkeypatch.setattr(adaptive, layer, spy)
+    al.build_dendrogram(al.normalize(io.load_fixture(name)))
+    missing = [f"adaptive.{layer}" for layer in layers if layer not in called]
+    assert missing == [], (
+        f"the {name} fixture never calls {', '.join(missing)}: the benchmark's tracer times "
+        "these module globals, so CI's \"Traced benchmark smoke\" step would list them as "
+        "not called; keep the fixtures' first level above adaptive._SMALL_LEVEL rows, or "
+        "give the small-level pass its own traced layer first (ROADMAP item 1)"
+    )
 
 
 class TestAgainstOracle:

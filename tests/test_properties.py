@@ -152,6 +152,19 @@ class TestEngineInvariants:
         cut = adaptive.cutoff_distance(core.matrix_from_coords(nd.coords))
         assert cut.hex() == oracle_cutoff(oracle_square(nd.coords)).hex()
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(datasets(max_n=16), tie_heavy_datasets(max_n=16)), st.booleans())
+    def test_small_level_pass_matches_the_four_calls(self, data, raw):
+        # 2-16 rows: the one pass over the square gives the cut-off bits and
+        # the groups of matrix, cut-off, orderings and hash discovery.
+        nd = al.identity_normalized(data) if raw else wrap(data)
+        coords = adaptive.initial_state(nd)[0]
+        m = core.matrix_from_coords(coords)
+        cut = adaptive.cutoff_distance(m)
+        groups = adaptive.extremely_close_sets(adaptive.neighborhood(m, cut))
+        d_u, got = adaptive._small_level(coords)
+        assert (d_u.hex(), got) == (cut.hex(), groups)
+
     @settings(max_examples=60, deadline=None)
     @given(datasets())
     def test_lemma1_every_neighborhood_has_a_neighbor(self, data):

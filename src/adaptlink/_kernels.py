@@ -3,8 +3,9 @@
 * :func:`pairwise_condensed` computes the condensed (row-major upper triangle) Euclidean
   distances of an n×p matrix and each point's least squared distance;
 * :func:`distance_square` computes the full symmetric n×n Euclidean
-  distances, the stepwise baselines' working square and the square of an
-  adaptive level of at most 16 rows;
+  distances; ``core._square`` is its one caller, the one builder of the
+  stepwise baselines' working square and of an adaptive level of 2 to 16
+  rows' square;
 * :func:`distances_from` gives the distances from one point to each of a
   set of points;
 * :func:`cutoff_from_condensed` is the minimax scan over condensed entries,
@@ -15,7 +16,8 @@
   into pairs of the rows that hold them;
 * :func:`neighbors_within` gives every point's ordering from such pairs,
   center first, in CSR form, from one sort of packed int64 keys (row,
-  distance rank, column), which fit for n < 65 536.
+  distance rank, column), which fit for n < 65 536; the adaptive engine's
+  ``initial_state`` refuses any larger input.
 
 The condensed kernel works on blocks of rows: rows ``r..r1`` against the
 columns ``r..n``, with rows per block chosen so a block holds at most
@@ -209,15 +211,13 @@ def neighbors_within(
     (row, distance, column); each pair is written as (i, j) and (j, i),
     each center as (i, i), and one sort of these unique keys orders every
     neighbourhood, whose members are the keys' low b bits. The keys stay
-    below n·(D + 1)·2^b < 2⁶³ (see ``_MAX_NEIGHBOR_POINTS``), so n must be
-    below 65 536, where the condensed vector alone already takes 17 GB; a
-    larger n raises ``ValueError`` before anything is allocated. The ranks take d's buffer
-    and the key 2m + n values, so with m pairs the peak is about 5m
-    values, inputs included: where every pair is in radius, about 2.5 n×n
-    float64 squares.
+    below n·(D + 1)·2^b < 2⁶³ (see ``_MAX_NEIGHBOR_POINTS``) because the
+    caller guarantees n < 65 536: the adaptive engine's ``initial_state``
+    refuses larger inputs before allocating, and at that n the condensed
+    vector alone would take 17 GB. The ranks take d's buffer and the key
+    2m + n values, so with m pairs the peak is about 5m values, inputs
+    included: where every pair is in radius, about 2.5 n×n float64 squares.
     """
-    if n >= _MAX_NEIGHBOR_POINTS:
-        raise ValueError(f"neighbour keys overflow int64 for n={n} >= {_MAX_NEIGHBOR_POINTS}")
     m = d.size
     # Dense ranks without np.unique's five temporaries: rank the sorted copy
     # in its own buffer, then scatter the ranks back to pair order in d's.

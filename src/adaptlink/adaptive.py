@@ -30,7 +30,7 @@ For such a level :func:`_step` calls
 and :func:`extremely_close_sets` (prefix hashes, a last-member test, then
 an exact check) through this module's globals, so a tracer that rebinds
 them here (the benchmark's per-layer timers do) sees every call of the
-level. A level of at most 16 rows, where that machinery costs more than
+level. A level of 2 to 16 rows, where that machinery costs more than
 its arithmetic, takes one exact pass over its full square instead,
 :func:`_small_level`, which gives the same cut-off bits and groups; a
 tracer counts its time in ``build_dendrogram``'s own. Every benchmark
@@ -66,8 +66,8 @@ import numpy as np
 
 from . import _kernels
 from .core import (
-    ClusteringError, DistanceMatrix, NormalizedDataset, SdMode, TooFewPoints, _finite_distances,
-    _frozen, matrix_from_coords
+    ClusteringError, DistanceMatrix, NormalizedDataset, SdMode, _frozen, _square,
+    matrix_from_coords
 )
 
 # Decimals of the grid a z-scored working frame is rounded to.
@@ -381,35 +381,32 @@ def extremely_close_sets(nbs: Neighborhoods) -> list[tuple[int, ...]]:
     raise RuntimeError("internal invariant violated: no key seed gave groups that pass the check")
 
 
-# Levels of at most this many rows take _small_level's one pass over their square.
+# Levels of 2 to this many rows take _small_level's one pass over their square.
 _SMALL_LEVEL = 16
 
 
 def _small_level(coords: np.ndarray) -> tuple[float, list[tuple[int, ...]]]:
-    """A small level's cut-off and maximal extremely close sets, from its full square.
+    """The cut-off and maximal extremely close sets of a level of 2 to 16 rows.
 
-    The cut-off is the largest row minimum with the diagonal at +inf; ``sqrt``
-    is monotone and correctly rounded, so it has the bits of
-    :func:`cutoff_distance`. One stable argsort of every row, diagonal at -1,
-    gives each ordering, center first and ties by index, as
-    :func:`neighborhood` does. With ``pos[x, y]`` the place of y in x's
-    ordering (w, the longest ordering's length, where y lies past the
-    cut-off) and ``o`` each row's first w entries, prefix v of center c is an
-    extremely close set exactly when every ``pos[o[c, a], o[c, b]]`` with
-    a, b < v is below v, that is when their maximum is v - 1 (``a = 0``
-    gives that much). Two running maxima over the m×w×w cube of these places
-    give that maximum for every prefix at once, and each center takes its
-    longest qualifying prefix, which is the maximal set holding it. Raises
-    :class:`~adaptlink.core.TooFewPoints` below two rows.
+    The level's square comes from ``core._square``, as the stepwise
+    baselines' does, and the cut-off is its largest row minimum (the
+    diagonal is +inf); ``sqrt`` is monotone and correctly rounded, so it
+    has the bits of :func:`cutoff_distance`. One stable argsort of every
+    row, diagonal at -1, gives each ordering, center first and ties by
+    index, as :func:`neighborhood` does. With ``pos[x, y]`` the place of y
+    in x's ordering (w, the longest ordering's length, where y lies past
+    the cut-off) and ``o`` each row's first w entries, prefix v of center c
+    is an extremely close set exactly when every ``pos[o[c, a], o[c, b]]``
+    with a, b < v is below v, that is when their maximum is v - 1
+    (``a = 0`` gives that much). Two running maxima over the m×w×w cube of
+    these places give that maximum for every prefix at once, and each
+    center takes its longest qualifying prefix, which is the maximal set
+    holding it.
     """
     m = len(coords)
-    if m < 2:
-        raise TooFewPoints(f"distance matrix needs n >= 2, got {m}")
-    d = _finite_distances(_kernels.distance_square, coords)
-    diagonal = d.reshape(-1)[:: m + 1]
-    diagonal.fill(np.inf)
+    d = _square(coords)
     d_u = float(np.maximum.reduce(np.minimum.reduce(d, axis=1)))
-    diagonal.fill(-1.0)
+    d.reshape(-1)[:: m + 1] = -1.0
     order = d.argsort(axis=1, kind="stable")
     past = d > d_u
     w = m - int(np.minimum.reduce(np.add.reduce(past, axis=1)))
@@ -503,11 +500,12 @@ def initial_state(nd: NormalizedDataset) -> Level:
 def _step(level: Level, nd: NormalizedDataset, depth: int) -> tuple[Level, DepthRecord]:
     """One iteration: distances, cut-off, neighborhoods, maximal groups, simultaneous merge.
 
-    The matrix lives only inside the step; a one-row level raises
+    The matrix lives only inside the step; a one-row level reaches
+    :func:`~adaptlink.core.matrix_from_coords`, which raises
     :class:`~adaptlink.core.TooFewPoints`.
     """
     coords, nodes = level
-    if len(coords) <= _SMALL_LEVEL:
+    if 1 < len(coords) <= _SMALL_LEVEL:
         d_u, groups = _small_level(coords)
     else:
         distances = matrix_from_coords(coords)

@@ -4,13 +4,13 @@ One closest pair merges per step, n-1 binary merges in all (fewer under a
 stop threshold, leaving a forest), returned as the adaptive engine's
 :class:`~adaptlink.adaptive.Dendrogram` — the yardstick its level count is
 compared against. The starting distances are one symmetric n×n working
-square, filled in place from the coordinates by
-:func:`~adaptlink._kernels.distance_square`, so a run holds no other n²
-array. A merge holds the merged-away slot's row and column at +inf, so each
-step works on whole rows of the square: single, complete and average
-linkage update the merged row by the Lance-Williams formulas, and centroid
-linkage recomputes the merged centroid's distances with
-:func:`~adaptlink._kernels.distances_from`. Both share one per-feature
+square from ``core._square``, the one square builder, filled in place from
+the coordinates by :func:`~adaptlink._kernels.distance_square`, so a run
+holds no other n² array. A merge holds the merged-away slot's row and
+column at +inf, so each step works on whole rows of the square: single,
+complete and average linkage update the merged row by the Lance-Williams
+formulas, and centroid linkage recomputes the merged centroid's distances
+with :func:`~adaptlink._kernels.distances_from`. Both share one per-feature
 routine with the adaptive engine's matrix kernel, so a pair's distance has
 the same bits whichever kernel computes it, and one overflow check with it.
 :func:`compare_compactness` counts the steps to one root, so it refuses a
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .adaptive import Dendrogram, DepthRecord, TreeNode, _run_meta
-from .core import ClusteringError, NormalizedDataset, TooFewPoints, _finite_distances
+from .core import ClusteringError, NormalizedDataset, TooFewPoints, _finite_distances, _square
 
 
 class LeafMismatch(ClusteringError):
@@ -46,16 +46,6 @@ def _lw_update(method: LinkageMethod, d_ai, d_bi, na: int, nb: int):
     if method is LinkageMethod.COMPLETE:
         return np.maximum(d_ai, d_bi)
     return (na * d_ai + nb * d_bi) / (na + nb)
-
-
-def _square(coords: np.ndarray) -> np.ndarray:
-    """The working square: symmetric n×n Euclidean distances, inf on the diagonal.
-
-    Raises :class:`Overflow` when a distance is not finite.
-    """
-    dist = _finite_distances(_kernels.distance_square, coords)
-    dist.reshape(-1)[:: len(dist) + 1] = np.inf
-    return dist
 
 
 def stepwise_cluster(

@@ -3,10 +3,12 @@
 The public surface is the containers, :func:`normalize` and the errors.
 Both tables check their rows through one contract, ``_check_table``, and
 every distance kernel runs through one overflow check,
-``_finite_distances``: this matrix, the full square of a small adaptive
-level (:func:`~adaptlink.adaptive._small_level`), the stepwise square and
-the stepwise centroid updates. :class:`DistanceMatrix`, the one record of
-a level's distances, is internal to the adaptive engine, and
+``_finite_distances``: this matrix, the full square and the stepwise
+centroid updates. ``_square`` is the one builder of a full square,
+symmetric with +inf on the diagonal: the stepwise baselines' working
+square and the square of an adaptive level of 2 to 16 rows
+(:func:`~adaptlink.adaptive._small_level`). :class:`DistanceMatrix`, the
+one record of a level's distances, is internal to the adaptive engine, and
 :func:`matrix_from_coords` is its one constructor: it groups a level's
 copies and computes the distances of one representative per value, and
 :meth:`DistanceMatrix.pairs_within` expands the pairs within a radius back
@@ -316,12 +318,11 @@ def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
     each other, so only their representatives' pairs are computed, none
     where every row holds one value, and each value with copies has a least
     distance of 0.0. The same pass keeps each point's least squared
-    distance for the cut-off. Raises :class:`Overflow` when a distance is
-    not finite (squared differences beyond double precision, or coordinates
-    that already were).
+    distance for the cut-off. ``coords`` is a level's 2-D float64 array.
+    Raises :class:`TooFewPoints` below two rows, and :class:`Overflow` when
+    a distance is not finite (squared differences beyond double precision,
+    or coordinates that already were).
     """
-    if type(coords) is not np.ndarray or coords.ndim != 2 or coords.dtype != np.float64:
-        coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     n = coords.shape[0]
     if n < 2:
         raise TooFewPoints(f"distance matrix needs n >= 2, got {n}")
@@ -335,6 +336,16 @@ def matrix_from_coords(coords: np.ndarray) -> DistanceMatrix:
     if rows is not None:
         nearest[starts[1:] - starts[:-1] > 1] = 0.0
     return DistanceMatrix(n, entries, nearest, rows, starts)
+
+
+def _square(coords: np.ndarray) -> np.ndarray:
+    """Symmetric n×n Euclidean distances with +inf on the diagonal, filled in place.
+
+    Raises :class:`Overflow` when a distance is not finite.
+    """
+    dist = _finite_distances(_kernels.distance_square, coords)
+    dist.reshape(-1)[:: len(dist) + 1] = np.inf
+    return dist
 
 
 def _finite_distances(kernel, *args, of: str = "pairwise", where=True) -> np.ndarray:

@@ -202,17 +202,38 @@ class TestNeighborOrdering:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
 
     def test_too_many_points_rejected_before_allocating(self):
-        n = 1 << 16
+        # The ordering's int64 keys fit n < 65 536, and initial_state, the
+        # engine's first call, is the one check of that limit.
+        n = _kernels._MAX_NEIGHBOR_POINTS
+        values = np.arange(n, dtype=float)[:, None]
+        nd = al.identity_normalized(al.Dataset([f"p{i}" for i in range(n)], values, ["x"]))
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="overflow int64"):
-                _kernels.neighbors_within(*self.no_pairs(), n)
+            with pytest.raises(al.ClusteringError, match="fewer than 65536 points, got n=65536"):
+                adaptive.initial_state(nd)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
         starts, _ = _kernels.neighbors_within(*self.no_pairs(), 1)
         assert starts.tolist() == [0, 1]
+
+    def test_largest_n_passes_the_limit(self):
+        n = _kernels._MAX_NEIGHBOR_POINTS - 1
+        values = np.arange(n, dtype=float)[:, None]
+        nd = al.identity_normalized(al.Dataset([f"p{i}" for i in range(n)], values, ["x"]))
+        coords, nodes = adaptive.initial_state(nd)
+        assert coords.shape == (n, 1) and len(nodes) == n
+
+    def test_orderings_at_the_largest_n(self):
+        # Columns take all b = 16 low bits of the key; the top indices keep theirs.
+        n = _kernels._MAX_NEIGHBOR_POINTS - 1
+        i = np.array([n - 3, n - 2, n - 1], dtype=np.int64)
+        j = np.array([n - 1, n - 1, 0], dtype=np.int64)
+        starts, members = _kernels.neighbors_within(i, j, np.array([0.5, 0.25, 1.0]), n)
+        assert starts.size == n + 1
+        orders = [members[starts[c]:starts[c + 1]].tolist() for c in (0, n - 3, n - 2, n - 1)]
+        assert orders == [[0, n - 1], [n - 3, n - 1], [n - 2, n - 1], [n - 1, n - 2, n - 3, 0]]
 
 
 class TestSubNeighborhood:
@@ -644,7 +665,7 @@ class TestClusterStep:
             al.Dataset(labels=("a", "b"), values=np.array([[0.0], [1.0]]), column_names=("x",))
         )
         level, _ = adaptive._step(adaptive.initial_state(nd), nd, 1)
-        with pytest.raises(al.TooFewPoints):
+        with pytest.raises(al.TooFewPoints, match="distance matrix needs n >= 2"):
             adaptive._step(level, nd, 2)
 
     def test_pseudo_point_ids_stay_unique(self, meta_nd):
@@ -958,27 +979,63 @@ class TestSmallLevel:
         coords = np.array([[0.0], [0.0], [1.0], [5.0], [5.0]])
         assert adaptive._small_level(coords) == (1.0, [(0, 1, 2), (3, 4)])
 
+    def test_two_rows(self):
+        assert adaptive._small_level(np.array([[0.0], [3.0]])) == (3.0, [(0, 1)])
+
+    def test_sixteen_copies_form_one_group(self):
+        d_u, groups = adaptive._small_level(np.zeros((16, 2)))
+        assert (d_u, groups) == (0.0, [tuple(range(16))])
+
+    @pytest.mark.parametrize("m", [2, 3, adaptive._SMALL_LEVEL, adaptive._SMALL_LEVEL + 1])
+    def test_step_routes_by_row_count(self, m, monkeypatch):
+        calls = []
+        for layer in ("_small_level", "matrix_from_coords"):
+            def spy(coords, _real=getattr(adaptive, layer), _layer=layer):
+                calls.append((_layer, len(coords)))
+                return _real(coords)
+
+            monkeypatch.setattr(adaptive, layer, spy)
+        values = np.arange(m, dtype=float)[:, None] ** 2
+        nd = al.identity_normalized(al.Dataset([f"p{i}" for i in range(m)], values, ["x"]))
+        (coords, _), record = adaptive._step(adaptive.initial_state(nd), nd, 1)
+        path = "_small_level" if m <= adaptive._SMALL_LEVEL else "matrix_from_coords"
+        assert calls == [(path, m)]
+        assert record.groups and len(coords) < m
+
+    def test_overflow_message_on_either_path(self, small_level):
+        # Both paths take their distances through _finite_distances: one message.
+        values = np.array([[1e200, 0.0], [-1e200, 1.0]] * 3)
+        nd = al.identity_normalized(al.Dataset([f"p{i}" for i in range(6)], values, ["x", "y"]))
+        with pytest.raises(al.Overflow) as hashed:
+            core.matrix_from_coords(values)
+        with pytest.raises(al.Overflow) as stepped:
+            adaptive._step(adaptive.initial_state(nd), nd, 1)
+        assert str(stepped.value) == str(hashed.value)
+
     @pytest.mark.parametrize("source, variant", [
         *((f, v) for f in ("para", "meta") for v in ("z-scored", "raw")),
         *((r, seed) for r in REGIMES + RAW_REGIMES for seed in range(3)),
     ])
     def test_both_paths_pass_the_oracle_with_the_same_trace(self, source, variant, monkeypatch):
+        # The oracle checks the hash path on every level; the square path
+        # must then give the same trace bytes.
         if source in ("para", "meta"):
             data = io.load_fixture(source)
             nd = al.normalize(data) if variant == "z-scored" else al.identity_normalized(data)
         else:
             nd = regime_frame(source, variant)
+        monkeypatch.setattr(adaptive, "_SMALL_LEVEL", 0)
+        report = verify_run(nd)
+        assert report.failures == []
+        assert report.depths >= 1
+        hashed = io.write_trace(al.build_dendrogram(nd))
         real, small = adaptive._small_level, []
         monkeypatch.setattr(
             adaptive, "_small_level", lambda coords: small.append(len(coords)) or real(coords)
         )
-        traces = []
-        for limit in (0, 16):
-            monkeypatch.setattr(adaptive, "_SMALL_LEVEL", limit)
-            assert verify_run(nd).failures == [], f"_SMALL_LEVEL = {limit}"
-            traces.append(io.write_trace(al.build_dendrogram(nd)))
-        assert small  # the second run took the square path
-        assert traces[0] == traces[1]
+        monkeypatch.setattr(adaptive, "_SMALL_LEVEL", 16)
+        assert io.write_trace(al.build_dendrogram(nd)) == hashed
+        assert small and all(2 <= m <= 16 for m in small), small
 
 
 @pytest.mark.parametrize("name", ["para", "meta"])
@@ -1002,23 +1059,12 @@ def test_the_fixtures_call_every_traced_layer(name, monkeypatch):
 
 
 class TestAgainstOracle:
-    def test_para_every_depth(self, para_nd):
-        report = verify_run(para_nd)
-        assert report.failures == []
-
-    def test_meta_every_depth(self, meta_nd):
-        report = verify_run(meta_nd)
-        assert report.failures == []
+    """Inputs beyond ``TestSmallLevel``'s sweep, which runs the oracle on
+    both fixtures and on seed 0 of every regime."""
 
     def test_meta_raw_config(self, meta_nd):
         report = verify_run(raw_frame(meta_nd))
         assert report.failures == []
-
-    @pytest.mark.parametrize("regime", REGIMES + RAW_REGIMES)
-    def test_regime(self, regime):
-        report = verify_run(regime_frame(regime))
-        assert report.failures == []
-        assert report.depths >= 1
 
     def test_small_random(self):
         rng = np.random.default_rng(42)

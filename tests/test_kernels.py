@@ -1,4 +1,4 @@
-"""Tests for the numpy distance, cut-off and neighbour kernels, and the stepwise square."""
+"""Tests for the numpy distance, cut-off and neighbour kernels, and the one full square."""
 import tracemalloc
 
 import numpy as np
@@ -47,17 +47,18 @@ class TestDistancesFrom:
 
 
 class TestStepwiseSquare:
-    """The stepwise baseline's working square, built from coordinates, against
-    the condensed entries: symmetric, with inf on the diagonal."""
+    """``core._square``, the stepwise baseline's working square and a small
+    adaptive level's, built from coordinates, against the condensed entries:
+    symmetric, with inf on the diagonal."""
 
     def test_matches_squareform(self):
         rng = np.random.default_rng(15)
         for n, p in ((2, 1), (7, 2), (40, 3)):
             x = random_coords(rng, n, p)
-            assert np.array_equal(baseline._square(x), condensed_square(pairwise(x), n))
+            assert np.array_equal(core._square(x), condensed_square(pairwise(x), n))
 
     def test_two_points(self):
-        square = baseline._square(np.array([[0.0], [2.5]]))
+        square = core._square(np.array([[0.0], [2.5]]))
         assert np.array_equal(square, [[np.inf, 2.5], [2.5, np.inf]])
         assert _kernels.cutoff_from_condensed(np.array([2.5]), 2) == 2.5
 
@@ -68,7 +69,7 @@ class TestStepwiseSquare:
         x = np.array([[1e200, 0.0], [-1e200, 1.0]] * 3)
         for rows in (x, x[:2]):
             with pytest.raises(al.Overflow):
-                baseline._square(rows)
+                core._square(rows)
 
     def test_cutoff_zero_when_every_point_has_a_duplicate(self):
         rng = np.random.default_rng(16)
@@ -159,7 +160,7 @@ class TestRowBlocks:
         monkeypatch.setattr(_kernels, "_CELL_BUDGET", budget)
         x = block_inputs()[name]
         want = condensed_square(pairwise(x), x.shape[0])
-        assert np.array_equal(baseline._square(x), want)
+        assert np.array_equal(core._square(x), want)
 
     def test_same_bits_at_the_real_budget(self):
         rng = np.random.default_rng(18)
@@ -222,7 +223,7 @@ class TestMemory:
 
     def test_square_peak_near_its_output(self):
         x = np.random.default_rng(21).standard_normal((self.n, 3))
-        square, peak = self.peak_bytes(baseline._square, x)
+        square, peak = self.peak_bytes(core._square, x)
         assert peak <= 1.05 * square.nbytes
 
     def test_matrix_and_cutoff_peak_near_the_condensed_vector(self):
